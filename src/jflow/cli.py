@@ -75,7 +75,6 @@ def _simulate(cfg: ScenarioConfig, args) -> int:
     _write(outdir, "final_state.json", reports.final_state_json(result))
     if cfg.get("functionals.enabled"):
         rep = functional_report(backend, result.state.phi, omega,
-                                cfg.get("functionals.path_steps"),
                                 c=problem.level)
         _write(outdir, "functional_report.json",
                reports.functional_report_json(rep))
@@ -100,8 +99,7 @@ def _functionals(cfg: ScenarioConfig, args) -> int:
                           cfg.get("functionals.amplitude"),
                           cfg.get("functionals.wavenumber"),
                           seed=cfg.get("seed"))
-    rep = functional_report(backend, phi, omega,
-                            cfg.get("functionals.path_steps"))
+    rep = functional_report(backend, phi, omega)
     outdir = _outdir(cfg)
     _write(outdir, "functional_report.json",
            reports.functional_report_json(rep))
@@ -143,8 +141,7 @@ def _run_probes(cfg: ScenarioConfig, args, backend) -> int:
 
     def probe(pair):
         path = geodesic_path(backend, pair[0], pair[1], nodes)
-        return convexity_probe(backend, functional_id, path, omega=omega,
-                               path_steps=cfg.get("functionals.path_steps"))
+        return convexity_probe(backend, functional_id, path, omega=omega)
 
     with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
         results = list(pool.map(probe, endpoints))

@@ -10,6 +10,7 @@ reproducible from their own output directory.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -21,6 +22,9 @@ from .geometry import (GeometryBackend, SphereBackend, TorusBackend,
                        complex_hessian)
 from .potentials import (FAMILY_NAMES, hessian_offset_potential,
                          named_potential)
+
+
+log = logging.getLogger("jflow")
 
 
 def _parse_bool(text: str) -> bool:
@@ -101,8 +105,6 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
                                          "initial potential wavenumber"),
     "functionals.enabled": ConfigKey(_parse_bool, True,
                                      "emit a functional report"),
-    "functionals.path_steps": ConfigKey(int, 33,
-                                        "nodes per path-integral segment"),
     "functionals.family": ConfigKey(
         str, "sine", "potential evaluated by the functionals subcommand",
         choices=FAMILY_NAMES),
@@ -127,6 +129,13 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
         float, 0.2, "lower bound fed to the invariant-based condition"),
     "output.directory": ConfigKey(str, "out", "where reports are written"),
     "seed": ConfigKey(int, 0, "random seed for generated potentials"),
+}
+
+# Keys that older effective configs still carry.  They parse with a
+# warning and change nothing, so those echoes rerun as they are.
+RETIRED_KEYS: dict[str, str] = {
+    "functionals.path_steps": "the path quadrature is exact at a node "
+                              "count fixed by the dimension",
 }
 
 
@@ -162,6 +171,9 @@ def parse_config(text: str) -> ScenarioConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in RETIRED_KEYS:
+            log.warning("ignoring retired key %s: %s", key, RETIRED_KEYS[key])
+            continue
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown configuration key {key!r}", line=raw)
         spec = CONFIG_KEYS[key]
@@ -246,6 +258,9 @@ def build_reference(cfg: ScenarioConfig, backend: GeometryBackend):
 
 def build_problem(cfg: ScenarioConfig, backend: GeometryBackend,
                   omega) -> FlowProblem:
+    if cfg.get("flow.log_every") < 1:
+        raise ConfigError("flow.log_every must be at least 1",
+                          line=cfg.line("flow.log_every"))
     method = cfg.get("flow.method")
     try:
         return FlowProblem(

@@ -72,6 +72,8 @@ class FlowProblem:
                 "use rk4 or euler")
         if self.method not in FLOW_METHODS:
             raise ConfigError(f"unknown flow method {self.method!r}")
+        if self.log_every < 1:
+            raise ConfigError("log_every must be at least 1")
         self.omega.require_kahler("flow target form")
         if self.omega.grid_shape != self.backend.grid_shape:
             raise ConfigError("omega does not live on the backend grid")
@@ -81,10 +83,6 @@ class FlowProblem:
         if self.c is not None:
             return float(self.c)
         return level_constant(self.backend, self.omega)
-
-    @property
-    def energy_tolerance(self) -> float:
-        return self.e_tol_abs
 
     def energy_budget(self, current: float) -> float:
         return self.e_tol_rel * abs(current) + self.e_tol_abs

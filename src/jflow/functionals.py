@@ -8,15 +8,19 @@ measures):
     mixed density     A ^ chi^(n-1) / (n-1)! ->  tr(chi^{-1} A) det(chi) * weights
 
 Path functionals integrate along piecewise-linear potential paths with
-composite Simpson quadrature (odd node count, default 33).  Along a
-linear segment every integrand below is a polynomial in t of degree at
-most n + 1, so for n <= 2 the quadrature is exact and the only
-discretization error is spatial.
+one Gauss-Lobatto rule per segment.  Along a linear segment every
+integrand below is a polynomial in t of degree at most n + 1, and the
+k = ceil((n + 4) / 2) node rule is exact to degree 2k - 3 >= n + 1, so
+the quadrature is exact in every dimension and the only discretization
+error is spatial.  For n <= 2 the rule is Simpson's 3-node rule.  The
+rule keeps both segment ends, and chi_t is affine in t, so the
+positivity check at the nodes covers the whole path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,8 +35,6 @@ from .geometry import (
     trace_with,
     volume,
 )
-
-DEFAULT_PATH_STEPS = 33
 
 # Discrete Jensen guard: entropy of equal-mass measures cannot go below
 # zero by more than round-off.
@@ -51,15 +53,17 @@ def _matrices(form) -> np.ndarray:
     return np.asarray(form, dtype=float)
 
 
-def _simpson_nodes(path_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    if path_steps < 3 or path_steps % 2 == 0:
-        raise ValueError("path_steps must be odd and at least 3")
-    t = np.linspace(0.0, 1.0, path_steps)
-    coeff = np.ones(path_steps)
-    coeff[1:-1:2] = 4.0
-    coeff[2:-1:2] = 2.0
-    coeff *= (1.0 / (path_steps - 1)) / 3.0
-    return t, coeff
+@lru_cache(maxsize=None)
+def _lobatto_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Lobatto nodes and weights on [0, 1], exact to degree n + 1."""
+    k = -(-(n + 4) // 2)
+    p = np.polynomial.legendre.Legendre.basis(k - 1)
+    x = np.concatenate([[-1.0], np.sort(p.deriv().roots().real), [1.0]])
+    w = 2.0 / (k * (k - 1) * p(x) ** 2)
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    # Cached and shared between callers, so frozen.
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _route(backend: GeometryBackend, phi, waypoints) -> list[np.ndarray]:
@@ -73,15 +77,15 @@ def _route(backend: GeometryBackend, phi, waypoints) -> list[np.ndarray]:
 
 
 def _path_integral(backend: GeometryBackend, phi, density_fn,
-                   path_steps: int, waypoints) -> float:
+                   waypoints) -> float:
     """Integrate phi_dot * density(chi_t, phi_t) over a piecewise-linear path.
 
     density_fn(chi_t, phi_t) returns a grid density; each segment is
-    sampled at Simpson nodes and nodes are accumulated in a fixed order
-    so results are deterministic.
+    sampled at the Gauss-Lobatto nodes and nodes are accumulated in a
+    fixed order so results are deterministic.
     """
     base = backend.base_form()
-    t_nodes, coeff = _simpson_nodes(path_steps)
+    t_nodes, coeff = _lobatto_rule(backend.n)
     total = 0.0
     route = _route(backend, phi, waypoints)
     for phi_a, phi_b in zip(route[:-1], route[1:]):
@@ -134,71 +138,77 @@ def aubin_i(backend: GeometryBackend, phi) -> float:
     return float(np.sum(values * diff * backend.weights))
 
 
-def aubin_j(backend: GeometryBackend, phi,
-            path_steps: int = DEFAULT_PATH_STEPS, waypoints=None) -> float:
+def aubin_j(backend: GeometryBackend, phi, waypoints=None) -> float:
     base_det = backend.base_form().det()
 
     def dens(chi_t, phi_t):
         return base_det - chi_t.det()
 
-    return _path_integral(backend, phi, dens, path_steps, waypoints)
+    return _path_integral(backend, phi, dens, waypoints)
 
 
-def aubin_ij(backend: GeometryBackend, phi,
-             path_steps: int = DEFAULT_PATH_STEPS) -> AubinEnergies:
+def aubin_ij(backend: GeometryBackend, phi) -> AubinEnergies:
     """I and J plus a cross-check of I - J against its path formula."""
     i_val = aubin_i(backend, phi)
-    j_val = aubin_j(backend, phi, path_steps)
+    j_val = aubin_j(backend, phi)
     base = backend.base_form()
     base_mats = base.matrices
 
     def dens(chi_t, phi_t):
         return -(backend.n * chi_t.det() - mixed_volume_density(chi_t, base_mats))
 
-    path_val = _path_integral(backend, phi, dens, path_steps, None)
+    path_val = _path_integral(backend, phi, dens, None)
     return AubinEnergies(I=i_val, J=j_val, i_minus_j=i_val - j_val,
                          i_minus_j_path=path_val)
 
 
-def j_hat(backend: GeometryBackend, omega, phi,
-          path_steps: int = DEFAULT_PATH_STEPS, waypoints=None) -> float:
-    """Path integral of phi_dot (mixed(omega) - n c vol) along the route."""
+def _j_density(backend: GeometryBackend, omega, coupling: float):
+    """mixed(omega) - n c vol, plus ``coupling`` times theta vol when nonzero."""
     om = _matrices(omega)
     c = level_constant(backend, omega)
 
     def dens(chi_t, phi_t):
-        return mixed_volume_density(chi_t, om) - backend.n * c * chi_t.det()
+        out = mixed_volume_density(chi_t, om) - backend.n * c * chi_t.det()
+        if coupling:
+            out = out + coupling * theta_of(backend, phi_t) * chi_t.det()
+        return out
 
-    return _path_integral(backend, phi, dens, path_steps, waypoints)
+    return dens
 
 
-def theta_path_term(backend: GeometryBackend, phi,
-                    path_steps: int = DEFAULT_PATH_STEPS, waypoints=None) -> float:
+def j_hat(backend: GeometryBackend, omega, phi, waypoints=None) -> float:
+    """Path integral of phi_dot (mixed(omega) - n c vol) along the route."""
+    return _path_integral(backend, phi, _j_density(backend, omega, 0.0),
+                          waypoints)
+
+
+def theta_path_term(backend: GeometryBackend, phi, waypoints=None) -> float:
     """Path integral of phi_dot theta(chi_t) dV_t, the symmetry coupling."""
 
     def dens(chi_t, phi_t):
         return theta_of(backend, phi_t) * chi_t.det()
 
-    return _path_integral(backend, phi, dens, path_steps, waypoints)
+    return _path_integral(backend, phi, dens, waypoints)
 
 
-def j_tilde(backend: GeometryBackend, omega, phi,
-            path_steps: int = DEFAULT_PATH_STEPS, waypoints=None) -> float:
-    """j_hat plus the symmetry coupling term (equals j_hat when X = 0)."""
-    return (j_hat(backend, omega, phi, path_steps, waypoints)
-            + theta_path_term(backend, phi, path_steps, waypoints))
+def j_tilde(backend: GeometryBackend, omega, phi, waypoints=None) -> float:
+    """j_hat plus the symmetry coupling term (equals j_hat when X = 0).
+
+    Both integrands are summed at each node, so the path is walked once.
+    """
+    return _path_integral(backend, phi, _j_density(backend, omega, 1.0),
+                          waypoints)
 
 
-def j_flow(backend: GeometryBackend, omega, phi,
-           path_steps: int = DEFAULT_PATH_STEPS, waypoints=None) -> float:
+def j_flow(backend: GeometryBackend, omega, phi, waypoints=None) -> float:
     """Descent potential of the flow: j_hat minus the coupling term.
 
     Its critical points satisfy trace equation = n c + theta, i.e. the
     stationary states of the flow; it decreases along trajectories.
     Coincides with j_tilde when the vector field vanishes.
     """
-    return (j_hat(backend, omega, phi, path_steps, waypoints)
-            - theta_path_term(backend, phi, path_steps, waypoints))
+    return _path_integral(backend, phi, _j_density(backend, omega, -1.0),
+                          waypoints)
 
 
 def entropy(backend: GeometryBackend, phi) -> float:
@@ -214,19 +224,17 @@ def entropy(backend: GeometryBackend, phi) -> float:
     return val
 
 
-def k_energy(backend: GeometryBackend, phi,
-             path_steps: int = DEFAULT_PATH_STEPS) -> float:
+def k_energy(backend: GeometryBackend, phi) -> float:
     omega0 = -ricci_form(backend, backend.base_form())
-    return entropy(backend, phi) + j_hat(backend, omega0, phi, path_steps)
+    return entropy(backend, phi) + j_hat(backend, omega0, phi)
 
 
-def k_energy_modified(backend: GeometryBackend, phi,
-                      path_steps: int = DEFAULT_PATH_STEPS) -> tuple[float, float]:
+def k_energy_modified(backend: GeometryBackend, phi) -> tuple[float, float]:
     """(mu, mu_tilde): entropy plus j_hat / j_tilde against -Ric(chi0)."""
     omega0 = -ricci_form(backend, backend.base_form())
     ent = entropy(backend, phi)
-    jh = j_hat(backend, omega0, phi, path_steps)
-    coupling = theta_path_term(backend, phi, path_steps)
+    jh = j_hat(backend, omega0, phi)
+    coupling = theta_path_term(backend, phi)
     return ent + jh, ent + jh + coupling
 
 
@@ -294,14 +302,13 @@ class FunctionalReport:
 
 
 def functional_report(backend: GeometryBackend, phi, omega,
-                      path_steps: int = DEFAULT_PATH_STEPS,
                       c: float | None = None) -> FunctionalReport:
     """Evaluate the full functional family at one potential."""
     values = backend.check_field(_values(phi), "potential")
-    energies = aubin_ij(backend, values, path_steps)
-    jh = j_hat(backend, omega, values, path_steps)
-    coupling = theta_path_term(backend, values, path_steps)
-    mu, mu_tilde = k_energy_modified(backend, values, path_steps)
+    energies = aubin_ij(backend, values)
+    jh = j_hat(backend, omega, values)
+    coupling = theta_path_term(backend, values)
+    mu, mu_tilde = k_energy_modified(backend, values)
     _, e_val = sigma_energy(backend, values, omega)
     return FunctionalReport(
         c=level_constant(backend, omega) if c is None else float(c),
@@ -313,6 +320,6 @@ def functional_report(backend: GeometryBackend, phi, omega,
         k_energy=mu,
         k_energy_modified=mu_tilde,
         E=e_val,
-        path_steps=path_steps,
-        quadrature_rule="simpson",
+        path_steps=_lobatto_rule(backend.n)[0].size,
+        quadrature_rule="gauss_lobatto",
     )

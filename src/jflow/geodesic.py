@@ -20,13 +20,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .fields import (ConvexityLost, GeometryError, HermitianFormField,
                      PotentialField, ScalarField, UnsupportedBackend)
-from .functionals import (DEFAULT_PATH_STEPS, aubin_i, aubin_j, entropy,
-                          j_flow, j_hat, j_tilde, k_energy,
-                          k_energy_modified)
+from .functionals import (aubin_i, aubin_j, entropy, j_flow, j_hat, j_tilde,
+                          k_energy, k_energy_modified)
 from .geometry import GeometryBackend, SphereBackend, build_metric, integrate
 
 # Root tolerance in the moment variable for both transform directions.
@@ -79,28 +77,33 @@ class SymplecticPotential:
 
 
 def _solve_monotone(func: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                    lo: float, hi: float, targets: np.ndarray,
+                    lo: float, hi: float, x0: np.ndarray, targets: np.ndarray,
                     tol: float) -> np.ndarray:
     """Componentwise root of func(x).value = target on a common bracket.
 
-    Safeguarded Newton: iterates that leave their bracket fall back to
-    bisection, so convergence only needs the bracket to hold a sign
-    change.  Callers check the bracket before calling.
+    Safeguarded Newton from x0: a component is done once its Newton
+    correction is below tol / 100 or its bracket is narrower than tol.
+    Other iterates that leave their bracket fall back to bisection, so
+    convergence only needs the bracket to hold a sign change.  Callers
+    check the bracket before calling.
     """
     lo_arr = np.full(targets.shape, lo, dtype=float)
     hi_arr = np.full(targets.shape, hi, dtype=float)
-    x = 0.5 * (lo_arr + hi_arr)
+    x = np.broadcast_to(np.asarray(x0, dtype=float), targets.shape)
     for _ in range(200):
         value, slope = func(x)
         f = value - targets
-        lo_arr = np.where(f <= 0.0, x, lo_arr)
-        hi_arr = np.where(f > 0.0, x, hi_arr)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = x - f / slope
-        inside = (slope > 0.0) & (newton > lo_arr) & (newton < hi_arr)
-        x_new = np.where(inside & np.isfinite(newton), newton,
-                         0.5 * (lo_arr + hi_arr))
-        if np.all((hi_arr - lo_arr < tol) | (np.abs(x_new - x) < 0.01 * tol)):
+        usable = (slope > 0.0) & np.isfinite(newton)
+        # Tested before the bracket update: a converged iterate lands on
+        # the end of its own bracket and would fail the strict test below.
+        settled = usable & (np.abs(newton - x) < 0.01 * tol)
+        lo_arr = np.where(f <= 0.0, x, lo_arr)
+        hi_arr = np.where(f > 0.0, x, hi_arr)
+        inside = usable & (newton > lo_arr) & (newton < hi_arr)
+        x_new = np.where(settled | inside, newton, 0.5 * (lo_arr + hi_arr))
+        if np.all(settled | (hi_arr - lo_arr < tol)):
             return x_new
         x = x_new
     raise GeometryError("moment root refinement failed to reach tolerance")
@@ -126,6 +129,10 @@ def legendre_transform(backend: GeometryBackend, phi) -> SymplecticPotential:
     values = sphere.check_field(_values(phi), "potential")
     build_metric(sphere, sphere.base_form(), values).require_kahler(
         "legendre transform")
+    # Imported on first use: only geodesic code needs scipy.interpolate,
+    # and loading it costs a large share of every command's start-up.
+    from scipy.interpolate import make_interp_spline
+
     m = sphere.m
     # Quintic interpolation keeps the end-derivative error well under the
     # round-trip tolerance; the grid is uniform, so the fit is banded.
@@ -144,10 +151,52 @@ def legendre_transform(backend: GeometryBackend, phi) -> SymplecticPotential:
         raise ConvexityLost(
             "legendre sup attained at the s-truncation boundary: moment image "
             f"[{image_lo:.8f}, {image_hi:.8f}] does not cover the grid")
-    m_star = _solve_monotone(moment, lo, hi, m, LEGENDRE_TOL)
+    # The round chart's sup sits at the grid node itself.
+    m_star = _solve_monotone(moment, lo, hi, m, m, LEGENDRE_TOL)
     s_star = np.log(m_star) - np.log1p(-m_star)
     u = m * s_star + np.log1p(-m_star) - spline(m_star)
     return SymplecticPotential.from_values(u)
+
+
+def _inverse_rows(sphere: SphereBackend, deviations: np.ndarray,
+                  weights: np.ndarray) -> np.ndarray:
+    """Chart potentials of u0 + deviations @ w for each row w of weights.
+
+    ``deviations`` holds one column per symplectic potential, as its
+    deviation from the round-chart dual u0 on the grid.  A spline fit is
+    linear in its data, so the columns share one fit and each row's
+    spline is the weighted sum of the column splines.  Every row solves
+    u'(m) = s in one monotone solve; rows come back in weight order.
+    """
+    from scipy.interpolate import make_interp_spline
+
+    m = sphere.m
+    columns = make_interp_spline(m, deviations, k=5)
+
+    def deviation(x, nu=0):
+        return np.sum(columns(x, nu) * weights[:, None, :], axis=-1)
+
+    def slope(x):
+        rho0 = x * (1.0 - x)
+        return (np.log(x) - np.log1p(-x) + deviation(x, 1),
+                1.0 / rho0 + deviation(x, 2))
+
+    lo = TAIL_SLIVER * sphere.m_lo
+    hi = 1.0 - lo
+    targets = sphere.s
+    rows = len(weights)
+    if np.any(slope(np.full((rows, 1), lo))[0] > targets[0]) or \
+            np.any(slope(np.full((rows, 1), hi))[0] < targets[-1]):
+        raise ConvexityLost(
+            "inverse legendre slope range does not cover the chart: the sup "
+            "is attained at the s-truncation boundary")
+    # The round chart's root for s_i is the grid node m_i itself.
+    m_star = _solve_monotone(slope, lo, hi, m,
+                             np.broadcast_to(targets, (rows, m.size)),
+                             LEGENDRE_TOL)
+    u_star = (m_star * np.log(m_star) + (1.0 - m_star) * np.log1p(-m_star)
+              + deviation(m_star))
+    return m_star * targets - u_star - sphere.f0
 
 
 def legendre_inverse(backend: GeometryBackend,
@@ -168,27 +217,8 @@ def legendre_inverse(backend: GeometryBackend,
         raise GeometryError(
             f"symplectic potential shape {uv.shape} does not match grid "
             f"{sphere.grid_shape}")
-    m = sphere.m
-    u0 = _base_symplectic(sphere)
-    deviation = make_interp_spline(m, uv - u0, k=5)
-
-    def slope(x):
-        rho0 = x * (1.0 - x)
-        return (np.log(x) - np.log1p(-x) + deviation(x, 1),
-                1.0 / rho0 + deviation(x, 2))
-
-    lo = TAIL_SLIVER * sphere.m_lo
-    hi = 1.0 - lo
-    targets = sphere.s
-    if slope(np.array([lo]))[0][0] > targets[0] or \
-            slope(np.array([hi]))[0][0] < targets[-1]:
-        raise ConvexityLost(
-            "inverse legendre slope range does not cover the chart: the sup "
-            "is attained at the s-truncation boundary")
-    m_star = _solve_monotone(slope, lo, hi, targets, LEGENDRE_TOL)
-    u_star = (m_star * np.log(m_star) + (1.0 - m_star) * np.log1p(-m_star)
-              + deviation(m_star))
-    return m_star * targets - u_star - sphere.f0
+    deviation = (uv - _base_symplectic(sphere))[:, None]
+    return _inverse_rows(sphere, deviation, np.ones((1, 1)))[0]
 
 
 def geodesic_path(backend: GeometryBackend, phi_a, phi_b,
@@ -197,18 +227,20 @@ def geodesic_path(backend: GeometryBackend, phi_a, phi_b,
 
     ``steps`` is the number of samples returned, at uniform t in [0, 1];
     the path is affine between the endpoint symplectic potentials, which
-    is what solves the geodesic equation in this reduction.  Every
-    sample is positivity-checked.
+    is what solves the geodesic equation in this reduction.  All samples
+    are solved together, and every sample is positivity-checked.
     """
     sphere = _require_sphere(backend)
     if steps < 2:
         raise GeometryError("a geodesic path needs at least its two endpoints")
-    u_a = legendre_transform(sphere, phi_a).values
-    u_b = legendre_transform(sphere, phi_b).values
+    u0 = _base_symplectic(sphere)
+    ends = np.stack([legendre_transform(sphere, phi_a).values - u0,
+                     legendre_transform(sphere, phi_b).values - u0], axis=1)
+    ts = np.linspace(0.0, 1.0, steps)
+    rows = _inverse_rows(sphere, ends, np.stack([1.0 - ts, ts], axis=1))
     base = sphere.base_form()
     path = []
-    for t in np.linspace(0.0, 1.0, steps):
-        phi_t = legendre_inverse(sphere, (1.0 - t) * u_a + t * u_b)
+    for phi_t in rows:
         build_metric(sphere, base, phi_t).require_kahler("geodesic sample")
         path.append(phi_t)
     return path
@@ -238,23 +270,23 @@ def geodesic_residual(backend: GeometryBackend,
     return worst
 
 
-def _mean_value(backend, phi, omega, path_steps):
+def _mean_value(backend, phi, omega):
     return integrate(backend, _values(phi)) / backend.volume
 
 
 _OMEGA_FREE = {
-    "i": lambda b, phi, om, ps: aubin_i(b, phi),
-    "j": lambda b, phi, om, ps: aubin_j(b, phi, ps),
-    "entropy": lambda b, phi, om, ps: entropy(b, phi),
-    "k_energy": lambda b, phi, om, ps: k_energy(b, phi, ps),
-    "k_energy_modified": lambda b, phi, om, ps: k_energy_modified(b, phi, ps)[1],
+    "i": lambda b, phi, om: aubin_i(b, phi),
+    "j": lambda b, phi, om: aubin_j(b, phi),
+    "entropy": lambda b, phi, om: entropy(b, phi),
+    "k_energy": lambda b, phi, om: k_energy(b, phi),
+    "k_energy_modified": lambda b, phi, om: k_energy_modified(b, phi)[1],
     "mean": _mean_value,
 }
 
 _OMEGA_BOUND = {
-    "j_hat": lambda b, phi, om, ps: j_hat(b, om, phi, ps),
-    "j_tilde": lambda b, phi, om, ps: j_tilde(b, om, phi, ps),
-    "j_flow": lambda b, phi, om, ps: j_flow(b, om, phi, ps),
+    "j_hat": lambda b, phi, om: j_hat(b, om, phi),
+    "j_tilde": lambda b, phi, om: j_tilde(b, om, phi),
+    "j_flow": lambda b, phi, om: j_flow(b, om, phi),
 }
 
 FUNCTIONAL_IDS = tuple(sorted(_OMEGA_FREE) + sorted(_OMEGA_BOUND))
@@ -284,8 +316,7 @@ class ProbeReport:
 
 
 def convexity_probe(backend: GeometryBackend, functional_id: str,
-                    path: Sequence, omega=None,
-                    path_steps: int = DEFAULT_PATH_STEPS) -> ProbeReport:
+                    path: Sequence, omega=None) -> ProbeReport:
     """Evaluate a named functional along a path and report convexity.
 
     The probe reports raw second differences, negative ones included;
@@ -313,6 +344,6 @@ def convexity_probe(backend: GeometryBackend, functional_id: str,
             f"unknown functional id {functional_id!r}; expected one of "
             f"{', '.join(FUNCTIONAL_IDS)}")
     ts = np.linspace(0.0, 1.0, len(path))
-    values = np.array([fn(sphere, _values(p), om, path_steps) for p in path])
+    values = np.array([fn(sphere, _values(p), om) for p in path])
     return ProbeReport(functional_id=functional_id, ts=ts, values=values,
                        second_differences=np.diff(values, 2))

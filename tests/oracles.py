@@ -3,8 +3,10 @@
 Everything here deliberately avoids the library's own evaluation routes:
 the collocation solver replaces time integration with a direct Newton
 solve, the cone oracle replaces the eigenvalue reduction with Sylvester
-minors on the wedge-coefficient matrix, and the quadrature oracles go
-through scipy.integrate on closed-form continuum expressions.
+minors on the wedge-coefficient matrix, the quadrature oracles go
+through scipy.integrate on closed-form continuum expressions, and the
+path oracle integrates with 33-node composite Simpson and adjugate
+minors where the library uses its smallest exact rule.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import quad
 
-from jflow import theta_of
+from jflow import complex_hessian, theta_of
 from jflow.geometry import SphereBackend
 
 
@@ -113,3 +115,44 @@ def directional_difference(f, phi: np.ndarray, psi: np.ndarray,
                            h: float) -> float:
     """Central difference of a scalar functional along psi at phi."""
     return (f(phi + h * psi) - f(phi - h * psi)) / (2.0 * h)
+
+
+def simpson_path_functionals(backend, omega_matrices: np.ndarray,
+                             phi: np.ndarray) -> dict:
+    """j_hat, j_tilde and aubin_j along the chord from 0 to phi.
+
+    Composite Simpson in t with 33 samples.  Volume and mixed densities
+    come from explicit 2x2 adjugate formulas, so this covers n <= 2:
+    det(chi) and tr(adj(chi) omega) = tr(chi^{-1} omega) det(chi).
+    """
+    nodes = 33
+    t = np.linspace(0.0, 1.0, nodes)
+    coeff = np.ones(nodes)
+    coeff[1:-1:2] = 4.0
+    coeff[2:-1:2] = 2.0
+    coeff *= t[1] / 3.0
+
+    def det_and_mixed(m, om):
+        if m.shape[-1] == 1:
+            return m[..., 0, 0], om[..., 0, 0]
+        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+        mixed = (m[..., 1, 1] * om[..., 0, 0] + m[..., 0, 0] * om[..., 1, 1]
+                 - m[..., 0, 1] * om[..., 1, 0] - m[..., 1, 0] * om[..., 0, 1])
+        return det, mixed
+
+    base = backend.base_form().matrices
+    om = np.asarray(omega_matrices, dtype=float)
+    base_det, base_mixed = det_and_mixed(base, om)
+    level = float(np.sum(base_mixed * backend.weights)) / (
+        backend.n * float(np.sum(base_det * backend.weights)))
+    totals = {"j_hat": 0.0, "j_tilde": 0.0, "aubin_j": 0.0}
+    for tk, ck in zip(t, coeff):
+        chi = base + complex_hessian(backend, tk * phi)
+        det, mixed = det_and_mixed(chi, om)
+        j_dens = mixed - backend.n * level * det
+        coupling = theta_of(backend, tk * phi) * det
+        pair = phi * backend.weights
+        totals["j_hat"] += ck * float(np.sum(pair * j_dens))
+        totals["j_tilde"] += ck * float(np.sum(pair * (j_dens + coupling)))
+        totals["aubin_j"] += ck * float(np.sum(pair * (base_det - det)))
+    return totals

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +96,37 @@ def test_config_error_exit_2_with_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "offending line: geometry.kine = torus" in err
+
+
+def test_log_every_zero_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, FAST_TORUS + "flow.log_every = 0\n")
+    assert main(["simulate", "--config", cfg,
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "offending line: flow.log_every = 0" in err
+
+
+def test_retired_path_steps_changes_no_output(tmp_path, caplog):
+    # both runs write to one directory, since the echo records it
+    text = "geometry.kind = sphere\ngeometry.size = 64\n"
+    out = str(tmp_path / "run")
+    assert main(["functionals", "--config", write_cfg(tmp_path, text),
+                 "--out", out]) == 0
+    plain = {name: read(out, name) for name in os.listdir(out)}
+    assert "functionals.path_steps" not in caplog.text
+    old_cfg = write_cfg(tmp_path, text + "functionals.path_steps = 32\n",
+                        name="old.cfg")
+    assert main(["functionals", "--config", old_cfg, "--out", out]) == 0
+    assert "functionals.path_steps" in caplog.text
+    assert {name: read(out, name) for name in os.listdir(out)} == plain
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import jflow.cli, sys; "
+            "assert 'scipy.interpolate' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_geodesic_probe_on_torus_is_config_error(tmp_path, capsys):

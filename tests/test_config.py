@@ -156,6 +156,24 @@ def test_build_problem_maps_method_error_to_config():
     assert err.value.line == "flow.method = semi_implicit"
 
 
+def test_build_problem_rejects_log_every_below_one():
+    cfg = parse_config("flow.log_every = 0")
+    backend = build_backend(cfg)
+    omega = build_reference(cfg, backend)
+    with pytest.raises(ConfigError) as err:
+        build_problem(cfg, backend, omega)
+    assert err.value.line == "flow.log_every = 0"
+
+
+def test_retired_path_steps_key_is_ignored_with_a_warning(caplog):
+    with caplog.at_level("WARNING", logger="jflow"):
+        cfg = parse_config("functionals.path_steps = 32\nseed = 3")
+    assert cfg.values == parse_config("seed = 3").values
+    assert "functionals.path_steps" not in cfg.render()
+    warnings = [r for r in caplog.records if "path_steps" in r.getMessage()]
+    assert len(warnings) == 1
+
+
 def test_build_problem_carries_settings():
     cfg = parse_config("flow.t_max = 3.0\nflow.residual_target = 1e-4\n"
                        "flow.cfl_safety = 0.33\nflow.log_every = 5")

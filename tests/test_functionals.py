@@ -109,12 +109,29 @@ def test_aubin_rejects_degenerate_endpoint(torus64):
         aubin_j(torus64, np.sin(2 * np.pi * x))
 
 
-def test_path_steps_must_be_odd(torus64, rng):
-    phi = random_kahler_potential(torus64, rng, 0.3)
-    with pytest.raises(ValueError):
-        aubin_j(torus64, phi, path_steps=4)
-    with pytest.raises(ValueError):
-        aubin_j(torus64, phi, path_steps=1)
+def test_path_rule_exact_to_degree_n_plus_one():
+    from jflow.functionals import _lobatto_rule
+    for n in (1, 2, 3, 4):
+        t, w = _lobatto_rule(n)
+        assert t[0] == 0.0 and t[-1] == 1.0
+        for degree in range(n + 2):
+            assert abs(np.dot(w, t**degree) - 1.0 / (degree + 1)) < 1e-15
+
+
+def test_path_functionals_match_simpson_oracle(sphere128, torus2d, rng):
+    # the 3-node rule is exact for n <= 2, so 33-node composite Simpson
+    # agrees with it to round-off on both dimensions
+    for b in (sphere128, torus2d):
+        for _ in range(3):
+            phi = random_kahler_potential(b, rng, 0.5)
+            psi = random_kahler_potential(b, rng, 0.3)
+            omega = build_metric(b, b.base_form(), psi)
+            want = oracles.simpson_path_functionals(b, omega.matrices, phi)
+            got = {"j_hat": j_hat(b, omega, phi),
+                   "j_tilde": j_tilde(b, omega, phi),
+                   "aubin_j": aubin_j(b, phi)}
+            for name, value in got.items():
+                assert abs(value - want[name]) <= 1e-13 * abs(want[name]), name
 
 
 # --- j_hat / j_tilde / j_flow -----------------------------------------------
@@ -274,8 +291,8 @@ def test_functional_report_fields(torus64, rng):
     assert sorted(d) == sorted([
         "c", "I", "J", "j_hat", "j_tilde", "entropy", "k_energy",
         "k_energy_modified", "E", "path_steps", "quadrature_rule"])
-    assert d["quadrature_rule"] == "simpson"
-    assert d["path_steps"] == 33
+    assert d["quadrature_rule"] == "gauss_lobatto"
+    assert d["path_steps"] == 3
     assert d["c"] == 1.0
     # vanishing vector field collapses the modified pair onto the plain one
     assert d["j_tilde"] == d["j_hat"]

@@ -84,6 +84,24 @@ def test_inverse_transform_slope_out_of_range(sphere128):
         legendre_inverse(sphere128, u)
 
 
+def test_inverse_converges_in_few_solver_evaluations(sphere128, rng,
+                                                    monkeypatch):
+    import jflow.geodesic as geodesic
+    calls = []
+    solve = geodesic._solve_monotone
+
+    def counting(func, *args):
+        def counted(x):
+            calls.append(1)
+            return func(x)
+        return solve(counted, *args)
+
+    u = legendre_transform(sphere128, random_kahler_potential(sphere128, rng, 0.5))
+    monkeypatch.setattr(geodesic, "_solve_monotone", counting)
+    legendre_inverse(sphere128, u)
+    assert 0 < len(calls) <= 10
+
+
 def test_inverse_shape_checked(sphere128):
     with pytest.raises(GeometryError):
         legendre_inverse(sphere128, np.zeros(7))
@@ -121,6 +139,17 @@ def test_path_endpoints_reproduce(sphere256):
     assert len(path) == 5
     assert np.abs(path[0] - pa).max() < 1e-9
     assert np.abs(path[-1] - pb).max() < 1e-9
+
+
+def test_path_matches_per_node_inverse(sphere128, rng):
+    pa = random_kahler_potential(sphere128, rng, 0.5)
+    pb = random_kahler_potential(sphere128, rng, 0.5)
+    path = geodesic_path(sphere128, pa, pb, 17)
+    ua = legendre_transform(sphere128, pa).values
+    ub = legendre_transform(sphere128, pb).values
+    for t, phi_t in zip(np.linspace(0.0, 1.0, 17), path):
+        want = legendre_inverse(sphere128, (1.0 - t) * ua + t * ub)
+        assert np.abs(phi_t - want).max() <= 1e-12
 
 
 def test_path_needs_two_samples(sphere128):

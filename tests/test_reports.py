@@ -87,7 +87,7 @@ def test_functional_report_schema(torus64, rng):
     with open(f"{SCHEMA_DIR}/functional_report.schema.json") as fh:
         schema = json.load(fh)
     jsonschema.validate(payload, schema)
-    assert payload["quadrature_rule"] == "simpson"
+    assert payload["quadrature_rule"] == "gauss_lobatto"
 
 
 def test_hypothesis_report_schema(sphere64):
