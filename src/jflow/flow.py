@@ -13,6 +13,16 @@ Stepping is explicit (RK4 by default) with the step capped by
 cfl_safety * spacing^2 / (chart stiffness bound).  A step is rejected,
 and the step size halved, when positivity fails anywhere or E increases
 beyond round-off tolerance.
+
+Each kernel builds the positivity-checked state a stage needs (the
+density, with theta where the geometry has one, or the checked metric)
+in one private routine, and `rhs`, `stiffness` and `diagnostics` take
+that stage.  The stage of an accepted state, built for its diagnostics,
+serves the next step's stiffness cap and RK4's first stage, and a
+rejected attempt reuses it as well, so an accepted RK4 step builds four
+stages and an Euler step one.  `FlowResult.stats` counts the builds, the
+right-hand-side evaluations, the rejections by cause and the steps whose
+size the stiffness cap set.
 """
 
 from __future__ import annotations
@@ -116,6 +126,23 @@ class MonitorRecord:
 
 
 @dataclass
+class FlowStats:
+    """Deterministic counters of one run of the flow.
+
+    metric_builds counts the positivity-checked stages the kernel built,
+    rhs_evaluations the right-hand sides taken for stepping (the initial
+    range included), and steps_at_cap the accepted steps whose size the
+    stiffness cap set rather than the step-size history or t_max.
+    """
+
+    rhs_evaluations: int = 0
+    metric_builds: int = 0
+    rejected_positivity: int = 0
+    rejected_energy: int = 0
+    steps_at_cap: int = 0
+
+
+@dataclass
 class FlowResult:
     problem: FlowProblem
     state: FlowState
@@ -125,6 +152,7 @@ class FlowResult:
     subsolution_margin: float
     sigma_mean: float
     minus_nc: float
+    stats: FlowStats
     snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
 
     @property
@@ -150,6 +178,13 @@ class _Diagnostics:
     theta_max: float
 
 
+def _periodic_neighbours(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values[(k + 1) % N], values[(k - 1) % N]) over k, as views of one
+    copy padded with a wrapped node at each end."""
+    padded = np.concatenate((values[-1:], values, values[:1]))
+    return padded[2:], padded[:-2]
+
+
 class _GenericKernel:
     """Backend-agnostic kernel built from the public geometry operations."""
 
@@ -159,25 +194,27 @@ class _GenericKernel:
         self.omega = omega
         self.nc = backend.n * c
         self.n = backend.n
+        self.stats = FlowStats()
 
-    def _metric(self, phi: np.ndarray) -> HermitianFormField:
+    def _stage(self, phi: np.ndarray) -> tuple[HermitianFormField, np.ndarray]:
+        """The checked metric chi_phi and theta(phi)."""
+        self.stats.metric_builds += 1
         chi = build_metric(self.backend, self.backend.base_form(), phi)
-        return chi.require_kahler("flow step")
+        return chi.require_kahler("flow step"), theta_of(self.backend, phi)
 
-    def rhs(self, phi: np.ndarray) -> np.ndarray:
-        chi = self._metric(phi)
+    def rhs(self, stage) -> np.ndarray:
+        self.stats.rhs_evaluations += 1
+        chi, theta = stage
         lam = trace_with(chi, self.omega)
-        theta = theta_of(self.backend, phi)
         return (self.nc + theta - lam) / self.n
 
-    def stiffness(self, phi: np.ndarray) -> float:
-        return self.backend.cfl_coefficient(self._metric(phi), self.omega)
+    def stiffness(self, stage) -> float:
+        return self.backend.cfl_coefficient(stage[0], self.omega)
 
-    def diagnostics(self, phi: np.ndarray) -> _Diagnostics:
+    def diagnostics(self, stage) -> _Diagnostics:
         b = self.backend
-        chi = self._metric(phi)
+        chi, theta = stage
         lam = trace_with(chi, self.omega)
-        theta = theta_of(b, phi)
         sigma = theta - lam
         rhs = (self.nc + sigma) / self.n
         dens = b.volume_density(chi)
@@ -208,9 +245,12 @@ class _SphereKernel:
         self.theta0 = backend.theta_base()
         self.om = omega.density
         self.floor = DEFAULT_POSITIVITY_FLOOR
+        self.stats = FlowStats()
 
-    def _density(self, phi: np.ndarray) -> np.ndarray:
-        flux = self.mph * np.diff(phi) / self.delta
+    def _stage(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The density rho, positivity-checked, and theta(phi)."""
+        self.stats.metric_builds += 1
+        flux = self.mph * (phi[1:] - phi[:-1]) / self.delta
         div = np.empty_like(phi)
         div[0] = flux[0]
         div[1:-1] = flux[1:] - flux[:-1]
@@ -218,7 +258,7 @@ class _SphereKernel:
         rho = self.rho0 + self.mprime * div / self.delta
         if rho.min() <= self.floor:
             raise NotKahlerError("flow step left the positive cone")
-        return rho
+        return rho, self.theta0 + self.mprime * self._dm(phi)
 
     def _dm(self, values: np.ndarray) -> np.ndarray:
         out = np.empty_like(values)
@@ -228,19 +268,18 @@ class _SphereKernel:
         out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / d2
         return out
 
-    def rhs(self, phi: np.ndarray) -> np.ndarray:
-        rho = self._density(phi)
-        theta = self.theta0 + self.mprime * self._dm(phi)
+    def rhs(self, stage) -> np.ndarray:
+        self.stats.rhs_evaluations += 1
+        rho, theta = stage
         return self.nc + theta - self.om / rho
 
-    def stiffness(self, phi: np.ndarray) -> float:
-        rho = self._density(phi)
+    def stiffness(self, stage) -> float:
+        rho = stage[0]
         return float((self.om * self.mprime**2 / rho**2).max())
 
-    def diagnostics(self, phi: np.ndarray) -> _Diagnostics:
-        rho = self._density(phi)
+    def diagnostics(self, stage) -> _Diagnostics:
+        rho, theta = stage
         lam = self.om / rho
-        theta = self.theta0 + self.mprime * self._dm(phi)
         sigma = theta - lam
         rhs = self.nc + sigma
         dens = rho * self.weights
@@ -268,28 +307,32 @@ class _TorusLineKernel:
         self.weight = backend.weights
         self.om = omega.density
         self.floor = DEFAULT_POSITIVITY_FLOOR
+        self.stats = FlowStats()
 
-    def _density(self, phi: np.ndarray) -> np.ndarray:
-        lap = (np.roll(phi, -1) - 2.0 * phi + np.roll(phi, 1)) / self.delta**2
+    def _stage(self, phi: np.ndarray) -> np.ndarray:
+        """The density h, positivity-checked."""
+        self.stats.metric_builds += 1
+        up, down = _periodic_neighbours(phi)
+        lap = (up - 2.0 * phi + down) / self.delta**2
         h = self.h0 + 0.25 * lap
         if h.min() <= self.floor:
             raise NotKahlerError("flow step left the positive cone")
         return h
 
-    def rhs(self, phi: np.ndarray) -> np.ndarray:
-        return self.nc - self.om / self._density(phi)
+    def rhs(self, h: np.ndarray) -> np.ndarray:
+        self.stats.rhs_evaluations += 1
+        return self.nc - self.om / h
 
-    def stiffness(self, phi: np.ndarray) -> float:
-        h = self._density(phi)
+    def stiffness(self, h: np.ndarray) -> float:
         return float((0.25 * self.om / h**2).max())
 
-    def diagnostics(self, phi: np.ndarray) -> _Diagnostics:
-        h = self._density(phi)
+    def diagnostics(self, h: np.ndarray) -> _Diagnostics:
         lam = self.om / h
         sigma = -lam
         rhs = self.nc + sigma
         energy = float(np.sum(sigma * sigma * h) * self.weight)
-        dsig = (np.roll(sigma, -1) - np.roll(sigma, 1)) / (2.0 * self.delta)
+        up, down = _periodic_neighbours(sigma)
+        dsig = (up - down) / (2.0 * self.delta)
         dissipation = -0.5 * float(np.sum(dsig * dsig * self.om / h) * self.weight)
         return _Diagnostics(
             rhs=rhs, sigma=sigma, E=energy, dissipation=dissipation,
@@ -354,37 +397,51 @@ def linearized_operator(backend: GeometryBackend, phi,
         max_coefficient=backend.cfl_coefficient(chi, omega))
 
 
-def _advance(kernel, phi: np.ndarray, dt: float, method: str) -> np.ndarray:
+def _advance(kernel, phi: np.ndarray, stage, dt: float,
+             method: str) -> np.ndarray:
+    """One explicit step from phi, whose kernel stage is `stage`."""
+    k1 = kernel.rhs(stage)
     if method == "euler":
-        return phi + dt * kernel.rhs(phi)
-    k1 = kernel.rhs(phi)
-    k2 = kernel.rhs(phi + 0.5 * dt * k1)
-    k3 = kernel.rhs(phi + 0.5 * dt * k2)
-    k4 = kernel.rhs(phi + dt * k3)
+        return phi + dt * k1
+    k2 = kernel.rhs(kernel._stage(phi + 0.5 * dt * k1))
+    k3 = kernel.rhs(kernel._stage(phi + 0.5 * dt * k2))
+    k4 = kernel.rhs(kernel._stage(phi + dt * k3))
     return phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _attempt_step(problem: FlowProblem, kernel, state: FlowState,
-                  energy: float) -> tuple[FlowState, bool, _Diagnostics | None]:
-    """One trial step.  Returns (state, accepted, diagnostics-at-new-state)."""
-    cap = problem.cfl_safety * problem.backend.spacing**2 / kernel.stiffness(state.phi)
+def _attempt_step(problem: FlowProblem, kernel, state: FlowState, stage,
+                  energy: float) -> tuple[FlowState, object, _Diagnostics | None]:
+    """One trial step from `state`, whose kernel stage is `stage`.
+
+    Returns (state, stage, diagnostics) of the accepted new state, or, on
+    rejection, the state with its step halved, the same stage and None.
+    """
+    stats = kernel.stats
+    cap = problem.cfl_safety * problem.backend.spacing**2 / kernel.stiffness(stage)
     dt = min(state.dt, cap)
     lands_on_end = state.t + dt >= problem.t_max
     if lands_on_end:
         dt = problem.t_max - state.t
     try:
-        trial = _advance(kernel, state.phi, dt, problem.method)
-        diag = kernel.diagnostics(trial)
-        ok = diag.E <= energy + problem.energy_budget(energy)
+        trial = _advance(kernel, state.phi, stage, dt, problem.method)
+        trial_stage = kernel._stage(trial)
+        diag = kernel.diagnostics(trial_stage)
     except NotKahlerError:
-        ok = False
-    if not ok:
+        stats.rejected_positivity += 1
+        diag = None
+    else:
+        if not (diag.E <= energy + problem.energy_budget(energy)):
+            stats.rejected_energy += 1
+            diag = None
+    if diag is None:
         halved = dt * 0.5
         if halved < problem.dt_min:
             raise StepStalled(
                 f"step size underflow at t = {state.t:.6g} "
                 f"(dt = {halved:.3e} < dt_min = {problem.dt_min:.3e})")
-        return replace(state, dt=halved, accepted_streak=0), False, None
+        return replace(state, dt=halved, accepted_streak=0), stage, None
+    if cap <= state.dt and not lands_on_end:
+        stats.steps_at_cap += 1
     streak = state.accepted_streak + 1
     next_dt = dt
     if streak >= problem.growth_every:
@@ -396,29 +453,36 @@ def _attempt_step(problem: FlowProblem, kernel, state: FlowState,
                     step_count=state.step_count + 1,
                     accepted_streak=streak,
                     rhs_range_initial=state.rhs_range_initial)
-    return new, True, diag
+    return new, trial_stage, diag
 
 
 def step(problem: FlowProblem, state: FlowState) -> FlowState:
     """Public single-step entry point; see run_flow for the monitored loop."""
     kernel = _make_kernel(problem)
-    energy = kernel.diagnostics(state.phi).E
-    new_state, _, _ = _attempt_step(problem, kernel, state, energy)
+    stage = kernel._stage(state.phi)
+    energy = kernel.diagnostics(stage).E
+    new_state, _, _ = _attempt_step(problem, kernel, state, stage, energy)
     return new_state
 
 
-def initial_state(problem: FlowProblem, phi0=None) -> FlowState:
+def _start(problem: FlowProblem, kernel, phi0) -> tuple[FlowState, object]:
+    """The initial state and its kernel stage."""
     backend = problem.backend
     if phi0 is None:
         phi = np.zeros(backend.grid_shape)
     else:
         phi = backend.check_field(_values(phi0), "initial potential").copy()
-    kernel = _make_kernel(problem)
-    rhs0 = kernel.rhs(phi)
-    cap = problem.cfl_safety * backend.spacing**2 / kernel.stiffness(phi)
+    stage = kernel._stage(phi)
+    rhs0 = kernel.rhs(stage)
+    cap = problem.cfl_safety * backend.spacing**2 / kernel.stiffness(stage)
     dt = cap if problem.dt_init is None else min(problem.dt_init, cap)
-    return FlowState(phi=phi, t=0.0, dt=dt, step_count=0, accepted_streak=0,
-                     rhs_range_initial=(float(rhs0.min()), float(rhs0.max())))
+    state = FlowState(phi=phi, t=0.0, dt=dt, step_count=0, accepted_streak=0,
+                      rhs_range_initial=(float(rhs0.min()), float(rhs0.max())))
+    return state, stage
+
+
+def initial_state(problem: FlowProblem, phi0=None) -> FlowState:
+    return _start(problem, _make_kernel(problem), phi0)[0]
 
 
 def run_flow(problem: FlowProblem, phi0=None) -> FlowResult:
@@ -431,7 +495,7 @@ def run_flow(problem: FlowProblem, phi0=None) -> FlowResult:
     """
     backend = problem.backend
     kernel = _make_kernel(problem)
-    state = initial_state(problem, phi0)
+    state, stage = _start(problem, kernel, phi0)
 
     theta0 = theta_of(backend, np.zeros(backend.grid_shape))
     margin = subsolution_margin(backend.base_form(), problem.omega,
@@ -441,7 +505,7 @@ def run_flow(problem: FlowProblem, phi0=None) -> FlowResult:
     sandwich_tol = 1e-6 + 10.0 * backend.spacing**2
     rhs_lo, rhs_hi = state.rhs_range_initial
 
-    diag = kernel.diagnostics(state.phi)
+    diag = kernel.diagnostics(stage)
     lambda_max0 = diag.lambda_max
     records = [MonitorRecord(
         t=0.0, dt=state.dt, E=diag.E, dE_dt_measured=float("nan"),
@@ -462,9 +526,11 @@ def run_flow(problem: FlowProblem, phi0=None) -> FlowResult:
         if problem.max_steps is not None and state.step_count >= problem.max_steps:
             reason = "max_steps"
             break
-        state, accepted, diag = _attempt_step(problem, kernel, state, energy)
-        if not accepted:
+        state, stage, trial = _attempt_step(problem, kernel, state, stage,
+                                            energy)
+        if trial is None:
             continue
+        diag = trial
 
         theta_max_running = max(theta_max_running, diag.theta_max)
         lambda_bound = lambda_max0 + max(0.0, theta_max_running - min_theta0) \
@@ -501,24 +567,24 @@ def run_flow(problem: FlowProblem, phi0=None) -> FlowResult:
             if not keep:
                 records.append(record)
             break
+    # diag is the diagnostics of the final state from here on
     if not converged and records[-1].t < state.t:
-        final = kernel.diagnostics(state.phi)
         records.append(MonitorRecord(
-            t=state.t, dt=state.dt, E=final.E,
-            dE_dt_measured=(final.E - energy) / max(state.t - prev_t, 1e-300),
-            dE_dt_predicted=final.dissipation, rhs_min=final.rhs_min,
-            rhs_max=final.rhs_max, lambda_max=final.lambda_max,
-            floor_constant=final.floor_constant, residual=final.residual,
+            t=state.t, dt=state.dt, E=diag.E,
+            dE_dt_measured=(diag.E - energy) / max(state.t - prev_t, 1e-300),
+            dE_dt_predicted=diag.dissipation, rhs_min=diag.rhs_min,
+            rhs_max=diag.rhs_max, lambda_max=diag.lambda_max,
+            floor_constant=diag.floor_constant, residual=diag.residual,
             suspect=False))
     if snapshots[-1][0] < state.t:
         snapshots.append((state.t, state.phi.copy()))
 
-    final_diag = kernel.diagnostics(state.phi)
     chi = build_metric(backend, backend.base_form(), state.phi)
     dens = backend.volume_density(chi)
-    sigma_mean = float(np.sum(final_diag.sigma * dens)) / float(np.sum(dens))
+    sigma_mean = float(np.sum(diag.sigma * dens)) / float(np.sum(dens))
 
     return FlowResult(
         problem=problem, state=state, records=records, converged=converged,
         reason=reason, subsolution_margin=margin, sigma_mean=sigma_mean,
-        minus_nc=-backend.n * problem.level, snapshots=snapshots)
+        minus_nc=-backend.n * problem.level, stats=kernel.stats,
+        snapshots=snapshots)

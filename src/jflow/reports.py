@@ -9,6 +9,7 @@ convenience: trajectory comparisons in the test suite are byte-wise.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -75,6 +76,7 @@ def final_state_json(result: FlowResult) -> str:
         "minus_nc": result.minus_nc,
         "subsolution_margin": result.subsolution_margin,
         "suspect_steps": result.suspect_steps,
+        "stats": asdict(result.stats),
         "grid_shape": list(state.phi.shape),
         "phi": [float(v) for v in np.asarray(state.phi).ravel()],
     })

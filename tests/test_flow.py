@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from jflow import (
     ConfigError,
@@ -8,12 +11,21 @@ from jflow import (
     build_metric,
     flow_rhs,
     linearized_operator,
+    make_backend,
     random_kahler_potential,
     run_flow,
     theta_of,
     trace_with,
 )
-from jflow.flow import initial_state, step
+from jflow.flow import (
+    _Diagnostics,
+    _GenericKernel,
+    _SphereKernel,
+    _TorusLineKernel,
+    _periodic_neighbours,
+    initial_state,
+    step,
+)
 from jflow.potentials import hessian_offset_potential
 
 
@@ -253,3 +265,94 @@ def test_sphere_flow_short_run_clean(sphere64):
     # the flow carries the moment window with it: rhs stays in (-1/2, 1/2)
     for r in result.records:
         assert -0.5 < r.rhs_min <= r.rhs_max < 0.5
+
+
+# --- fused kernels, stages and run counters ----------------------------------
+
+def _stencil_potential(values, spacing):
+    # scaled so every stage stays well inside the positive cone
+    return np.asarray(values) * (0.25 * spacing**2)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(3, 257).flatmap(
+    lambda n: hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3))))
+def test_periodic_neighbours_match_roll(phi):
+    up, down = _periodic_neighbours(phi)
+    assert np.array_equal(up, np.roll(phi, -1))
+    assert np.array_equal(down, np.roll(phi, 1))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(8, 257).flatmap(
+    lambda n: hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0))))
+def test_kernel_stencils_match_roll_and_diff(raw):
+    b = make_backend("torus", size=len(raw))
+    kernel = _TorusLineKernel(b, b.base_form(), 1.0)
+    phi = _stencil_potential(raw, b.spacing)
+    lap = (np.roll(phi, -1) - 2.0 * phi + np.roll(phi, 1)) / b.spacing**2
+    h = 1.0 + 0.25 * lap
+    assert np.array_equal(kernel._stage(phi), h)
+    sigma = -(kernel.om / h)
+    dsig = (np.roll(sigma, -1) - np.roll(sigma, 1)) / (2.0 * b.spacing)
+    want = -0.5 * float(np.sum(dsig * dsig * kernel.om / h) * b.weights)
+    assert kernel.diagnostics(h).dissipation == want
+    if len(raw) < 16:  # the sphere's coarsest grid
+        return
+    b = make_backend("sphere", size=len(raw))
+    kernel = _SphereKernel(b, b.base_form(), 1.0)
+    phi = _stencil_potential(raw, b.spacing)
+    flux = b.mprime_half * np.diff(phi) / b.delta
+    div = np.concatenate(([flux[0]], flux[1:] - flux[:-1], [-flux[-1]]))
+    rho, _ = kernel._stage(phi)
+    assert np.array_equal(rho, b.rho0 + b.mprime * div / b.delta)
+
+
+def _relative_gap(got, want):
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    return float(np.abs(got - want).max()) / max(float(np.abs(want).max()),
+                                                 1e-300)
+
+
+@pytest.mark.parametrize("geometry", ["torus", "sphere"])
+def test_fused_kernels_match_generic(geometry, torus128, sphere128):
+    rng = np.random.default_rng(7)
+    if geometry == "torus":
+        b, omega, fused_cls = torus128, torus_target_form(torus128), _TorusLineKernel
+    else:
+        b, omega, fused_cls = sphere128, sphere128.base_form(), _SphereKernel
+    c = FlowProblem(backend=b, omega=omega).level
+    for _ in range(3):
+        phi = random_kahler_potential(b, rng, 0.5)
+        fused, generic = fused_cls(b, omega, c), _GenericKernel(b, omega, c)
+        fs, gs = fused._stage(phi), generic._stage(phi)
+        assert _relative_gap(fused.rhs(fs), generic.rhs(gs)) <= 1e-12
+        assert _relative_gap(fused.stiffness(fs), generic.stiffness(gs)) <= 1e-12
+        fd, gd = fused.diagnostics(fs), generic.diagnostics(gs)
+        for name in _Diagnostics.__dataclass_fields__:
+            got, want = getattr(fd, name), getattr(gd, name)
+            assert _relative_gap(got, want) <= 1e-12, name
+
+
+@pytest.mark.parametrize("method, builds_per_step", [("rk4", 4), ("euler", 1)])
+def test_stage_builds_per_accepted_step(torus64, method, builds_per_step):
+    # one start-up build; the diagnostics' stage serves the next step
+    result = run_flow(FlowProblem(backend=torus64, omega=torus_target_form(torus64),
+                                  method=method, t_max=0.02))
+    stats, steps = result.stats, result.state.step_count
+    assert steps > 100
+    assert stats.rejected_positivity == stats.rejected_energy == 0
+    assert stats.metric_builds == builds_per_step * steps + 1
+    assert stats.rhs_evaluations == builds_per_step * steps + 1
+    # growth steps run into the cap; the last step is cut to land on t_max
+    assert 0 < stats.steps_at_cap < steps
+
+
+def test_rejected_attempts_rebuild_nothing(torus64):
+    # a cap above the stability limit: growing steps are rejected for energy
+    result = run_flow(FlowProblem(backend=torus64, omega=torus_target_form(torus64),
+                                  cfl_safety=1.0, t_max=0.2))
+    stats, steps = result.stats, result.state.step_count
+    rejected = stats.rejected_positivity + stats.rejected_energy
+    assert stats.rejected_energy > 0
+    assert stats.metric_builds <= 4 * (steps + rejected) + 1

@@ -106,11 +106,18 @@ def test_final_state_payload(torus_result):
     payload = json.loads(final_state_json(result))
     assert sorted(payload) == [
         "converged", "grid_shape", "minus_nc", "phi", "reason", "residual",
-        "sigma_mean", "step_count", "subsolution_margin", "suspect_steps", "t"]
+        "sigma_mean", "stats", "step_count", "subsolution_margin",
+        "suspect_steps", "t"]
     assert payload["grid_shape"] == [64]
     assert len(payload["phi"]) == 64
     assert payload["minus_nc"] == -2.0
     assert payload["suspect_steps"] == 0
+    assert payload["stats"] == {
+        "metric_builds": result.stats.metric_builds,
+        "rejected_energy": result.stats.rejected_energy,
+        "rejected_positivity": result.stats.rejected_positivity,
+        "rhs_evaluations": result.stats.rhs_evaluations,
+        "steps_at_cap": result.stats.steps_at_cap}
     back = np.array(payload["phi"])
     assert np.array_equal(back, result.state.phi)
 
