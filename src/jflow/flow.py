@@ -567,15 +567,10 @@ def run_flow(problem: FlowProblem, phi0=None) -> FlowResult:
             if not keep:
                 records.append(record)
             break
-    # diag is the diagnostics of the final state from here on
+    # diag is the diagnostics of the final state from here on, and record
+    # that state's row, thinned out or not.
     if not converged and records[-1].t < state.t:
-        records.append(MonitorRecord(
-            t=state.t, dt=state.dt, E=diag.E,
-            dE_dt_measured=(diag.E - energy) / max(state.t - prev_t, 1e-300),
-            dE_dt_predicted=diag.dissipation, rhs_min=diag.rhs_min,
-            rhs_max=diag.rhs_max, lambda_max=diag.lambda_max,
-            floor_constant=diag.floor_constant, residual=diag.residual,
-            suspect=False))
+        records.append(record)
     if snapshots[-1][0] < state.t:
         snapshots.append((state.t, state.phi.copy()))
 

@@ -17,6 +17,8 @@ entry point refuses torus backends with UnsupportedBackend.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import factorial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,6 +78,93 @@ class SymplecticPotential:
         return np.diff(self.values, 2)
 
 
+def _bspline_basis(t: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
+    """Dense Cox-de Boor table B[i, j] = B_j(x_i) of the degree-k B-splines
+    on knots t.  Points left of t[k] or right of t[-k-1] take the
+    polynomial of the end piece, so the end pieces extrapolate."""
+    n = t.size - k - 1
+    cell = np.clip(np.searchsorted(t, x, side="right") - 1, k, n - 1)
+    basis = (np.arange(t.size - 1) == cell[:, None]).astype(float)
+    for d in range(1, k + 1):
+        j = np.arange(t.size - d - 1)
+        # A zero-width support only ever meets a zero basis function.
+        spans = (t[j + d] - t[j], t[j + d + 1] - t[j + 1])
+        inv = [np.divide(1.0, s, out=np.zeros_like(s), where=s > 0.0)
+               for s in spans]
+        basis = ((x[:, None] - t[j]) * inv[0] * basis[:, :-1]
+                 + (t[j + d + 1] - x[:, None]) * inv[1] * basis[:, 1:])
+    return basis
+
+
+@lru_cache(maxsize=4)
+def _quintic_fit(grid: bytes) -> np.ndarray:
+    """Map from values on the grid m to the Taylor coefficients, at every
+    node, of their quintic not-a-knot interpolating spline.
+
+    The knots are m[0] and m[-1] six times each with m[3:-3] between, the
+    spline interpolates at every node, and the end pieces extend past the
+    grid as polynomials.  Row 6 i + d of the map gives the d-th derivative
+    over d! at m[i], of the piece right of m[i] (left of it at the last
+    node).  Read-only, since every fit on this grid shares it.
+    """
+    m = np.frombuffer(grid)
+    k = 5
+    t = np.r_[(m[0],) * (k + 1), m[3:-3], (m[-1],) * (k + 1)]
+    # Derivative nu of the spline with B-spline coefficients c is
+    # _bspline_basis(t[nu:-nu], k - nu, x) @ diff @ c.
+    diff = np.eye(m.size)
+    taylor = []
+    for nu in range(k + 1):
+        if nu:
+            deg, prev = k - nu + 1, t[nu - 1:t.size - nu + 1]
+            width = prev[deg + 1:-1] - prev[1:-deg - 1]
+            diff = deg * np.diff(diff, axis=0) / width[:, None]
+        taylor.append(_bspline_basis(t[nu:t.size - nu], k - nu, m) @ diff
+                      / factorial(nu))
+    # c solves the collocation system _bspline_basis(t, k, m) @ c = values.
+    taylor = np.stack(taylor, axis=1).reshape(-1, m.size)
+    fit = np.linalg.solve(_bspline_basis(t, k, m).T, taylor.T).T
+    fit.flags.writeable = False
+    return fit
+
+
+class _Quintic:
+    """Quintic not-a-knot interpolating spline of values on the grid m.
+
+    The spline of _quintic_fit, extrapolation into the boundary gaps
+    included, kept as its Taylor polynomial at every node: expanding at
+    the nodes rather than only at the knots keeps |x - node| within a
+    cell, and with it the round-off of the high-order terms.  ``values``
+    holds one column per trailing index, and evaluation at x returns
+    arrays of shape x.shape + values.shape[1:].
+    """
+
+    def __init__(self, m: np.ndarray, values: np.ndarray):
+        self.nodes = np.asarray(m, dtype=float)
+        fit = _quintic_fit(self.nodes.tobytes())
+        values = np.asarray(values, dtype=float)
+        taylor = (fit @ values.reshape(m.size, -1)).reshape(m.size, 6, -1)
+        # Degree last, so one gather per evaluation fetches whole polynomials.
+        self.coef = np.ascontiguousarray(np.moveaxis(taylor, 1, -1)).reshape(
+            m.size, *values.shape[1:], 6)
+
+    def __call__(self, x: np.ndarray, *orders: int) -> list[np.ndarray]:
+        """The derivatives of the given orders (0 is the value) at x."""
+        node = np.clip(np.searchsorted(self.nodes, x, side="right") - 1,
+                       0, self.nodes.size - 1)
+        coef = self.coef[node]
+        dx = (x - self.nodes[node]).reshape(
+            node.shape + (1,) * (coef.ndim - node.ndim - 1))
+        out = []
+        for nu in orders:
+            # Horner on the nu-th derivative of sum_d coef[..., d] dx^d.
+            acc = coef[..., 5] * (factorial(5) // factorial(5 - nu))
+            for d in range(4, nu - 1, -1):
+                acc = acc * dx + coef[..., d] * (factorial(d) // factorial(d - nu))
+            out.append(acc)
+        return out
+
+
 def _solve_monotone(func: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
                     lo: float, hi: float, x0: np.ndarray, targets: np.ndarray,
                     tol: float) -> np.ndarray:
@@ -129,19 +218,16 @@ def legendre_transform(backend: GeometryBackend, phi) -> SymplecticPotential:
     values = sphere.check_field(_values(phi), "potential")
     build_metric(sphere, sphere.base_form(), values).require_kahler(
         "legendre transform")
-    # Imported on first use: only geodesic code needs scipy.interpolate,
-    # and loading it costs a large share of every command's start-up.
-    from scipy.interpolate import make_interp_spline
-
     m = sphere.m
     # Quintic interpolation keeps the end-derivative error well under the
-    # round-trip tolerance; the grid is uniform, so the fit is banded.
-    spline = make_interp_spline(m, values, k=5)
+    # round-trip tolerance.
+    spline = _Quintic(m, values)
 
     def moment(x):
         rho0 = x * (1.0 - x)
-        return (x + rho0 * spline(x, 1),
-                1.0 + (1.0 - 2.0 * x) * spline(x, 1) + rho0 * spline(x, 2))
+        first, second = spline(x, 1, 2)
+        return (x + rho0 * first,
+                1.0 + (1.0 - 2.0 * x) * first + rho0 * second)
 
     lo = TAIL_SLIVER * sphere.m_lo
     hi = 1.0 - lo
@@ -154,7 +240,7 @@ def legendre_transform(backend: GeometryBackend, phi) -> SymplecticPotential:
     # The round chart's sup sits at the grid node itself.
     m_star = _solve_monotone(moment, lo, hi, m, m, LEGENDRE_TOL)
     s_star = np.log(m_star) - np.log1p(-m_star)
-    u = m * s_star + np.log1p(-m_star) - spline(m_star)
+    u = m * s_star + np.log1p(-m_star) - spline(m_star, 0)[0]
     return SymplecticPotential.from_values(u)
 
 
@@ -168,18 +254,17 @@ def _inverse_rows(sphere: SphereBackend, deviations: np.ndarray,
     spline is the weighted sum of the column splines.  Every row solves
     u'(m) = s in one monotone solve; rows come back in weight order.
     """
-    from scipy.interpolate import make_interp_spline
-
     m = sphere.m
-    columns = make_interp_spline(m, deviations, k=5)
+    columns = _Quintic(m, deviations)
 
-    def deviation(x, nu=0):
-        return np.sum(columns(x, nu) * weights[:, None, :], axis=-1)
+    def deviation(x, *orders):
+        return [np.sum(d * weights[:, None, :], axis=-1)
+                for d in columns(x, *orders)]
 
     def slope(x):
         rho0 = x * (1.0 - x)
-        return (np.log(x) - np.log1p(-x) + deviation(x, 1),
-                1.0 / rho0 + deviation(x, 2))
+        first, second = deviation(x, 1, 2)
+        return (np.log(x) - np.log1p(-x) + first, 1.0 / rho0 + second)
 
     lo = TAIL_SLIVER * sphere.m_lo
     hi = 1.0 - lo
@@ -195,7 +280,7 @@ def _inverse_rows(sphere: SphereBackend, deviations: np.ndarray,
                              np.broadcast_to(targets, (rows, m.size)),
                              LEGENDRE_TOL)
     u_star = (m_star * np.log(m_star) + (1.0 - m_star) * np.log1p(-m_star)
-              + deviation(m_star))
+              + deviation(m_star, 0)[0])
     return m_star * targets - u_star - sphere.f0
 
 

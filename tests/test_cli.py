@@ -121,12 +121,24 @@ def test_retired_path_steps_changes_no_output(tmp_path, caplog):
     assert {name: read(out, name) for name in os.listdir(out)} == plain
 
 
-def test_cli_import_leaves_scipy_interpolate_unloaded():
+def test_cli_import_leaves_scipy_interpolate_unloaded(tmp_path):
+    # scipy is a test dependency only: neither the import nor a whole
+    # geodesic-probe run may load any part of it
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import jflow.cli, sys; "
-            "assert 'scipy.interpolate' not in sys.modules")
+    cfg = write_cfg(tmp_path, FAST_SPHERE)
+    code = (
+        "import sys\n"
+        "def scipy_loaded():\n"
+        "    return sorted(name for name in sys.modules\n"
+        "                  if name == 'scipy' or name.startswith('scipy.'))\n"
+        "import jflow.cli\n"
+        "assert not scipy_loaded(), scipy_loaded()\n"
+        f"assert jflow.cli.main(['geodesic-probe', '--config', {cfg!r}, "
+        f"'--out', {str(tmp_path / 'run')!r}]) == 0\n"
+        "assert not scipy_loaded(), scipy_loaded()\n")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    assert (tmp_path / "run" / "probe_summary.json").exists()
 
 
 def test_geodesic_probe_on_torus_is_config_error(tmp_path, capsys):

@@ -240,8 +240,12 @@ def test_flow_log_thinning_and_final_row(torus64):
                           log_every=50)
     result = run_flow(problem)
     assert len(result.records) < result.state.step_count
-    # the last row always reflects the final state
-    assert result.records[-1].t == result.state.t
+    # the last row always reflects the final state, and its own last step
+    last = result.records[-1]
+    assert last.t == result.state.t
+    assert last.dE_dt_measured < 0.0
+    assert abs(last.dE_dt_measured - last.dE_dt_predicted) \
+        <= 0.05 * abs(last.dE_dt_predicted)
 
 
 def test_flow_snapshot_budget(torus64):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import make_interp_spline
 
 from jflow import (
     ConvexityLost,
@@ -18,6 +21,8 @@ from jflow import (
     random_kahler_potential,
     run_flow,
 )
+from jflow.geodesic import TAIL_SLIVER, _Quintic
+from jflow.geometry import SphereBackend
 
 
 def round_chart_dual(backend):
@@ -27,6 +32,32 @@ def round_chart_dual(backend):
 
 def chord(phi_a, phi_b, nodes):
     return [(1.0 - t) * phi_a + t * phi_b for t in np.linspace(0.0, 1.0, nodes)]
+
+
+# --- quintic spline ----------------------------------------------------------
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(size=st.integers(16, 257), two_columns=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_quintic_matches_scipy_spline(size, two_columns, seed):
+    # the spline of make_interp_spline(m, y, k=5): values and the first two
+    # derivatives at the nodes, between them and across both boundary gaps
+    m = SphereBackend(size).m
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((size, 2) if two_columns else size)
+    y += np.sin(rng.uniform(1.0, 9.0) * m)[(slice(None),) + (None,) * (y.ndim - 1)]
+    gap = np.linspace(TAIL_SLIVER * m[0], m[0], 7)
+    x = np.concatenate([gap, m, 0.5 * (m[1:] + m[:-1]), 1.0 - gap])
+    oracle = make_interp_spline(m, y, k=5)
+    spline = _Quintic(m, y)
+    h = m[1] - m[0]
+    for nu, got in enumerate(spline(x, 0, 1, 2)):
+        want = oracle(x, nu)
+        assert got.shape == want.shape
+        # Relative to the size a nu-th derivative of data this large can
+        # reach on this grid: both evaluations round at that scale.
+        scale = max(np.abs(want).max(), np.abs(y).max() / h**nu)
+        assert np.abs(got - want).max() <= 1e-12 * scale
 
 
 # --- transform ---------------------------------------------------------------
