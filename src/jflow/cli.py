@@ -3,8 +3,7 @@
 Subcommands cover the library surface one module at a time (simulate,
 functionals, check-cone, geodesic-probe) plus an all-in-one report.
 Every run echoes its effective configuration into the output directory;
-re-running from that echo reproduces the outputs byte for byte,
-whatever --threads says.
+re-running from that echo reproduces the outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import argparse
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -132,19 +130,14 @@ def _run_probes(cfg: ScenarioConfig, args, backend) -> int:
     nodes = cfg.get("geodesic.nodes")
     amplitude = cfg.get("geodesic.amplitude")
     functional_id = cfg.get("geodesic.functional")
-    # All randomness is drawn serially up front; the pool only computes,
-    # so the artifacts cannot depend on the worker count.
     rng = np.random.default_rng(cfg.get("seed"))
     endpoints = [(random_kahler_potential(backend, rng, amplitude),
                   random_kahler_potential(backend, rng, amplitude))
                  for _ in range(pairs)]
-
-    def probe(pair):
-        path = geodesic_path(backend, pair[0], pair[1], nodes)
-        return convexity_probe(backend, functional_id, path, omega=omega)
-
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        results = list(pool.map(probe, endpoints))
+    results = [convexity_probe(backend, functional_id,
+                               geodesic_path(backend, a, b, nodes),
+                               omega=omega)
+               for a, b in endpoints]
 
     outdir = _outdir(cfg)
     summary = []
@@ -201,8 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="override output.directory")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the scenario seed")
-        cmd.add_argument("--threads", type=int, default=1,
-                         help="worker pool size for independent runs")
+        cmd.add_argument("--threads", type=int, default=None,
+                         help="deprecated and ignored: probes run serially")
         cmd.add_argument("--plot", choices=("none", "svg"), default="none",
                          help="emit SVG line plots")
     return parser
@@ -211,6 +204,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _configure_logging()
     args = _build_parser().parse_args(argv)
+    if args.threads is not None:
+        log.warning("ignoring deprecated --threads: a worker pool gave no "
+                    "measured speed-up, so probes run serially")
     try:
         cfg = _load(args)
         return _COMMANDS[args.command](cfg, args)

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import ConfigError, GeometryError
-from .flow import FlowProblem
+from .flow import FLOW_METHODS, FlowProblem
 from .geometry import (GeometryBackend, SphereBackend, TorusBackend,
                        complex_hessian)
 from .potentials import (FAMILY_NAMES, hessian_offset_potential,
@@ -87,11 +87,12 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
                                       "sup-norm critical-equation residual "
                                       "declaring convergence"),
     "flow.cfl_safety": ConfigKey(float, 0.2,
-                                 "fraction of the diffusion step bound"),
+                                 "fraction of the diffusion step bound "
+                                 "(rosenbrock: of its first step only)"),
     "flow.dt_min": ConfigKey(float, 1e-12,
                              "step underflow threshold (StepStalled)"),
     "flow.method": ConfigKey(str, "rk4", "time integrator",
-                             choices=("rk4", "euler", "semi_implicit")),
+                             choices=FLOW_METHODS),
     "flow.log_every": ConfigKey(int, 10,
                                 "record every k-th accepted step"),
     "flow.require_convergence": ConfigKey(

@@ -1,4 +1,4 @@
-"""Explicit time integration of the trace flow with a-priori monitors.
+"""Time integration of the trace flow with a-priori monitors.
 
 The flow is phi_t = (1/n)(n c + theta(chi_phi) - tr(chi_phi^{-1} omega)).
 Estimates that hold for the continuous flow are enforced as runtime
@@ -9,25 +9,30 @@ nonincreasing.  Monitor violations beyond tolerance mark a step
 `suspect` but never abort the run; discretization can transiently
 violate continuous-time bounds near the stability limit.
 
-Stepping is explicit (RK4 by default) with the step capped by
-cfl_safety * spacing^2 / (chart stiffness bound).  A step is rejected,
-and the step size halved, when positivity fails anywhere or E increases
-beyond round-off tolerance.
+Explicit stepping (RK4 by default, or Euler) caps the step by
+cfl_safety * spacing^2 / (chart stiffness bound).  The linearly implicit
+method `rosenbrock` (ROS2 of Verwer, Spee, Blom and Hundsdorfer, with the
+exact Jacobian, on the one-dimensional geometries) has no such cap: its
+embedded first-order solution gives a local error estimate, and a
+standard controller sets the step from it.  With every method a step is
+rejected, and the step size halved, when positivity fails anywhere or E
+increases beyond round-off tolerance.
 
 Each kernel builds the positivity-checked state a stage needs (the
 density, with theta where the geometry has one, or the checked metric)
 in one private routine, and `rhs`, `stiffness` and `diagnostics` take
 that stage.  The stage of an accepted state, built for its diagnostics,
-serves the next step's stiffness cap and RK4's first stage, and a
-rejected attempt reuses it as well, so an accepted RK4 step builds four
-stages and an Euler step one.  `FlowResult.stats` counts the builds, the
-right-hand-side evaluations, the rejections by cause and the steps whose
-size the stiffness cap set.
+serves the next step's stiffness cap and first stage, and a rejected
+attempt reuses it as well, so an accepted RK4 step builds four stages,
+an Euler step one and a ROS2 step two.  `FlowResult.stats` counts the
+builds, the right-hand-side evaluations, the rejections by cause and the
+steps whose size the stiffness cap set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +56,12 @@ from .geometry import (
     trace_with,
 )
 
-FLOW_METHODS = ("rk4", "euler")
+FLOW_METHODS = ("rk4", "euler", "rosenbrock")
+
+# ROS2's diagonal coefficient 1 + 1/sqrt(2), which makes the method L-stable.
+ROS2_GAMMA = 1.0 + 1.0 / np.sqrt(2.0)
+# Bound on the sup norm of ROS2's local error estimate, in units of phi.
+ROSENBROCK_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -76,12 +86,12 @@ class FlowProblem:
     snapshot_count: int = 33
 
     def __post_init__(self):
-        if self.method == "semi_implicit":
-            raise ConfigError(
-                "flow.method = semi_implicit is a declared stub; "
-                "use rk4 or euler")
         if self.method not in FLOW_METHODS:
             raise ConfigError(f"unknown flow method {self.method!r}")
+        if self.method == "rosenbrock" and _fused_kernel(self.backend) is None:
+            raise ConfigError(
+                "flow.method = rosenbrock needs a one-dimensional geometry "
+                "(the torus line or the sphere)")
         if self.log_every < 1:
             raise ConfigError("log_every must be at least 1")
         self.omega.require_kahler("flow target form")
@@ -131,19 +141,30 @@ class FlowStats:
 
     metric_builds counts the positivity-checked stages the kernel built,
     rhs_evaluations the right-hand sides taken for stepping (the initial
-    range included), and steps_at_cap the accepted steps whose size the
-    stiffness cap set rather than the step-size history or t_max.
+    range included), rejected_error the attempts whose local error
+    estimate exceeded ROSENBROCK_TOL, and steps_at_cap the accepted steps
+    whose size the stiffness cap set rather than the step-size history or
+    t_max (never, for rosenbrock).
     """
 
     rhs_evaluations: int = 0
     metric_builds: int = 0
     rejected_positivity: int = 0
     rejected_energy: int = 0
+    rejected_error: int = 0
     steps_at_cap: int = 0
 
 
 @dataclass
 class FlowResult:
+    """A finished run.
+
+    kappa is the volume-weighted mean of the final right-hand side: the
+    rate at which a limit potential drifts while its metric stays put
+    (O(spacing^2) on the sphere).  rhs_spread is rhs_max - rhs_min there,
+    the residual with that drift taken out.
+    """
+
     problem: FlowProblem
     state: FlowState
     records: list[MonitorRecord]
@@ -152,6 +173,8 @@ class FlowResult:
     subsolution_margin: float
     sigma_mean: float
     minus_nc: float
+    kappa: float
+    rhs_spread: float
     stats: FlowStats
     snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
 
@@ -183,6 +206,17 @@ def _periodic_neighbours(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     copy padded with a wrapped node at each end."""
     padded = np.concatenate((values[-1:], values, values[:1]))
     return padded[2:], padded[:-2]
+
+
+def _dense_operators(backend: GeometryBackend) -> tuple[np.ndarray, np.ndarray]:
+    """d rho/d phi and d theta/d phi on a one-dimensional grid, as dense
+    matrices built column by column from the backend's own stencils (both
+    rho = rho0 + complex_hessian(phi) and theta = theta0 + X(phi) are
+    affine in phi)."""
+    basis = np.eye(backend.grid_shape[0])
+    d_rho = np.column_stack([backend.complex_hessian(e)[:, 0, 0] for e in basis])
+    d_theta = np.column_stack([backend.vector_field_action(e) for e in basis])
+    return d_rho, d_theta
 
 
 class _GenericKernel:
@@ -277,6 +311,15 @@ class _SphereKernel:
         rho = stage[0]
         return float((self.om * self.mprime**2 / rho**2).max())
 
+    @cached_property
+    def _operators(self) -> tuple[np.ndarray, np.ndarray]:
+        return _dense_operators(self.backend)
+
+    def jacobian(self, stage) -> np.ndarray:
+        """The exact d rhs/d phi: d theta/d phi + diag(omega/rho^2) d rho/d phi."""
+        d_rho, d_theta = self._operators
+        return d_theta + (self.om / stage[0]**2)[:, None] * d_rho
+
     def diagnostics(self, stage) -> _Diagnostics:
         rho, theta = stage
         lam = self.om / rho
@@ -326,6 +369,14 @@ class _TorusLineKernel:
     def stiffness(self, h: np.ndarray) -> float:
         return float((0.25 * self.om / h**2).max())
 
+    @cached_property
+    def _d_density(self) -> np.ndarray:
+        return _dense_operators(self.backend)[0]
+
+    def jacobian(self, h: np.ndarray) -> np.ndarray:
+        """The exact d rhs/d phi: diag(omega/h^2) d h/d phi."""
+        return (self.om / h**2)[:, None] * self._d_density
+
     def diagnostics(self, h: np.ndarray) -> _Diagnostics:
         lam = self.om / h
         sigma = -lam
@@ -343,13 +394,18 @@ class _TorusLineKernel:
             theta_max=0.0)
 
 
-def _make_kernel(problem: FlowProblem):
-    backend, omega, c = problem.backend, problem.omega, problem.level
+def _fused_kernel(backend: GeometryBackend):
+    """The fused kernel class for a one-dimensional geometry, else None."""
     if isinstance(backend, SphereBackend):
-        return _SphereKernel(backend, omega, c)
+        return _SphereKernel
     if isinstance(backend, TorusBackend) and backend.n == 1:
-        return _TorusLineKernel(backend, omega, c)
-    return _GenericKernel(backend, omega, c)
+        return _TorusLineKernel
+    return None
+
+
+def _make_kernel(problem: FlowProblem):
+    kernel = _fused_kernel(problem.backend) or _GenericKernel
+    return kernel(problem.backend, problem.omega, problem.level)
 
 
 def flow_rhs(backend: GeometryBackend, phi, omega, c: float) -> ScalarField:
@@ -409,44 +465,86 @@ def _advance(kernel, phi: np.ndarray, stage, dt: float,
     return phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _rosenbrock(kernel, phi: np.ndarray, stage,
+                dt: float) -> tuple[np.ndarray, float]:
+    """One ROS2 step from phi, whose kernel stage is `stage`, and the sup
+    norm of its local error estimate.
+
+    (I - gamma dt J) k1 = F(phi), (I - gamma dt J) k2 = F(phi + dt k1) - 2 k1,
+    phi' = phi + dt (3 k1 + k2) / 2.  The estimate is phi' minus the
+    embedded first-order solution phi + dt k1.  F is invariant under
+    constant shifts, so J 1 = 0 and a constant drift passes through k1
+    and k2 with no estimated error.
+    """
+    matrix = np.eye(phi.size) - (ROS2_GAMMA * dt) * kernel.jacobian(stage)
+    k1 = np.linalg.solve(matrix, kernel.rhs(stage))
+    k2 = np.linalg.solve(
+        matrix, kernel.rhs(kernel._stage(phi + dt * k1)) - 2.0 * k1)
+    error = 0.5 * dt * float(np.abs(k1 + k2).max())
+    return phi + 1.5 * dt * k1 + 0.5 * dt * k2, error
+
+
+def _error_factor(error: float) -> float:
+    """Step-size factor from a first-order local error estimate: 0.9
+    (tol / error)^(1/2), clamped to [0.2, 5]."""
+    if error == 0.0:
+        return 5.0
+    return min(5.0, max(0.2, 0.9 * np.sqrt(ROSENBROCK_TOL / error)))
+
+
+def _retry(problem: FlowProblem, state: FlowState, stage, dt: float):
+    """The rejected attempt's outcome: the same state and stage, to be
+    tried again with step dt."""
+    if dt < problem.dt_min:
+        raise StepStalled(
+            f"step size underflow at t = {state.t:.6g} "
+            f"(dt = {dt:.3e} < dt_min = {problem.dt_min:.3e})")
+    return replace(state, dt=dt, accepted_streak=0), stage, None
+
+
 def _attempt_step(problem: FlowProblem, kernel, state: FlowState, stage,
                   energy: float) -> tuple[FlowState, object, _Diagnostics | None]:
     """One trial step from `state`, whose kernel stage is `stage`.
 
     Returns (state, stage, diagnostics) of the accepted new state, or, on
-    rejection, the state with its step halved, the same stage and None.
+    rejection, the state with its step cut, the same stage and None.
     """
     stats = kernel.stats
-    cap = problem.cfl_safety * problem.backend.spacing**2 / kernel.stiffness(stage)
+    implicit = problem.method == "rosenbrock"
+    if implicit:
+        cap = np.inf
+    else:
+        cap = problem.cfl_safety * problem.backend.spacing**2 \
+            / kernel.stiffness(stage)
     dt = min(state.dt, cap)
     lands_on_end = state.t + dt >= problem.t_max
     if lands_on_end:
         dt = problem.t_max - state.t
+    error = 0.0
     try:
-        trial = _advance(kernel, state.phi, stage, dt, problem.method)
+        if implicit:
+            trial, error = _rosenbrock(kernel, state.phi, stage, dt)
+        else:
+            trial = _advance(kernel, state.phi, stage, dt, problem.method)
         trial_stage = kernel._stage(trial)
         diag = kernel.diagnostics(trial_stage)
     except NotKahlerError:
         stats.rejected_positivity += 1
-        diag = None
+        return _retry(problem, state, stage, 0.5 * dt)
+    if error > ROSENBROCK_TOL:
+        stats.rejected_error += 1
+        return _retry(problem, state, stage, dt * _error_factor(error))
+    if not (diag.E <= energy + problem.energy_budget(energy)):
+        stats.rejected_energy += 1
+        return _retry(problem, state, stage, 0.5 * dt)
+    if implicit:
+        streak, next_dt = 0, dt * _error_factor(error)
     else:
-        if not (diag.E <= energy + problem.energy_budget(energy)):
-            stats.rejected_energy += 1
-            diag = None
-    if diag is None:
-        halved = dt * 0.5
-        if halved < problem.dt_min:
-            raise StepStalled(
-                f"step size underflow at t = {state.t:.6g} "
-                f"(dt = {halved:.3e} < dt_min = {problem.dt_min:.3e})")
-        return replace(state, dt=halved, accepted_streak=0), stage, None
-    if cap <= state.dt and not lands_on_end:
-        stats.steps_at_cap += 1
-    streak = state.accepted_streak + 1
-    next_dt = dt
-    if streak >= problem.growth_every:
-        next_dt = dt * problem.growth_factor
-        streak = 0
+        if cap <= state.dt and not lands_on_end:
+            stats.steps_at_cap += 1
+        streak, next_dt = state.accepted_streak + 1, dt
+        if streak >= problem.growth_every:
+            streak, next_dt = 0, dt * problem.growth_factor
     new = FlowState(phi=trial,
                     t=problem.t_max if lands_on_end else state.t + dt,
                     dt=next_dt,
@@ -474,8 +572,11 @@ def _start(problem: FlowProblem, kernel, phi0) -> tuple[FlowState, object]:
         phi = backend.check_field(_values(phi0), "initial potential").copy()
     stage = kernel._stage(phi)
     rhs0 = kernel.rhs(stage)
+    # the explicit cap also starts rosenbrock, which alone may exceed it
     cap = problem.cfl_safety * backend.spacing**2 / kernel.stiffness(stage)
-    dt = cap if problem.dt_init is None else min(problem.dt_init, cap)
+    dt = cap if problem.dt_init is None else problem.dt_init
+    if problem.method != "rosenbrock":
+        dt = min(dt, cap)
     state = FlowState(phi=phi, t=0.0, dt=dt, step_count=0, accepted_streak=0,
                       rhs_range_initial=(float(rhs0.min()), float(rhs0.max())))
     return state, stage
@@ -576,10 +677,13 @@ def run_flow(problem: FlowProblem, phi0=None) -> FlowResult:
 
     chi = build_metric(backend, backend.base_form(), state.phi)
     dens = backend.volume_density(chi)
-    sigma_mean = float(np.sum(diag.sigma * dens)) / float(np.sum(dens))
+    volume = float(np.sum(dens))
+    sigma_mean = float(np.sum(diag.sigma * dens)) / volume
 
     return FlowResult(
         problem=problem, state=state, records=records, converged=converged,
         reason=reason, subsolution_margin=margin, sigma_mean=sigma_mean,
-        minus_nc=-backend.n * problem.level, stats=kernel.stats,
+        minus_nc=-backend.n * problem.level,
+        kappa=float(np.sum(diag.rhs * dens)) / volume,
+        rhs_spread=diag.rhs_max - diag.rhs_min, stats=kernel.stats,
         snapshots=snapshots)

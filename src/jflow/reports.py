@@ -74,6 +74,8 @@ def final_state_json(result: FlowResult) -> str:
         "residual": result.residual,
         "sigma_mean": result.sigma_mean,
         "minus_nc": result.minus_nc,
+        "kappa": result.kappa,
+        "rhs_spread": result.rhs_spread,
         "subsolution_margin": result.subsolution_margin,
         "suspect_steps": result.suspect_steps,
         "stats": asdict(result.stats),

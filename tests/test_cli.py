@@ -219,6 +219,34 @@ def test_geodesic_probe_thread_count_invariance(tmp_path):
     assert all(entry["nodes"] == 9 for entry in summary)
 
 
+def test_threads_flag_is_deprecated_and_ignored(tmp_path, caplog):
+    cfg = write_cfg(tmp_path, FAST_SPHERE)
+    assert main(["geodesic-probe", "--config", cfg,
+                 "--out", str(tmp_path / "plain")]) == 0
+    assert "--threads" not in caplog.text
+    assert main(["geodesic-probe", "--config", cfg,
+                 "--out", str(tmp_path / "threads"), "--threads", "4"]) == 0
+    warnings = [r for r in caplog.records if "--threads" in r.getMessage()]
+    assert len(warnings) == 1 and warnings[0].levelname == "WARNING"
+    for name in ("probe_0.csv", "probe_1.csv", "probe_summary.json"):
+        assert read(tmp_path / "plain", name) == read(tmp_path / "threads", name)
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize("command, scenario", [
+    ("simulate", "torus.cfg"), ("simulate", "sphere.cfg"),
+    ("report", "report.cfg")])
+def test_shipped_scenario_runs_clean(tmp_path, command, scenario):
+    out = str(tmp_path / "run")
+    assert main([command, "--config", str(SCENARIOS / scenario),
+                 "--out", out]) == 0
+    state = json.loads(read(out, "final_state.json"))
+    assert state["converged"] is True
+    assert state["suspect_steps"] == 0
+
+
 def test_report_subcommand_runs_enabled_sections(tmp_path):
     text = FAST_SPHERE + "geodesic.enabled = true\n"
     cfg = write_cfg(tmp_path, text)

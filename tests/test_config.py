@@ -76,7 +76,7 @@ def test_reference_page_covers_every_key():
         assert key in page
         assert spec.help.split()[0] in page
     assert "torus, sphere" in page
-    assert "rk4, euler, semi_implicit" in page
+    assert "rk4, euler, rosenbrock" in page
 
 
 def test_load_config_reads_files(tmp_path):
@@ -148,12 +148,14 @@ def test_build_reference_offset_keeps_positivity():
 
 
 def test_build_problem_maps_method_error_to_config():
-    cfg = parse_config("flow.method = semi_implicit")
+    # rosenbrock needs a one-dimensional kernel; the 2-D torus has none
+    cfg = parse_config("geometry.dim = 2\ngeometry.size = 16\n"
+                       "flow.method = rosenbrock")
     backend = build_backend(cfg)
     omega = build_reference(cfg, backend)
     with pytest.raises(ConfigError) as err:
         build_problem(cfg, backend, omega)
-    assert err.value.line == "flow.method = semi_implicit"
+    assert err.value.line == "flow.method = rosenbrock"
 
 
 def test_build_problem_rejects_log_every_below_one():

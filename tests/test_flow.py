@@ -22,6 +22,7 @@ from jflow.flow import (
     _GenericKernel,
     _SphereKernel,
     _TorusLineKernel,
+    _fused_kernel,
     _periodic_neighbours,
     initial_state,
     step,
@@ -102,16 +103,20 @@ def test_linearized_sign_is_dissipative(torus64):
 
 # --- problem validation ------------------------------------------------------
 
-def test_semi_implicit_is_a_rejected_stub(torus64):
+def test_rosenbrock_needs_a_one_dimensional_kernel(torus64, sphere64, torus2d):
+    for b in (torus64, sphere64):
+        assert FlowProblem(backend=b, omega=b.base_form(),
+                           method="rosenbrock").method == "rosenbrock"
     with pytest.raises(ConfigError):
-        FlowProblem(backend=torus64, omega=torus64.base_form(),
-                    method="semi_implicit")
+        FlowProblem(backend=torus2d, omega=torus2d.base_form(),
+                    method="rosenbrock")
 
 
 def test_unknown_method_rejected(torus64):
-    with pytest.raises(ConfigError):
-        FlowProblem(backend=torus64, omega=torus64.base_form(),
-                    method="leapfrog")
+    for method in ("leapfrog", "semi_implicit"):
+        with pytest.raises(ConfigError):
+            FlowProblem(backend=torus64, omega=torus64.base_form(),
+                        method=method)
 
 
 def test_omega_grid_must_match(torus64, torus128):
@@ -360,3 +365,55 @@ def test_rejected_attempts_rebuild_nothing(torus64):
     rejected = stats.rejected_positivity + stats.rejected_energy
     assert stats.rejected_energy > 0
     assert stats.metric_builds <= 4 * (steps + rejected) + 1
+
+
+# --- the exact Jacobian of the one-dimensional kernels ------------------------
+
+@st.composite
+def _jacobian_case(draw):
+    """A one-dimensional backend, a random Kahler target omega, its fused
+    kernel, a random Kahler potential phi and the generator drawn from."""
+    geometry = draw(st.sampled_from(["torus", "sphere"]))
+    b = make_backend(geometry, size=draw(st.integers(16, 96)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = random_kahler_potential(b, rng, draw(st.floats(0.05, 1.0)))
+    omega = b.form(draw(st.floats(0.5, 3.0))
+                   * build_metric(b, b.base_form(), psi).matrices)
+    phi = random_kahler_potential(b, rng, draw(st.floats(0.05, 1.0)))
+    kernel = _fused_kernel(b)(b, omega, FlowProblem(backend=b, omega=omega).level)
+    return b, omega, kernel, phi, rng
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_jacobian_case())
+def test_kernel_jacobian_matches_linearized_operator(case):
+    b, omega, kernel, phi, _ = case
+    jac = kernel.jacobian(kernel._stage(phi))
+    op = linearized_operator(b, phi, omega)
+    columns = np.column_stack([op.apply(e) for e in np.eye(b.grid_shape[0])])
+    assert _relative_gap(jac, columns) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_jacobian_case())
+def test_kernel_jacobian_matches_finite_differences(case):
+    b, _, kernel, phi, rng = case
+    psi = random_kahler_potential(b, rng, 0.5)
+    h = 1e-6
+    fd = (kernel.rhs(kernel._stage(phi + h * psi))
+          - kernel.rhs(kernel._stage(phi - h * psi))) / (2.0 * h)
+    assert _relative_gap(kernel.jacobian(kernel._stage(phi)) @ psi, fd) <= 1e-6
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_jacobian_case(), st.floats(-10.0, 10.0))
+def test_kernel_is_blind_to_constant_shifts(case, shift):
+    b, _, kernel, phi, _ = case
+    jac = kernel.jacobian(kernel._stage(phi))
+    scale = float(np.abs(jac).max())
+    assert float(np.abs(jac @ np.ones(b.grid_shape)).max()) <= 1e-13 * scale
+    # F(phi + a) = F(phi) up to the rounding of phi + a, which the
+    # second differences amplify by about the Jacobian's size
+    moved = kernel.rhs(kernel._stage(phi + shift)) - kernel.rhs(kernel._stage(phi))
+    bound = 1e-14 * scale * (abs(shift) + float(np.abs(phi).max()))
+    assert float(np.abs(moved).max()) <= bound

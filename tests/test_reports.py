@@ -8,7 +8,9 @@ import pytest
 
 from jflow import (
     FlowProblem,
+    build_metric,
     convexity_probe,
+    flow_rhs,
     functional_report,
     geodesic_path,
     named_potential,
@@ -105,9 +107,9 @@ def test_final_state_payload(torus_result):
     _, _, result = torus_result
     payload = json.loads(final_state_json(result))
     assert sorted(payload) == [
-        "converged", "grid_shape", "minus_nc", "phi", "reason", "residual",
-        "sigma_mean", "stats", "step_count", "subsolution_margin",
-        "suspect_steps", "t"]
+        "converged", "grid_shape", "kappa", "minus_nc", "phi", "reason",
+        "residual", "rhs_spread", "sigma_mean", "stats", "step_count",
+        "subsolution_margin", "suspect_steps", "t"]
     assert payload["grid_shape"] == [64]
     assert len(payload["phi"]) == 64
     assert payload["minus_nc"] == -2.0
@@ -115,11 +117,21 @@ def test_final_state_payload(torus_result):
     assert payload["stats"] == {
         "metric_builds": result.stats.metric_builds,
         "rejected_energy": result.stats.rejected_energy,
+        "rejected_error": result.stats.rejected_error,
         "rejected_positivity": result.stats.rejected_positivity,
         "rhs_evaluations": result.stats.rhs_evaluations,
         "steps_at_cap": result.stats.steps_at_cap}
     back = np.array(payload["phi"])
     assert np.array_equal(back, result.state.phi)
+    # kappa: the volume-weighted mean of the final right-hand side
+    b, omega, _ = torus_result
+    rhs = flow_rhs(b, result.state.phi, omega, result.problem.level)
+    chi = build_metric(b, b.base_form(), result.state.phi)
+    dens = b.volume_density(chi)
+    assert abs(payload["kappa"] - np.sum(rhs * dens) / np.sum(dens)) <= 1e-14
+    assert abs(payload["rhs_spread"] - (rhs.max() - rhs.min())) <= 1e-14
+    assert payload["rhs_spread"] == result.records[-1].rhs_max \
+        - result.records[-1].rhs_min
 
 
 def test_probe_report_payload(sphere128):

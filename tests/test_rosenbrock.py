@@ -1,0 +1,222 @@
+"""The linearly implicit ROS2 method (flow.method = rosenbrock).
+
+Criteria 2-4 of the acceptance gate run here for rosenbrock at RK4's
+bounds; the gate itself stays on RK4.  Criterion 1's secant-against-
+tangent comparison measures the time step once steps are large, so the
+dissipation check below compares each secant slope with the trapezoid
+mean of the two end points' predicted dissipation instead.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from jflow import (
+    FlowProblem,
+    NotKahlerError,
+    StepStalled,
+    build_metric,
+    make_backend,
+    random_kahler_potential,
+    run_flow,
+)
+from jflow.flow import (
+    FLOW_METHODS,
+    _advance,
+    _fused_kernel,
+    _make_kernel,
+    _rosenbrock,
+)
+from jflow.potentials import hessian_offset_potential
+from test_acceptance import limit_density, torus_reference
+from test_flow import torus_target_form
+
+
+def _reference(b):
+    return torus_reference(b) if b.name == "torus" else b.base_form()
+
+
+@pytest.fixture(scope="module")
+def limits():
+    # each geometry flowed to its limit from a cold and a random start
+    out = {}
+    for kind, target, t_max, seed in (("torus", 1e-6, 500.0, 3),
+                                      ("sphere", 1.7e-5, 5000.0, 11)):
+        b = make_backend(kind, size=128)
+        om = _reference(b)
+        problem = FlowProblem(backend=b, omega=om, t_max=t_max,
+                              residual_target=target, method="rosenbrock")
+        phi0 = random_kahler_potential(b, np.random.default_rng(seed),
+                                       amplitude=0.4)
+        out[kind] = b, om, run_flow(problem), run_flow(problem, phi0=phi0)
+    return out
+
+
+def test_sandwich_on_random_starts():
+    # criterion 2: rhs(t) inside the initial envelope, 10 starts each
+    rng = np.random.default_rng(42)
+    for kind in ("torus", "sphere"):
+        b = make_backend(kind, size=64)
+        om = _reference(b)
+        tol = 1e-6 + 10.0 * b.spacing ** 2
+        for _ in range(10):
+            phi0 = random_kahler_potential(b, rng, amplitude=0.4)
+            res = run_flow(FlowProblem(backend=b, omega=om, t_max=0.5,
+                                       log_every=1, method="rosenbrock"),
+                           phi0=phi0)
+            lo = res.records[0].rhs_min - tol
+            hi = res.records[0].rhs_max + tol
+            assert all(r.rhs_min >= lo for r in res.records)
+            assert all(r.rhs_max <= hi for r in res.records)
+            assert res.suspect_steps == 0
+
+
+def test_limits_match_references(limits):
+    # criterion 3: omega / c on the torus, the collocation oracle on the
+    # sphere
+    b, om, first, _ = limits["torus"]
+    assert first.converged
+    assert np.max(np.abs(limit_density(b, first) - om.density / 2.0)) < 1e-6
+
+    sb, som, sfirst, _ = limits["sphere"]
+    assert sfirst.converged
+    phi_col, kappa, col_residual = oracles.sphere_collocation(
+        sb, som.density, 1.0)
+    assert col_residual < 1e-10
+    rho_col = build_metric(sb, sb.base_form(), phi_col).density
+    assert np.max(np.abs(limit_density(sb, sfirst) - rho_col)) < 1e-5
+    # the limit potential drifts at the rate the oracle's level shift
+    # absorbs, and with that drift taken out the residual is far smaller
+    assert abs(sfirst.kappa + kappa) < 1e-3 * abs(kappa)
+    assert sfirst.rhs_spread < 0.2 * sfirst.residual
+
+
+def test_limit_uniqueness(limits):
+    # criterion 4: a cold and a random start reach the same metric
+    for kind in ("torus", "sphere"):
+        b, _, first, second = limits[kind]
+        assert second.converged
+        gap = np.max(np.abs(limit_density(b, first)
+                            - limit_density(b, second)))
+        assert gap < 1e-5, kind
+
+
+def test_dissipation_matches_trapezoid_of_predictions():
+    # each row's secant slope against the mean of the predicted dE/dt at
+    # its two ends, within 1 %
+    for kind in ("torus", "sphere"):
+        for size in (256, 512):
+            b = make_backend(kind, size=size)
+            res = run_flow(FlowProblem(backend=b, omega=_reference(b),
+                                       t_max=0.05, log_every=1,
+                                       method="rosenbrock"))
+            assert res.state.t == 0.05 and res.suspect_steps == 0
+            for prev, row in zip(res.records[:-1], res.records[1:]):
+                trapezoid = 0.5 * (prev.dE_dt_predicted + row.dE_dt_predicted)
+                assert abs(row.dE_dt_measured - trapezoid) \
+                    <= 0.01 * abs(trapezoid), (kind, size, row.t)
+
+
+def test_single_step_has_local_order_three(torus64):
+    # one ROS2 step against RK4 with 1000 substeps: each halving of dt
+    # cuts the gap by at least 6 (8 in the limit)
+    kernel = _make_kernel(FlowProblem(backend=torus64,
+                                      omega=torus_target_form(torus64),
+                                      method="rosenbrock"))
+    phi0 = np.zeros(torus64.grid_shape)
+    stage = kernel._stage(phi0)
+    gaps = []
+    for dt in (2e-3, 1e-3, 5e-4, 2.5e-4):
+        ros, _ = _rosenbrock(kernel, phi0, stage, dt)
+        phi = phi0
+        for _ in range(1000):
+            phi = _advance(kernel, phi, kernel._stage(phi), dt / 1000, "rk4")
+        gaps.append(float(np.abs(ros - phi).max()))
+    ratios = [a / b for a, b in zip(gaps[:-1], gaps[1:])]
+    assert min(ratios) >= 6.0, ratios
+
+
+def test_error_estimate_sets_the_step(sphere64):
+    # an oversized first step is rejected on its error estimate, not
+    # capped; accepted steps cost two stage builds and two right-hand
+    # sides, and no step is at the stiffness cap
+    problem = FlowProblem(backend=sphere64, omega=sphere64.base_form(),
+                          method="rosenbrock", dt_init=10.0, t_max=1.0)
+    result = run_flow(problem)
+    stats, steps = result.stats, result.state.step_count
+    assert stats.rejected_error > 0
+    assert stats.rejected_positivity == stats.rejected_energy == 0
+    assert stats.steps_at_cap == 0
+    attempts = steps + stats.rejected_error
+    assert stats.metric_builds == stats.rhs_evaluations == 2 * attempts + 1
+    assert result.suspect_steps == 0
+    # the controller grows the step well past the explicit cap
+    cap = problem.cfl_safety * sphere64.spacing ** 2 / 0.25
+    assert max(r.dt for r in result.records) > 100.0 * cap
+
+
+def test_error_estimate_ignores_the_drift_mode(sphere64):
+    # F = const: J 1 = 0 gives k1 = F and k2 = -F, so the estimate is
+    # zero up to the rounding of the two solves
+    kernel = _make_kernel(FlowProblem(backend=sphere64,
+                                      omega=sphere64.base_form(),
+                                      method="rosenbrock"))
+    phi = random_kahler_potential(sphere64, np.random.default_rng(1), 0.3)
+    stage = kernel._stage(phi)
+    kernel.rhs = lambda stage: np.full(sphere64.grid_shape, 0.25)
+    trial, error = _rosenbrock(kernel, phi, stage, 0.1)
+    assert error <= 1e-14
+    assert np.abs(trial - (phi + 0.1 * 0.25)).max() <= 1e-14
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(method=st.sampled_from(FLOW_METHODS),
+       geometry=st.sampled_from(["torus", "sphere"]),
+       seed=st.integers(0, 2**32 - 1),
+       margin=st.floats(0.01, 0.5))
+def test_positivity_loss_becomes_a_halving(method, geometry, seed, margin):
+    # random Kahler starts close to the cone's edge and oversized steps:
+    # cfl_safety lifts the explicit cap that clips dt_init.  The run
+    # returns or stalls; every positivity loss is counted as a rejection
+    b = make_backend(geometry, size=64)
+    omega = torus_target_form(b) if geometry == "torus" else b.base_form()
+    phi0 = random_kahler_potential(b, np.random.default_rng(seed), 10.0,
+                                   margin=margin)
+    problem = FlowProblem(backend=b, omega=omega, method=method,
+                          dt_init=10.0, cfl_safety=20.0, max_steps=4,
+                          t_max=50.0)
+    kernel_cls = _fused_kernel(b)
+    build = kernel_cls._stage
+    losses = []
+
+    def counted(self, phi):
+        try:
+            return build(self, phi)
+        except NotKahlerError:
+            losses.append(phi)
+            raise
+
+    with mock.patch.object(kernel_cls, "_stage", counted):
+        try:
+            result = run_flow(problem, phi0)
+        except StepStalled:
+            return
+    assert result.stats.rejected_positivity == len(losses)
+
+
+def test_rosenbrock_positivity_loss_is_retried():
+    # ROS2 keeps random smooth starts positive even at dt = 10; a density
+    # peaked to 3.7 times its mean makes the linearized step overshoot
+    b = make_backend("torus", size=64)
+    raw = random_kahler_potential(b, np.random.default_rng(1), 1.0)
+    density = np.exp(2.0 * raw / np.abs(raw).max())
+    phi0 = hessian_offset_potential(b, density / density.mean() - 1.0)
+    result = run_flow(FlowProblem(backend=b, omega=torus_target_form(b),
+                                  method="rosenbrock", dt_init=10.0,
+                                  t_max=50.0), phi0)
+    assert result.stats.rejected_positivity > 0
+    assert result.converged and result.suspect_steps == 0
