@@ -87,7 +87,7 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
                                       "sup-norm critical-equation residual "
                                       "declaring convergence"),
     "flow.cfl_safety": ConfigKey(float, 0.2,
-                                 "fraction of the diffusion step bound "
+                                 "fraction of the diffusion step bound, > 0 "
                                  "(rosenbrock: of its first step only)"),
     "flow.dt_min": ConfigKey(float, 1e-12,
                              "step underflow threshold (StepStalled)"),
@@ -262,6 +262,9 @@ def build_problem(cfg: ScenarioConfig, backend: GeometryBackend,
     if cfg.get("flow.log_every") < 1:
         raise ConfigError("flow.log_every must be at least 1",
                           line=cfg.line("flow.log_every"))
+    if not cfg.get("flow.cfl_safety") > 0:
+        raise ConfigError("flow.cfl_safety must be positive",
+                          line=cfg.line("flow.cfl_safety"))
     method = cfg.get("flow.method")
     try:
         return FlowProblem(

@@ -18,15 +18,16 @@ standard controller sets the step from it.  With every method a step is
 rejected, and the step size halved, when positivity fails anywhere or E
 increases beyond round-off tolerance.
 
-Each kernel builds the positivity-checked state a stage needs (the
-density, with theta where the geometry has one, or the checked metric)
-in one private routine, and `rhs`, `stiffness` and `diagnostics` take
-that stage.  The stage of an accepted state, built for its diagnostics,
-serves the next step's stiffness cap and first stage, and a rejected
-attempt reuses it as well, so an accepted RK4 step builds four stages,
-an Euler step one and a ROS2 step two.  `FlowResult.stats` counts the
-builds, the right-hand-side evaluations, the rejections by cause and the
-steps whose size the stiffness cap set.
+One kernel serves every geometry.  The backend builds each stage from
+its own stencils: the positivity-checked raw metric (the density when
+n = 1, the matrix stack otherwise) and theta; `rhs`, `stiffness`,
+`jacobian` and `diagnostics` take that stage, and so do `flow_rhs` and
+`linearized_operator`.  The stage of an accepted state, built for its
+diagnostics, serves the next step's stiffness cap and first stage, and a
+rejected attempt reuses it as well, so an accepted RK4 step builds four
+stages, an Euler step one and a ROS2 step two.  `FlowResult.stats`
+counts the builds, the right-hand-side evaluations, the rejections by
+cause and the steps whose size the stiffness cap set.
 """
 
 from __future__ import annotations
@@ -38,23 +39,14 @@ import numpy as np
 
 from .fields import (
     ConfigError,
-    DEFAULT_POSITIVITY_FLOOR,
     HermitianFormField,
     NotKahlerError,
-    PotentialField,
     ScalarField,
     StepStalled,
 )
 from .cone import relative_spectrum, subsolution_margin
 from .functionals import level_constant, _values
-from .geometry import (
-    GeometryBackend,
-    SphereBackend,
-    TorusBackend,
-    build_metric,
-    theta_of,
-    trace_with,
-)
+from .geometry import GeometryBackend, theta_of
 
 FLOW_METHODS = ("rk4", "euler", "rosenbrock")
 
@@ -88,12 +80,14 @@ class FlowProblem:
     def __post_init__(self):
         if self.method not in FLOW_METHODS:
             raise ConfigError(f"unknown flow method {self.method!r}")
-        if self.method == "rosenbrock" and _fused_kernel(self.backend) is None:
+        if self.method == "rosenbrock" and self.backend.n != 1:
             raise ConfigError(
                 "flow.method = rosenbrock needs a one-dimensional geometry "
                 "(the torus line or the sphere)")
         if self.log_every < 1:
             raise ConfigError("log_every must be at least 1")
+        if not self.cfl_safety > 0:
+            raise ConfigError("cfl_safety must be positive")
         self.omega.require_kahler("flow target form")
         if self.omega.grid_shape != self.backend.grid_shape:
             raise ConfigError("omega does not live on the backend grid")
@@ -201,220 +195,79 @@ class _Diagnostics:
     theta_max: float
 
 
-def _periodic_neighbours(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values[(k + 1) % N], values[(k - 1) % N]) over k, as views of one
-    copy padded with a wrapped node at each end."""
-    padded = np.concatenate((values[-1:], values, values[:1]))
-    return padded[2:], padded[:-2]
-
-
-def _dense_operators(backend: GeometryBackend) -> tuple[np.ndarray, np.ndarray]:
-    """d rho/d phi and d theta/d phi on a one-dimensional grid, as dense
-    matrices built column by column from the backend's own stencils (both
-    rho = rho0 + complex_hessian(phi) and theta = theta0 + X(phi) are
-    affine in phi)."""
-    basis = np.eye(backend.grid_shape[0])
-    d_rho = np.column_stack([backend.complex_hessian(e)[:, 0, 0] for e in basis])
-    d_theta = np.column_stack([backend.vector_field_action(e) for e in basis])
-    return d_rho, d_theta
-
-
-class _GenericKernel:
-    """Backend-agnostic kernel built from the public geometry operations."""
+class _Kernel:
+    """The flow's right-hand side, stiffness cap, Jacobian and diagnostics
+    at a raw stage (chi, theta) that the backend builds and checks."""
 
     def __init__(self, backend: GeometryBackend, omega: HermitianFormField,
                  c: float):
         self.backend = backend
         self.omega = omega
-        self.nc = backend.n * c
+        self.om = backend.raw_form(omega)
         self.n = backend.n
+        self.nc = backend.n * c
         self.stats = FlowStats()
 
-    def _stage(self, phi: np.ndarray) -> tuple[HermitianFormField, np.ndarray]:
-        """The checked metric chi_phi and theta(phi)."""
+    def _stage(self, phi: np.ndarray):
         self.stats.metric_builds += 1
-        chi = build_metric(self.backend, self.backend.base_form(), phi)
-        return chi.require_kahler("flow step"), theta_of(self.backend, phi)
+        return self.backend.stage(phi)
+
+    def _trace(self, chi: np.ndarray) -> np.ndarray:
+        """tr(chi^{-1} omega) at every node."""
+        if self.n == 1:
+            return self.om / chi
+        return np.einsum("...ii->...", np.linalg.solve(chi, self.om))
 
     def rhs(self, stage) -> np.ndarray:
         self.stats.rhs_evaluations += 1
         chi, theta = stage
-        lam = trace_with(chi, self.omega)
-        return (self.nc + theta - lam) / self.n
+        rhs = self.nc + theta - self._trace(chi)
+        return rhs if self.n == 1 else rhs / self.n
 
     def stiffness(self, stage) -> float:
-        return self.backend.cfl_coefficient(stage[0], self.omega)
+        return self.backend.stiffness(stage[0], self.om)
+
+    @cached_property
+    def _operators(self) -> tuple[np.ndarray, np.ndarray]:
+        """d rho/d phi and d theta/d phi (n == 1) as dense matrices, probed
+        column by column through the backend's affine stencils."""
+        b, basis = self.backend, np.eye(self.backend.grid_shape[0])
+        return (np.column_stack([b.complex_hessian(e)[:, 0, 0] for e in basis]),
+                np.column_stack([b.vector_field_action(e) for e in basis]))
+
+    def jacobian(self, stage) -> np.ndarray:
+        """d rhs/d phi (n == 1): d theta/d phi + diag(omega/rho^2) d rho/d phi."""
+        d_rho, d_theta = self._operators
+        return d_theta + (self.om / stage[0]**2)[:, None] * d_rho
 
     def diagnostics(self, stage) -> _Diagnostics:
-        b = self.backend
         chi, theta = stage
-        lam = trace_with(chi, self.omega)
+        lam = self._trace(chi)
         sigma = theta - lam
-        rhs = (self.nc + sigma) / self.n
-        dens = b.volume_density(chi)
-        energy = float(np.sum(sigma * sigma * dens))
-        grad_sq = b.dissipation_integrand(sigma, chi, self.omega)
-        dissipation = -(2.0 / self.n) * float(np.sum(grad_sq * dens))
-        floor = float(relative_spectrum(chi.matrices, self.omega).smallest().min())
+        rhs = self.nc + sigma if self.n == 1 else (self.nc + sigma) / self.n
+        energy = self.backend.integral(sigma * sigma, chi)
+        dissipation = -(2.0 / self.n) * self.backend.dissipation(sigma, chi, self.om)
+        if self.n == 1:
+            floor = float((chi / self.om).min())
+        else:
+            floor = float(relative_spectrum(chi, self.omega).smallest().min())
         return _Diagnostics(
             rhs=rhs, sigma=sigma, E=energy, dissipation=dissipation,
             residual=float(np.abs(lam - self.nc - theta).max()),
             lambda_max=float(lam.max()), floor_constant=floor,
             rhs_min=float(rhs.min()), rhs_max=float(rhs.max()),
-            theta_max=float(theta.max()))
+            # theta is the scalar 0 where the geometry has no vector field
+            theta_max=float(theta.max()) if self.backend.has_vector_field else 0.0)
 
 
-class _SphereKernel:
-    """Fused circle-invariant kernel; identical math to the generic path."""
-
-    def __init__(self, backend: SphereBackend, omega: HermitianFormField,
-                 c: float):
-        self.backend = backend
-        self.nc = c
-        self.rho0 = backend.rho0
-        self.mprime = backend.mprime
-        self.mph = backend.mprime_half
-        self.delta = backend.delta
-        self.weights = backend.weights
-        self.theta0 = backend.theta_base()
-        self.om = omega.density
-        self.floor = DEFAULT_POSITIVITY_FLOOR
-        self.stats = FlowStats()
-
-    def _stage(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The density rho, positivity-checked, and theta(phi)."""
-        self.stats.metric_builds += 1
-        flux = self.mph * (phi[1:] - phi[:-1]) / self.delta
-        div = np.empty_like(phi)
-        div[0] = flux[0]
-        div[1:-1] = flux[1:] - flux[:-1]
-        div[-1] = -flux[-1]
-        rho = self.rho0 + self.mprime * div / self.delta
-        if rho.min() <= self.floor:
-            raise NotKahlerError("flow step left the positive cone")
-        return rho, self.theta0 + self.mprime * self._dm(phi)
-
-    def _dm(self, values: np.ndarray) -> np.ndarray:
-        out = np.empty_like(values)
-        d2 = 2.0 * self.delta
-        out[1:-1] = (values[2:] - values[:-2]) / d2
-        out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / d2
-        out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / d2
-        return out
-
-    def rhs(self, stage) -> np.ndarray:
-        self.stats.rhs_evaluations += 1
-        rho, theta = stage
-        return self.nc + theta - self.om / rho
-
-    def stiffness(self, stage) -> float:
-        rho = stage[0]
-        return float((self.om * self.mprime**2 / rho**2).max())
-
-    @cached_property
-    def _operators(self) -> tuple[np.ndarray, np.ndarray]:
-        return _dense_operators(self.backend)
-
-    def jacobian(self, stage) -> np.ndarray:
-        """The exact d rhs/d phi: d theta/d phi + diag(omega/rho^2) d rho/d phi."""
-        d_rho, d_theta = self._operators
-        return d_theta + (self.om / stage[0]**2)[:, None] * d_rho
-
-    def diagnostics(self, stage) -> _Diagnostics:
-        rho, theta = stage
-        lam = self.om / rho
-        sigma = theta - lam
-        rhs = self.nc + sigma
-        dens = rho * self.weights
-        energy = float(np.sum(sigma * sigma * dens))
-        dsig = self.mprime * self._dm(sigma)
-        dissipation = -2.0 * float(np.sum(dsig * dsig * self.om / rho * self.weights))
-        return _Diagnostics(
-            rhs=rhs, sigma=sigma, E=energy, dissipation=dissipation,
-            residual=float(np.abs(lam - self.nc - theta).max()),
-            lambda_max=float(lam.max()),
-            floor_constant=float((rho / self.om).min()),
-            rhs_min=float(rhs.min()), rhs_max=float(rhs.max()),
-            theta_max=float(theta.max()))
-
-
-class _TorusLineKernel:
-    """Fused one-dimensional periodic kernel (theta vanishes identically)."""
-
-    def __init__(self, backend: TorusBackend, omega: HermitianFormField,
-                 c: float):
-        self.backend = backend
-        self.nc = c
-        self.h0 = backend.base_form().density
-        self.delta = backend.deltas[0]
-        self.weight = backend.weights
-        self.om = omega.density
-        self.floor = DEFAULT_POSITIVITY_FLOOR
-        self.stats = FlowStats()
-
-    def _stage(self, phi: np.ndarray) -> np.ndarray:
-        """The density h, positivity-checked."""
-        self.stats.metric_builds += 1
-        up, down = _periodic_neighbours(phi)
-        lap = (up - 2.0 * phi + down) / self.delta**2
-        h = self.h0 + 0.25 * lap
-        if h.min() <= self.floor:
-            raise NotKahlerError("flow step left the positive cone")
-        return h
-
-    def rhs(self, h: np.ndarray) -> np.ndarray:
-        self.stats.rhs_evaluations += 1
-        return self.nc - self.om / h
-
-    def stiffness(self, h: np.ndarray) -> float:
-        return float((0.25 * self.om / h**2).max())
-
-    @cached_property
-    def _d_density(self) -> np.ndarray:
-        return _dense_operators(self.backend)[0]
-
-    def jacobian(self, h: np.ndarray) -> np.ndarray:
-        """The exact d rhs/d phi: diag(omega/h^2) d h/d phi."""
-        return (self.om / h**2)[:, None] * self._d_density
-
-    def diagnostics(self, h: np.ndarray) -> _Diagnostics:
-        lam = self.om / h
-        sigma = -lam
-        rhs = self.nc + sigma
-        energy = float(np.sum(sigma * sigma * h) * self.weight)
-        up, down = _periodic_neighbours(sigma)
-        dsig = (up - down) / (2.0 * self.delta)
-        dissipation = -0.5 * float(np.sum(dsig * dsig * self.om / h) * self.weight)
-        return _Diagnostics(
-            rhs=rhs, sigma=sigma, E=energy, dissipation=dissipation,
-            residual=float(np.abs(lam - self.nc).max()),
-            lambda_max=float(lam.max()),
-            floor_constant=float((h / self.om).min()),
-            rhs_min=float(rhs.min()), rhs_max=float(rhs.max()),
-            theta_max=0.0)
-
-
-def _fused_kernel(backend: GeometryBackend):
-    """The fused kernel class for a one-dimensional geometry, else None."""
-    if isinstance(backend, SphereBackend):
-        return _SphereKernel
-    if isinstance(backend, TorusBackend) and backend.n == 1:
-        return _TorusLineKernel
-    return None
-
-
-def _make_kernel(problem: FlowProblem):
-    kernel = _fused_kernel(problem.backend) or _GenericKernel
-    return kernel(problem.backend, problem.omega, problem.level)
+def _make_kernel(problem: FlowProblem) -> _Kernel:
+    return _Kernel(problem.backend, problem.omega, problem.level)
 
 
 def flow_rhs(backend: GeometryBackend, phi, omega, c: float) -> ScalarField:
     """(1/n)(n c + theta(chi_phi) - tr(chi_phi^{-1} omega))."""
     values = backend.check_field(_values(phi), "potential")
-    chi = build_metric(backend, backend.base_form(), values)
-    chi.require_kahler("flow right-hand side")
-    lam = trace_with(chi, omega)
-    return (backend.n * c + theta_of(backend, values) - lam) / backend.n
+    return _Kernel(backend, omega, c).rhs(backend.stage(values))
 
 
 @dataclass(frozen=True)
@@ -441,16 +294,15 @@ class LinearizedOperator:
 def linearized_operator(backend: GeometryBackend, phi,
                         omega: HermitianFormField) -> LinearizedOperator:
     values = backend.check_field(_values(phi), "potential")
-    chi = build_metric(backend, backend.base_form(), values)
-    chi.require_kahler("linearized operator")
+    chi, _ = backend.stage(values)
+    om = backend.raw_form(omega)
     if backend.n == 1:
-        coeff = (omega.matrices / chi.matrices**2)
+        coeff = (om / chi**2)[:, None, None]
     else:
-        inv = np.linalg.inv(chi.matrices)
-        coeff = inv @ omega.matrices @ inv
-    return LinearizedOperator(
-        backend=backend, coefficients=coeff,
-        max_coefficient=backend.cfl_coefficient(chi, omega))
+        inv = np.linalg.inv(chi)
+        coeff = inv @ om @ inv
+    return LinearizedOperator(backend=backend, coefficients=coeff,
+                              max_coefficient=backend.stiffness(chi, om))
 
 
 def _advance(kernel, phi: np.ndarray, stage, dt: float,
@@ -675,8 +527,7 @@ def run_flow(problem: FlowProblem, phi0=None) -> FlowResult:
     if snapshots[-1][0] < state.t:
         snapshots.append((state.t, state.phi.copy()))
 
-    chi = build_metric(backend, backend.base_form(), state.phi)
-    dens = backend.volume_density(chi)
+    dens = backend.raw_volume_density(stage[0])
     volume = float(np.sum(dens))
     sigma_mean = float(np.sum(diag.sigma * dens)) / volume
 

@@ -28,23 +28,45 @@ from .fields import (
     DEFAULT_POSITIVITY_FLOOR,
     GeometryError,
     HermitianFormField,
+    NotKahlerError,
     ScalarField,
     ShapeMismatchError,
     UnsupportedBackend,
 )
 
 
-def _roll_central(values: np.ndarray, axis: int, delta: float) -> np.ndarray:
-    return (np.roll(values, -1, axis) - np.roll(values, 1, axis)) / (2.0 * delta)
+def _periodic_neighbours(values: np.ndarray, axis: int = 0):
+    """The periodic neighbours of every node along `axis`: np.roll(values,
+    -1, axis) and np.roll(values, 1, axis), as views of one copy padded
+    with a wrapped node at each end."""
+    if axis:
+        up, down = _periodic_neighbours(values.swapaxes(0, axis))
+        return up.swapaxes(0, axis), down.swapaxes(0, axis)
+    padded = np.concatenate((values[-1:], values, values[:1]))
+    return padded[2:], padded[:-2]
 
 
-def _roll_second(values: np.ndarray, axis: int, delta: float) -> np.ndarray:
-    return (np.roll(values, -1, axis) - 2.0 * values
-            + np.roll(values, 1, axis)) / delta**2
+def _periodic_central(values: np.ndarray, axis: int, delta: float) -> np.ndarray:
+    up, down = _periodic_neighbours(values, axis)
+    return (up - down) / (2.0 * delta)
+
+
+def _periodic_second(values: np.ndarray, axis: int, delta: float) -> np.ndarray:
+    up, down = _periodic_neighbours(values, axis)
+    return (up - 2.0 * values + down) / delta**2
 
 
 class GeometryBackend:
-    """Common interface; concrete backends fill in the chart-level ops."""
+    """Common interface; concrete backends fill in the chart-level ops.
+
+    The flow kernel's stencils take raw arrays, unwrapped and unchecked:
+    a form is its density when ``n == 1``, else its matrix stack.  Each
+    backend's ``_complex_hessian`` is the raw body of ``complex_hessian``;
+    ``stage(phi)`` is (chi0 + complex_hessian(phi), positivity-checked;
+    theta(phi)), ``stiffness`` the explicit step's stiffness bound, and
+    ``dissipation`` the integral of |d sigma|^2 (contracted through
+    chi^{-1} omega chi^{-1}) against the volume of chi.
+    """
 
     name: str
     n: int
@@ -58,7 +80,8 @@ class GeometryBackend:
         raise NotImplementedError
 
     def complex_hessian(self, phi: ScalarField) -> np.ndarray:
-        raise NotImplementedError
+        hess = self._complex_hessian(self.check_field(phi, "potential"))
+        return hess[..., None, None] if self.n == 1 else hess
 
     def theta_base(self) -> ScalarField:
         raise NotImplementedError
@@ -69,13 +92,29 @@ class GeometryBackend:
     def ricci_form(self, chi: HermitianFormField) -> np.ndarray:
         raise NotImplementedError
 
-    def dissipation_integrand(self, sigma: ScalarField, chi: HermitianFormField,
-                              omega: HermitianFormField) -> ScalarField:
+    def stage(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+        raise NotImplementedError
+
+    def stiffness(self, chi: np.ndarray, om: np.ndarray) -> float:
+        raise NotImplementedError
+
+    def dissipation(self, sigma: np.ndarray, chi: np.ndarray,
+                    om: np.ndarray) -> float:
         raise NotImplementedError
 
     def cfl_coefficient(self, chi: HermitianFormField,
                         omega: HermitianFormField) -> float:
-        raise NotImplementedError
+        return self.stiffness(self.raw_form(chi), self.raw_form(omega))
+
+    def raw_form(self, form: HermitianFormField | np.ndarray) -> np.ndarray:
+        mats = form.matrices if isinstance(form, HermitianFormField) else form
+        return mats[..., 0, 0] if self.n == 1 else mats
+
+    def _checked(self, chi: np.ndarray) -> np.ndarray:
+        least = chi.min() if self.n == 1 else np.linalg.eigvalsh(chi)[..., 0].min()
+        if not least > DEFAULT_POSITIVITY_FLOOR:  # NaN fails too
+            raise NotKahlerError(f"metric not positive (least eigenvalue {least:.3e})")
+        return chi
 
     def check_field(self, values: np.ndarray, label: str = "field") -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -93,9 +132,17 @@ class GeometryBackend:
                 f"{self.grid_shape + (self.n, self.n)}")
         return field
 
+    def raw_volume_density(self, chi: np.ndarray) -> np.ndarray:
+        det = chi if self.n == 1 else np.linalg.det(chi)
+        return det * self.weights
+
+    def integral(self, values: np.ndarray, chi: np.ndarray) -> float:
+        """The integral of values against the volume of the raw metric chi."""
+        return float(np.sum(values * self.raw_volume_density(chi)))
+
     def volume_density(self, chi: HermitianFormField | None = None) -> np.ndarray:
         chi = self.base_form() if chi is None else chi
-        return chi.det() * self.weights
+        return self.raw_volume_density(self.raw_form(chi))
 
 
 class TorusBackend(GeometryBackend):
@@ -139,6 +186,7 @@ class TorusBackend(GeometryBackend):
         self.volume = self._base_det
         self._base = HermitianFormField.from_matrices(
             np.broadcast_to(base_matrix, shape + (self.n, self.n)).copy())
+        self._base_raw = self.raw_form(self._base)
 
     def coords(self) -> list[np.ndarray]:
         return list(np.meshgrid(*self.axes, indexing="ij"))
@@ -146,14 +194,16 @@ class TorusBackend(GeometryBackend):
     def base_form(self) -> HermitianFormField:
         return self._base
 
-    def complex_hessian(self, phi: ScalarField) -> np.ndarray:
-        phi = self.check_field(phi, "potential")
+    def _complex_hessian(self, phi: np.ndarray) -> np.ndarray:
+        """A quarter of the real Hessian, raw: a density when n == 1."""
+        if self.n == 1:
+            return 0.25 * _periodic_second(phi, 0, self.deltas[0])
         hess = np.empty(self.grid_shape + (self.n, self.n))
         for k in range(self.n):
-            hess[..., k, k] = _roll_second(phi, k, self.deltas[k])
+            hess[..., k, k] = _periodic_second(phi, k, self.deltas[k])
             for l in range(k + 1, self.n):
-                mixed = _roll_central(
-                    _roll_central(phi, k, self.deltas[k]), l, self.deltas[l])
+                mixed = _periodic_central(
+                    _periodic_central(phi, k, self.deltas[k]), l, self.deltas[l])
                 hess[..., k, l] = mixed
                 hess[..., l, k] = mixed
         return 0.25 * hess
@@ -165,34 +215,41 @@ class TorusBackend(GeometryBackend):
         self.check_field(phi, "potential")
         return np.zeros(self.grid_shape)
 
+    def _gradient(self, phi: np.ndarray) -> np.ndarray:
+        return np.stack([_periodic_central(phi, k, delta)
+                         for k, delta in enumerate(self.deltas)], axis=-1)
+
     def gradient(self, phi: ScalarField) -> np.ndarray:
-        phi = self.check_field(phi, "potential")
-        grad = np.empty(self.grid_shape + (self.n,))
-        for k in range(self.n):
-            grad[..., k] = _roll_central(phi, k, self.deltas[k])
-        return grad
+        return self._gradient(self.check_field(phi, "potential"))
 
     def ricci_form(self, chi: HermitianFormField) -> np.ndarray:
         chi.require_kahler("ricci form")
         log_ratio = np.log(chi.det() / self._base_det)
         return -self.complex_hessian(log_ratio)
 
-    def dissipation_integrand(self, sigma, chi, omega) -> ScalarField:
-        grad = self.gradient(sigma)
-        if self.n == 1:
-            g = grad[..., 0]
-            return 0.25 * g * g * omega.density / chi.density**2
-        v = np.linalg.solve(chi.matrices, grad[..., None])[..., 0]
-        return 0.25 * np.einsum("...i,...ij,...j->...", v, omega.matrices, v)
+    def stage(self, phi):
+        # theta vanishes identically
+        return self._checked(self._base_raw + self._complex_hessian(phi)), 0.0
 
-    def cfl_coefficient(self, chi, omega) -> float:
+    def integral(self, values, chi) -> float:
+        if self.n == 1:  # the weights are one constant
+            return float(np.sum(values * chi) * self.weights)
+        return super().integral(values, chi)
+
+    def stiffness(self, chi, om) -> float:
         if self.n == 1:
-            coeff = 0.25 * omega.density / chi.density**2
-            return float(coeff.max())
-        inv = np.linalg.inv(chi.matrices)
-        sandwich = inv @ omega.matrices @ inv
-        coeff = np.einsum("...ii->...", sandwich) / (4.0 * self.n)
+            return float((0.25 * om / chi**2).max())
+        inv = np.linalg.inv(chi)
+        coeff = np.einsum("...ii->...", inv @ om @ inv) / (4.0 * self.n)
         return float(coeff.max())
+
+    def dissipation(self, sigma, chi, om) -> float:
+        if self.n == 1:
+            dsig = _periodic_central(sigma, 0, self.deltas[0])
+            return 0.25 * float(np.sum(dsig * dsig * om / chi) * self.weights)
+        v = np.linalg.solve(chi, self._gradient(sigma)[..., None])[..., 0]
+        return self.integral(
+            0.25 * np.einsum("...i,...ij,...j->...", v, om, v), chi)
 
 
 class SphereBackend(GeometryBackend):
@@ -244,23 +301,25 @@ class SphereBackend(GeometryBackend):
     def base_form(self) -> HermitianFormField:
         return self._base
 
-    def moment_derivative(self, phi: ScalarField) -> ScalarField:
-        """d(phi)/dm: central inside, one-sided three-point at the ends."""
-        phi = self.check_field(phi, "potential")
+    def _moment_derivative(self, phi: np.ndarray) -> np.ndarray:
         out = np.empty_like(phi)
         out[1:-1] = (phi[2:] - phi[:-2]) / (2.0 * self.delta)
         out[0] = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / (2.0 * self.delta)
         out[-1] = (3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / (2.0 * self.delta)
         return out
 
-    def complex_hessian(self, phi: ScalarField) -> np.ndarray:
-        phi = self.check_field(phi, "potential")
-        flux = self.mprime_half * np.diff(phi) / self.delta
+    def moment_derivative(self, phi: ScalarField) -> ScalarField:
+        """d(phi)/dm: central inside, one-sided three-point at the ends."""
+        return self._moment_derivative(self.check_field(phi, "potential"))
+
+    def _complex_hessian(self, phi: np.ndarray) -> np.ndarray:
+        """The flux-form Hessian density, zero flux through both ends."""
+        flux = self.mprime_half * (phi[1:] - phi[:-1]) / self.delta
         div = np.empty_like(phi)
         div[0] = flux[0]
         div[1:-1] = flux[1:] - flux[:-1]
         div[-1] = -flux[-1]
-        return (self.mprime * div / self.delta)[:, None, None]
+        return self.mprime * div / self.delta
 
     def theta_base(self) -> ScalarField:
         return self._theta0.copy()
@@ -274,16 +333,19 @@ class SphereBackend(GeometryBackend):
         # is smooth up to the truncation boundary where the flux vanishes.
         chi.require_kahler("ricci form")
         log_ratio = np.log(chi.density / self.rho0)
-        ric = 2.0 * self.rho0 - self.complex_hessian(log_ratio)[:, 0, 0]
+        ric = 2.0 * self.rho0 - self._complex_hessian(log_ratio)
         return ric[:, None, None]
 
-    def dissipation_integrand(self, sigma, chi, omega) -> ScalarField:
-        ds = self.vector_field_action(sigma)
-        return ds * ds * omega.density / chi.density**2
+    def stage(self, phi):
+        return (self._checked(self.rho0 + self._complex_hessian(phi)),
+                self._theta0 + self.mprime * self._moment_derivative(phi))
 
-    def cfl_coefficient(self, chi, omega) -> float:
-        coeff = omega.density * self.mprime**2 / chi.density**2
-        return float(coeff.max())
+    def stiffness(self, rho, om) -> float:
+        return float((om * self.mprime**2 / rho**2).max())
+
+    def dissipation(self, sigma, rho, om) -> float:
+        dsig = self.mprime * self._moment_derivative(sigma)
+        return float(np.sum(dsig * dsig * om / rho * self.weights))
 
 
 def complex_hessian(backend: GeometryBackend, phi: ScalarField) -> np.ndarray:

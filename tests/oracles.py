@@ -6,7 +6,9 @@ solve, the cone oracle replaces the eigenvalue reduction with Sylvester
 minors on the wedge-coefficient matrix, the quadrature oracles go
 through scipy.integrate on closed-form continuum expressions, and the
 path oracle integrates with 33-node composite Simpson and adjugate
-minors where the library uses its smallest exact rule.
+minors where the library uses its smallest exact rule, and the flow
+oracle rebuilds the flow kernel's outputs from wrapped metrics and the
+public geometry operations.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import quad
 
-from jflow import complex_hessian, theta_of
+from jflow import build_metric, complex_hessian, theta_of, trace_with
+from jflow.cone import relative_spectrum
 from jflow.geometry import SphereBackend
 
 
@@ -73,6 +76,53 @@ def sphere_collocation(backend: SphereBackend, omega_density, c: float,
         phi = phi + update[:size]
         kappa = kappa + float(update[size])
     return phi, kappa, residual
+
+
+def flow_kernel_outputs(backend, omega, c: float, phi: np.ndarray) -> dict:
+    """The flow's right-hand side, stiffness and monitor diagnostics at phi.
+
+    Built from the checked metric, ``trace_with``, ``volume_density`` and
+    ``relative_spectrum``, with the dissipation integrand in the
+    continuum's own terms: |d sigma|^2 = <v, omega v> with v = chi^{-1}
+    d sigma, where d is a quarter of the real gradient on the torus, and
+    (X sigma)^2 omega / rho^2 on the sphere.  On the sphere X f = m (1 - m)
+    df/dm comes from numpy's gradient with second-order one-sided ends,
+    not from the backend's stencil.  Returns the stiffness and every field
+    of the kernel's diagnostics by name.
+    """
+    chi = build_metric(backend, backend.base_form(), phi).require_kahler("oracle")
+    n, om = backend.n, omega.matrices
+    if isinstance(backend, SphereBackend):
+        def action(f):
+            return backend.mprime * np.gradient(f, backend.delta, edge_order=2)
+
+        theta = backend.theta_base() + action(phi)
+    else:
+        theta = theta_of(backend, phi)
+    lam = trace_with(chi, omega)
+    sigma = theta - lam
+    rhs = (n * c + sigma) / n
+    dens = backend.volume_density(chi)
+    if isinstance(backend, SphereBackend):
+        grad_sq = action(sigma) ** 2 * om[:, 0, 0] / chi.matrices[:, 0, 0] ** 2
+        stiffness = om[:, 0, 0] * backend.mprime**2 / chi.matrices[:, 0, 0] ** 2
+    else:
+        inv = np.linalg.inv(chi.matrices)
+        v = np.einsum("...ij,...j->...i", inv, backend.gradient(sigma))
+        grad_sq = 0.25 * np.einsum("...i,...ij,...j->...", v, om, v)
+        stiffness = np.trace(inv @ om @ inv, axis1=-2, axis2=-1) / (4.0 * n)
+    return {
+        "rhs": rhs, "sigma": sigma,
+        "stiffness": float(stiffness.max()),
+        "E": float(np.sum(sigma * sigma * dens)),
+        "dissipation": -(2.0 / n) * float(np.sum(grad_sq * dens)),
+        "residual": float(np.abs(n * c + theta - lam).max()),
+        "lambda_max": float(lam.max()),
+        "floor_constant": float(
+            relative_spectrum(chi.matrices, omega).smallest().min()),
+        "rhs_min": float(rhs.min()), "rhs_max": float(rhs.max()),
+        "theta_max": float(theta.max()),
+    }
 
 
 def wedge_positive_2x2(chi_matrix: np.ndarray, omega_matrix: np.ndarray,

@@ -106,6 +106,16 @@ def test_log_every_zero_is_config_error(tmp_path, capsys):
     assert "offending line: flow.log_every = 0" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-0.2"])
+def test_cfl_safety_not_positive_is_config_error(tmp_path, capsys, value):
+    # zero used to crash on a zero-length step, negative to stall (exit 3)
+    cfg = write_cfg(tmp_path, FAST_TORUS + f"flow.cfl_safety = {value}\n")
+    assert main(["simulate", "--config", cfg,
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert f"offending line: flow.cfl_safety = {value}" in err
+
+
 def test_retired_path_steps_changes_no_output(tmp_path, caplog):
     # both runs write to one directory, since the echo records it
     text = "geometry.kind = sphere\ngeometry.size = 64\n"

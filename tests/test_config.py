@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,13 @@ def test_reference_page_covers_every_key():
     assert "rk4, euler, rosenbrock" in page
 
 
+def test_reference_doc_matches_generated_page():
+    # docs/config-reference.md is reference_page()'s output; regenerate it
+    # whenever a key, default or help text changes
+    doc = Path(__file__).resolve().parents[1] / "docs" / "config-reference.md"
+    assert doc.read_text(encoding="utf-8") == reference_page()
+
+
 def test_load_config_reads_files(tmp_path):
     path = tmp_path / "s.cfg"
     path.write_text("geometry.size = 48\n")
@@ -148,7 +157,7 @@ def test_build_reference_offset_keeps_positivity():
 
 
 def test_build_problem_maps_method_error_to_config():
-    # rosenbrock needs a one-dimensional kernel; the 2-D torus has none
+    # rosenbrock needs a one-dimensional geometry; the 2-D torus is not one
     cfg = parse_config("geometry.dim = 2\ngeometry.size = 16\n"
                        "flow.method = rosenbrock")
     backend = build_backend(cfg)

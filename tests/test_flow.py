@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 from jflow import (
     ConfigError,
     FlowProblem,
+    GeometryError,
     StepStalled,
     build_metric,
     flow_rhs,
@@ -17,17 +18,10 @@ from jflow import (
     theta_of,
     trace_with,
 )
-from jflow.flow import (
-    _Diagnostics,
-    _GenericKernel,
-    _SphereKernel,
-    _TorusLineKernel,
-    _fused_kernel,
-    _periodic_neighbours,
-    initial_state,
-    step,
-)
-from jflow.potentials import hessian_offset_potential
+import oracles
+from jflow.flow import _Diagnostics, _Kernel, initial_state, step
+from jflow.geometry import _periodic_neighbours
+from jflow.potentials import hessian_offset_potential, named_potential
 
 
 def torus_target_form(backend, amplitude=0.3, scale=2.0):
@@ -65,6 +59,18 @@ def test_rhs_closed_form_torus(torus128, rng):
     want = c - trace_with(chi, omega.matrices)
     got = flow_rhs(torus128, phi, omega, c)
     assert np.abs(got - want).max() < 1e-13
+    assert np.array_equal(flow_rhs(torus128, phi, omega.matrices, c), got)
+
+
+def test_rhs_and_linearization_refuse_non_finite_potentials(
+        torus64, sphere64, torus2d):
+    for b in (torus64, sphere64, torus2d):
+        phi = np.zeros(b.grid_shape)
+        phi.flat[5] = np.nan
+        with pytest.raises(GeometryError):
+            flow_rhs(b, phi, b.base_form(), 1.0)
+        with pytest.raises(GeometryError):
+            linearized_operator(b, phi, b.base_form())
 
 
 # --- linearization -----------------------------------------------------------
@@ -110,6 +116,13 @@ def test_rosenbrock_needs_a_one_dimensional_kernel(torus64, sphere64, torus2d):
     with pytest.raises(ConfigError):
         FlowProblem(backend=torus2d, omega=torus2d.base_form(),
                     method="rosenbrock")
+
+
+@pytest.mark.parametrize("cfl_safety", [0.0, -0.2])
+def test_cfl_safety_must_be_positive(torus64, cfl_safety):
+    with pytest.raises(ConfigError):
+        FlowProblem(backend=torus64, omega=torus64.base_form(),
+                    cfl_safety=cfl_safety)
 
 
 def test_unknown_method_rejected(torus64):
@@ -264,6 +277,39 @@ def test_flow_snapshot_budget(torus64):
     assert result.snapshots[-1][0] == result.state.t
 
 
+def _torus2d_problem(**settings):
+    b = make_backend("torus", dim=2, size=16)
+    omega = b.form(2.0 * b.base_form().matrices)
+    return FlowProblem(backend=b, omega=omega, **settings)
+
+
+def test_torus2d_flow_reaches_target_metric():
+    problem = _torus2d_problem(t_max=10.0, residual_target=1e-6,
+                               cfl_safety=0.45)
+    b = problem.backend
+    result = run_flow(problem, named_potential(b, "sine", 0.05))
+    assert result.converged and result.reason == "residual"
+    assert result.suspect_steps == 0
+    chi = build_metric(b, b.base_form(), result.state.phi)
+    target = problem.omega.matrices / problem.level
+    assert np.abs(chi.matrices - target).max() <= 1e-6
+
+
+def test_torus2d_flow_dissipation_identity():
+    # E falls on every step; each secant slope is within 15 % of the
+    # trapezoid of its two rows' predicted dissipation (an O(spacing^2)
+    # gap: 8.7 % at 16 x 16, 14.9 % at 12 x 12)
+    problem = _torus2d_problem(t_max=0.05, log_every=1)
+    result = run_flow(problem, named_potential(problem.backend, "sine", 0.05))
+    rows = result.records
+    assert result.state.t == 0.05 and len(rows) > 10
+    assert result.suspect_steps == 0
+    for prev, row in zip(rows[:-1], rows[1:]):
+        assert row.E < prev.E
+        trapezoid = 0.5 * (prev.dE_dt_predicted + row.dE_dt_predicted)
+        assert abs(row.dE_dt_measured - trapezoid) <= 0.15 * abs(trapezoid)
+
+
 def test_sphere_flow_short_run_clean(sphere64):
     problem = FlowProblem(backend=sphere64, omega=sphere64.base_form(),
                           t_max=0.5, cfl_safety=0.4)
@@ -276,7 +322,7 @@ def test_sphere_flow_short_run_clean(sphere64):
         assert -0.5 < r.rhs_min <= r.rhs_max < 0.5
 
 
-# --- fused kernels, stages and run counters ----------------------------------
+# --- the kernel, its stages and run counters ----------------------------------
 
 def _stencil_potential(values, spacing):
     # scaled so every stage stays well inside the positive cone
@@ -290,6 +336,11 @@ def test_periodic_neighbours_match_roll(phi):
     up, down = _periodic_neighbours(phi)
     assert np.array_equal(up, np.roll(phi, -1))
     assert np.array_equal(down, np.roll(phi, 1))
+    grid = np.stack([phi, 2.0 * phi, phi[::-1]])
+    for axis in (0, 1):
+        up, down = _periodic_neighbours(grid, axis)
+        assert np.array_equal(up, np.roll(grid, -1, axis))
+        assert np.array_equal(down, np.roll(grid, 1, axis))
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -297,19 +348,20 @@ def test_periodic_neighbours_match_roll(phi):
     lambda n: hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0))))
 def test_kernel_stencils_match_roll_and_diff(raw):
     b = make_backend("torus", size=len(raw))
-    kernel = _TorusLineKernel(b, b.base_form(), 1.0)
+    kernel = _Kernel(b, b.base_form(), 1.0)
     phi = _stencil_potential(raw, b.spacing)
     lap = (np.roll(phi, -1) - 2.0 * phi + np.roll(phi, 1)) / b.spacing**2
     h = 1.0 + 0.25 * lap
-    assert np.array_equal(kernel._stage(phi), h)
+    stage = kernel._stage(phi)
+    assert np.array_equal(stage[0], h)
     sigma = -(kernel.om / h)
     dsig = (np.roll(sigma, -1) - np.roll(sigma, 1)) / (2.0 * b.spacing)
     want = -0.5 * float(np.sum(dsig * dsig * kernel.om / h) * b.weights)
-    assert kernel.diagnostics(h).dissipation == want
+    assert kernel.diagnostics(stage).dissipation == want
     if len(raw) < 16:  # the sphere's coarsest grid
         return
     b = make_backend("sphere", size=len(raw))
-    kernel = _SphereKernel(b, b.base_form(), 1.0)
+    kernel = _Kernel(b, b.base_form(), 1.0)
     phi = _stencil_potential(raw, b.spacing)
     flux = b.mprime_half * np.diff(phi) / b.delta
     div = np.concatenate(([flux[0]], flux[1:] - flux[:-1], [-flux[-1]]))
@@ -323,24 +375,30 @@ def _relative_gap(got, want):
                                                  1e-300)
 
 
-@pytest.mark.parametrize("geometry", ["torus", "sphere"])
-def test_fused_kernels_match_generic(geometry, torus128, sphere128):
+@pytest.mark.parametrize("geometry", ["torus", "sphere", "torus2d"])
+def test_kernel_matches_oracle(geometry, torus128, sphere128):
     rng = np.random.default_rng(7)
     if geometry == "torus":
-        b, omega, fused_cls = torus128, torus_target_form(torus128), _TorusLineKernel
+        b, omega = torus128, torus_target_form(torus128)
+    elif geometry == "sphere":
+        b, omega = sphere128, sphere128.base_form()
     else:
-        b, omega, fused_cls = sphere128, sphere128.base_form(), _SphereKernel
+        # an anisotropic base and a target with off-diagonal entries
+        b = make_backend("torus", dim=2, size=[12, 16],
+                         base_matrix=[[1.0, 0.3], [0.3, 0.8]])
+        psi = random_kahler_potential(b, rng, 0.5)
+        omega = b.form(1.5 * build_metric(b, b.base_form(), psi).matrices)
     c = FlowProblem(backend=b, omega=omega).level
     for _ in range(3):
         phi = random_kahler_potential(b, rng, 0.5)
-        fused, generic = fused_cls(b, omega, c), _GenericKernel(b, omega, c)
-        fs, gs = fused._stage(phi), generic._stage(phi)
-        assert _relative_gap(fused.rhs(fs), generic.rhs(gs)) <= 1e-12
-        assert _relative_gap(fused.stiffness(fs), generic.stiffness(gs)) <= 1e-12
-        fd, gd = fused.diagnostics(fs), generic.diagnostics(gs)
+        want = oracles.flow_kernel_outputs(b, omega, c, phi)
+        kernel = _Kernel(b, omega, c)
+        stage = kernel._stage(phi)
+        assert _relative_gap(kernel.rhs(stage), want["rhs"]) <= 1e-12
+        assert _relative_gap(kernel.stiffness(stage), want["stiffness"]) <= 1e-12
+        diag = kernel.diagnostics(stage)
         for name in _Diagnostics.__dataclass_fields__:
-            got, want = getattr(fd, name), getattr(gd, name)
-            assert _relative_gap(got, want) <= 1e-12, name
+            assert _relative_gap(getattr(diag, name), want[name]) <= 1e-12, name
 
 
 @pytest.mark.parametrize("method, builds_per_step", [("rk4", 4), ("euler", 1)])
@@ -367,11 +425,11 @@ def test_rejected_attempts_rebuild_nothing(torus64):
     assert stats.metric_builds <= 4 * (steps + rejected) + 1
 
 
-# --- the exact Jacobian of the one-dimensional kernels ------------------------
+# --- the kernel's exact Jacobian on the one-dimensional geometries -------------
 
 @st.composite
 def _jacobian_case(draw):
-    """A one-dimensional backend, a random Kahler target omega, its fused
+    """A one-dimensional backend, a random Kahler target omega, its flow
     kernel, a random Kahler potential phi and the generator drawn from."""
     geometry = draw(st.sampled_from(["torus", "sphere"]))
     b = make_backend(geometry, size=draw(st.integers(16, 96)))
@@ -380,7 +438,7 @@ def _jacobian_case(draw):
     omega = b.form(draw(st.floats(0.5, 3.0))
                    * build_metric(b, b.base_form(), psi).matrices)
     phi = random_kahler_potential(b, rng, draw(st.floats(0.05, 1.0)))
-    kernel = _fused_kernel(b)(b, omega, FlowProblem(backend=b, omega=omega).level)
+    kernel = _Kernel(b, omega, FlowProblem(backend=b, omega=omega).level)
     return b, omega, kernel, phi, rng
 
 

@@ -27,7 +27,7 @@ from jflow import (
 from jflow.flow import (
     FLOW_METHODS,
     _advance,
-    _fused_kernel,
+    _Kernel,
     _make_kernel,
     _rosenbrock,
 )
@@ -189,8 +189,7 @@ def test_positivity_loss_becomes_a_halving(method, geometry, seed, margin):
     problem = FlowProblem(backend=b, omega=omega, method=method,
                           dt_init=10.0, cfl_safety=20.0, max_steps=4,
                           t_max=50.0)
-    kernel_cls = _fused_kernel(b)
-    build = kernel_cls._stage
+    build = _Kernel._stage
     losses = []
 
     def counted(self, phi):
@@ -200,7 +199,7 @@ def test_positivity_loss_becomes_a_halving(method, geometry, seed, margin):
             losses.append(phi)
             raise
 
-    with mock.patch.object(kernel_cls, "_stage", counted):
+    with mock.patch.object(_Kernel, "_stage", counted):
         try:
             result = run_flow(problem, phi0)
         except StepStalled:
