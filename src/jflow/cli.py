@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from .config import (ScenarioConfig, build_backend, build_problem,
-                     build_reference, initial_potential, load_config,
+                     build_reference, check_geodesic_keys,
+                     check_hypothesis_keys, initial_potential, load_config,
                      reference_page)
 from .cone import properness_hypotheses
 from .fields import (ConfigError, GeometryError, NonConvergence, StepStalled,
@@ -105,6 +106,7 @@ def _functionals(cfg: ScenarioConfig, args) -> int:
 
 
 def _check_cone(cfg: ScenarioConfig, args) -> int:
+    check_hypothesis_keys(cfg)
     backend = build_backend(cfg)
     omega = build_reference(cfg, backend)
     rep = properness_hypotheses(backend, cfg.get("hypotheses.epsilon"),
@@ -117,6 +119,7 @@ def _check_cone(cfg: ScenarioConfig, args) -> int:
 
 
 def _geodesic_probe(cfg: ScenarioConfig, args) -> int:
+    check_geodesic_keys(cfg)
     backend = build_backend(cfg)
     try:
         return _run_probes(cfg, args, backend)
@@ -157,6 +160,11 @@ def _run_probes(cfg: ScenarioConfig, args, backend) -> int:
 
 
 def _report(cfg: ScenarioConfig, args) -> int:
+    # reject an enabled check's keys before the flow runs, not after
+    if cfg.get("hypotheses.enabled"):
+        check_hypothesis_keys(cfg)
+    if cfg.get("geodesic.enabled"):
+        check_geodesic_keys(cfg)
     code = _simulate(cfg, args)
     if cfg.get("hypotheses.enabled"):
         _check_cone(cfg, args)

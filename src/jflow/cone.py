@@ -12,7 +12,7 @@ eigenvalue, so the margin reduces to a single min scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -122,15 +122,7 @@ class HypothesisReport:
     n: int
 
     def to_dict(self) -> dict:
-        return {
-            "condition_margins": dict(self.condition_margins),
-            "passes": dict(self.passes),
-            "epsilon": self.epsilon,
-            "alpha_lower_bound": self.alpha_lower_bound,
-            "min_theta": self.min_theta,
-            "c": self.c,
-            "n": self.n,
-        }
+        return asdict(self)
 
 
 def properness_hypotheses(backend: GeometryBackend, epsilon: float,

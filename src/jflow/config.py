@@ -117,7 +117,7 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
                                   "run the geodesic convexity probe"),
     "geodesic.functional": ConfigKey(str, "j_tilde", "functional to probe",
                                      choices=_PROBE_IDS),
-    "geodesic.nodes": ConfigKey(int, 33, "path samples per geodesic"),
+    "geodesic.nodes": ConfigKey(int, 33, "path samples per geodesic (>= 3)"),
     "geodesic.pairs": ConfigKey(int, 4, "random endpoint pairs to probe"),
     "geodesic.amplitude": ConfigKey(float, 0.5,
                                     "amplitude of random endpoints"),
@@ -210,21 +210,23 @@ def reference_page() -> str:
 
 
 def build_backend(cfg: ScenarioConfig) -> GeometryBackend:
+    """The configured backend; its range errors become config errors."""
     kind = cfg.get("geometry.kind")
     size = cfg.get("geometry.size")
-    if size < 4:
-        raise ConfigError("geometry.size must be at least 4",
-                          line=cfg.line("geometry.size"))
-    if kind == "sphere":
-        if cfg.get("geometry.dim") != 1:
-            raise ConfigError("the sphere reduction is one-dimensional",
-                              line=cfg.line("geometry.dim"))
-        return SphereBackend(size, s_max=cfg.get("geometry.s_max"))
     dim = cfg.get("geometry.dim")
+    if kind == "sphere" and dim != 1:
+        raise ConfigError("the sphere reduction is one-dimensional",
+                          line=cfg.line("geometry.dim"))
     if dim < 1:
         raise ConfigError("geometry.dim must be positive",
                           line=cfg.line("geometry.dim"))
-    return TorusBackend((size,) * dim)
+    try:
+        if kind == "sphere":
+            return SphereBackend(size, s_max=cfg.get("geometry.s_max"))
+        return TorusBackend((size,) * dim)
+    except GeometryError as exc:
+        key = "geometry.s_max" if "s_max" in str(exc) else "geometry.size"
+        raise ConfigError(str(exc), line=cfg.line(key)) from exc
 
 
 def build_reference(cfg: ScenarioConfig, backend: GeometryBackend):
@@ -276,6 +278,19 @@ def build_problem(cfg: ScenarioConfig, backend: GeometryBackend,
             log_every=cfg.get("flow.log_every"))
     except ConfigError as exc:
         raise ConfigError(str(exc), line=cfg.line("flow.method")) from exc
+
+
+def check_hypothesis_keys(cfg: ScenarioConfig) -> None:
+    if not cfg.get("hypotheses.epsilon") >= 0:
+        raise ConfigError("hypotheses.epsilon must be nonnegative",
+                          line=cfg.line("hypotheses.epsilon"))
+
+
+def check_geodesic_keys(cfg: ScenarioConfig) -> None:
+    if cfg.get("geodesic.nodes") < 3:
+        raise ConfigError("geodesic.nodes must be at least 3: a convexity "
+                          "probe takes second differences",
+                          line=cfg.line("geodesic.nodes"))
 
 
 def initial_potential(cfg: ScenarioConfig, backend: GeometryBackend):

@@ -54,6 +54,14 @@ FLOW_METHODS = ("rk4", "euler", "rosenbrock")
 ROS2_GAMMA = 1.0 + 1.0 / np.sqrt(2.0)
 # Bound on the sup norm of ROS2's local error estimate, in units of phi.
 ROSENBROCK_TOL = 1e-5
+# An accepted step may raise the energy E by at most
+# ENERGY_TOL_REL * |E| + ENERGY_TOL_ABS.
+ENERGY_TOL_REL = 1e-9
+ENERGY_TOL_ABS = 1e-12
+# The explicit methods grow the step by GROWTH_FACTOR after GROWTH_EVERY
+# accepted steps in a row.
+GROWTH_EVERY = 10
+GROWTH_FACTOR = 1.2
 
 
 @dataclass(frozen=True)
@@ -69,10 +77,6 @@ class FlowProblem:
     dt_min: float = 1e-12
     dt_init: float | None = None
     method: str = "rk4"
-    e_tol_rel: float = 1e-9
-    e_tol_abs: float = 1e-12
-    growth_every: int = 10
-    growth_factor: float = 1.2
     log_every: int = 1
     max_steps: int | None = None
     snapshot_count: int = 33
@@ -99,7 +103,7 @@ class FlowProblem:
         return level_constant(self.backend, self.omega)
 
     def energy_budget(self, current: float) -> float:
-        return self.e_tol_rel * abs(current) + self.e_tol_abs
+        return ENERGY_TOL_REL * abs(current) + ENERGY_TOL_ABS
 
 
 @dataclass(frozen=True)
@@ -395,8 +399,8 @@ def _attempt_step(problem: FlowProblem, kernel, state: FlowState, stage,
         if cap <= state.dt and not lands_on_end:
             stats.steps_at_cap += 1
         streak, next_dt = state.accepted_streak + 1, dt
-        if streak >= problem.growth_every:
-            streak, next_dt = 0, dt * problem.growth_factor
+        if streak >= GROWTH_EVERY:
+            streak, next_dt = 0, dt * GROWTH_FACTOR
     new = FlowState(phi=trial,
                     t=problem.t_max if lands_on_end else state.t + dt,
                     dt=next_dt,

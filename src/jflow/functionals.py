@@ -7,19 +7,31 @@ measures):
     volume density    chi^n / n!            ->  det(chi) * weights
     mixed density     A ^ chi^(n-1) / (n-1)! ->  tr(chi^{-1} A) det(chi) * weights
 
-Path functionals integrate along piecewise-linear potential paths with
-one Gauss-Lobatto rule per segment.  Along a linear segment every
-integrand below is a polynomial in t of degree at most n + 1, and the
-k = ceil((n + 4) / 2) node rule is exact to degree 2k - 3 >= n + 1, so
-the quadrature is exact in every dimension and the only discretization
-error is spatial.  For n <= 2 the rule is Simpson's 3-node rule.  The
-rule keeps both segment ends, and chi_t is affine in t, so the
-positivity check at the nodes covers the whole path.
+Every path functional integrates phi_dot against a density along the
+same piecewise-linear route from 0 to phi, so one walk per potential
+gives the path moments M_vol = int phi_dot vol_t, M_theta = int phi_dot
+theta_t vol_t and, for each form A, M_mixed(A) = int phi_dot mixed(A)_t.
+Each functional is a fixed combination (c(A) is the level constant):
+
+    J                 = int phi vol_0 - M_vol
+    (I - J) by path   = M_mixed(chi_0) - n M_vol
+    j_hat(omega)      = M_mixed(omega) - n c(omega) M_vol
+    theta_path_term   = M_theta
+    j_tilde, j_flow   = j_hat + M_theta, j_hat - M_theta
+    mu, mu_tilde      = entropy + j_hat(-Ric chi_0), mu + M_theta
+
+The walk uses one Gauss-Lobatto rule per segment.  Along a linear
+segment every integrand is a polynomial in t of degree at most n + 1,
+and the k = ceil((n + 4) / 2) node rule is exact to degree
+2k - 3 >= n + 1, so the quadrature is exact in every dimension and the
+only discretization error is spatial.  For n <= 2 the rule is Simpson's
+3-node rule.  The rule keeps both segment ends, and chi_t is affine in
+t, so the positivity check at the nodes covers the whole path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -66,39 +78,45 @@ def _lobatto_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _route(backend: GeometryBackend, phi, waypoints) -> list[np.ndarray]:
-    end = backend.check_field(_values(phi), "potential")
-    if waypoints is None:
-        return [np.zeros(backend.grid_shape), end]
-    route = [np.zeros(backend.grid_shape)]
-    route += [backend.check_field(_values(w), "waypoint") for w in waypoints]
-    route.append(end)
-    return route
+def _path_moments(backend: GeometryBackend, phi, forms=(),
+                  waypoints=None) -> tuple[float, float, list[float]]:
+    """(M_vol, M_theta, [M_mixed(A) for A in forms]) along the route to phi.
 
-
-def _path_integral(backend: GeometryBackend, phi, density_fn,
-                   waypoints) -> float:
-    """Integrate phi_dot * density(chi_t, phi_t) over a piecewise-linear path.
-
-    density_fn(chi_t, phi_t) returns a grid density; each segment is
-    sampled at the Gauss-Lobatto nodes and nodes are accumulated in a
-    fixed order so results are deterministic.
+    One walk: each segment is sampled at the Gauss-Lobatto nodes, one
+    checked metric per node serves every moment, and nodes are
+    accumulated in a fixed order so results are deterministic.
     """
+    route = [np.zeros(backend.grid_shape)]
+    route += [backend.check_field(_values(w), "waypoint")
+              for w in (() if waypoints is None else waypoints)]
+    route.append(backend.check_field(_values(phi), "potential"))
     base = backend.base_form()
+    mats = [_matrices(form) for form in forms]
     t_nodes, coeff = _lobatto_rule(backend.n)
-    total = 0.0
-    route = _route(backend, phi, waypoints)
+    total = np.zeros(2 + len(mats))
     for phi_a, phi_b in zip(route[:-1], route[1:]):
         rate = phi_b - phi_a
-        segment = 0.0
         for t, ck in zip(t_nodes, coeff):
             phi_t = phi_a + t * rate
             chi_t = build_metric(backend, base, phi_t)
             chi_t.require_kahler("path quadrature node")
-            dens = density_fn(chi_t, phi_t)
-            segment += ck * float(np.sum(rate * dens * backend.weights))
-        total += segment
-    return total
+            vol = chi_t.det()
+            dens = np.stack([vol, theta_of(backend, phi_t) * vol]
+                            + [mixed_volume_density(chi_t, m) for m in mats])
+            total += ck * np.sum(rate * dens * backend.weights,
+                                 axis=tuple(range(1, dens.ndim)))
+    return float(total[0]), float(total[1]), [float(m) for m in total[2:]]
+
+
+def _j_hat_of(backend: GeometryBackend, omega, m_vol: float,
+              m_mixed: float) -> float:
+    return m_mixed - backend.n * level_constant(backend, omega) * m_vol
+
+
+def _j_of(backend: GeometryBackend, phi, m_vol: float) -> float:
+    values = backend.check_field(_values(phi), "potential")
+    vol0 = backend.base_form().det()
+    return float(np.sum(values * vol0 * backend.weights)) - m_vol
 
 
 def level_constant(backend: GeometryBackend, omega,
@@ -139,65 +157,34 @@ def aubin_i(backend: GeometryBackend, phi) -> float:
 
 
 def aubin_j(backend: GeometryBackend, phi, waypoints=None) -> float:
-    base_det = backend.base_form().det()
-
-    def dens(chi_t, phi_t):
-        return base_det - chi_t.det()
-
-    return _path_integral(backend, phi, dens, waypoints)
+    m_vol, _, _ = _path_moments(backend, phi, waypoints=waypoints)
+    return _j_of(backend, phi, m_vol)
 
 
 def aubin_ij(backend: GeometryBackend, phi) -> AubinEnergies:
     """I and J plus a cross-check of I - J against its path formula."""
     i_val = aubin_i(backend, phi)
-    j_val = aubin_j(backend, phi)
-    base = backend.base_form()
-    base_mats = base.matrices
-
-    def dens(chi_t, phi_t):
-        return -(backend.n * chi_t.det() - mixed_volume_density(chi_t, base_mats))
-
-    path_val = _path_integral(backend, phi, dens, None)
+    m_vol, _, (m_base,) = _path_moments(backend, phi, (backend.base_form(),))
+    j_val = _j_of(backend, phi, m_vol)
     return AubinEnergies(I=i_val, J=j_val, i_minus_j=i_val - j_val,
-                         i_minus_j_path=path_val)
-
-
-def _j_density(backend: GeometryBackend, omega, coupling: float):
-    """mixed(omega) - n c vol, plus ``coupling`` times theta vol when nonzero."""
-    om = _matrices(omega)
-    c = level_constant(backend, omega)
-
-    def dens(chi_t, phi_t):
-        out = mixed_volume_density(chi_t, om) - backend.n * c * chi_t.det()
-        if coupling:
-            out = out + coupling * theta_of(backend, phi_t) * chi_t.det()
-        return out
-
-    return dens
+                         i_minus_j_path=m_base - backend.n * m_vol)
 
 
 def j_hat(backend: GeometryBackend, omega, phi, waypoints=None) -> float:
     """Path integral of phi_dot (mixed(omega) - n c vol) along the route."""
-    return _path_integral(backend, phi, _j_density(backend, omega, 0.0),
-                          waypoints)
+    m_vol, _, (m_om,) = _path_moments(backend, phi, (omega,), waypoints)
+    return _j_hat_of(backend, omega, m_vol, m_om)
 
 
 def theta_path_term(backend: GeometryBackend, phi, waypoints=None) -> float:
     """Path integral of phi_dot theta(chi_t) dV_t, the symmetry coupling."""
-
-    def dens(chi_t, phi_t):
-        return theta_of(backend, phi_t) * chi_t.det()
-
-    return _path_integral(backend, phi, dens, waypoints)
+    return _path_moments(backend, phi, waypoints=waypoints)[1]
 
 
 def j_tilde(backend: GeometryBackend, omega, phi, waypoints=None) -> float:
-    """j_hat plus the symmetry coupling term (equals j_hat when X = 0).
-
-    Both integrands are summed at each node, so the path is walked once.
-    """
-    return _path_integral(backend, phi, _j_density(backend, omega, 1.0),
-                          waypoints)
+    """j_hat plus the symmetry coupling term (equals j_hat when X = 0)."""
+    m_vol, m_theta, (m_om,) = _path_moments(backend, phi, (omega,), waypoints)
+    return _j_hat_of(backend, omega, m_vol, m_om) + m_theta
 
 
 def j_flow(backend: GeometryBackend, omega, phi, waypoints=None) -> float:
@@ -207,8 +194,8 @@ def j_flow(backend: GeometryBackend, omega, phi, waypoints=None) -> float:
     stationary states of the flow; it decreases along trajectories.
     Coincides with j_tilde when the vector field vanishes.
     """
-    return _path_integral(backend, phi, _j_density(backend, omega, -1.0),
-                          waypoints)
+    m_vol, m_theta, (m_om,) = _path_moments(backend, phi, (omega,), waypoints)
+    return _j_hat_of(backend, omega, m_vol, m_om) - m_theta
 
 
 def entropy(backend: GeometryBackend, phi) -> float:
@@ -225,17 +212,15 @@ def entropy(backend: GeometryBackend, phi) -> float:
 
 
 def k_energy(backend: GeometryBackend, phi) -> float:
-    omega0 = -ricci_form(backend, backend.base_form())
-    return entropy(backend, phi) + j_hat(backend, omega0, phi)
+    return k_energy_modified(backend, phi)[0]
 
 
 def k_energy_modified(backend: GeometryBackend, phi) -> tuple[float, float]:
     """(mu, mu_tilde): entropy plus j_hat / j_tilde against -Ric(chi0)."""
     omega0 = -ricci_form(backend, backend.base_form())
-    ent = entropy(backend, phi)
-    jh = j_hat(backend, omega0, phi)
-    coupling = theta_path_term(backend, phi)
-    return ent + jh, ent + jh + coupling
+    m_vol, m_theta, (m_ric,) = _path_moments(backend, phi, (omega0,))
+    mu = entropy(backend, phi) + _j_hat_of(backend, omega0, m_vol, m_ric)
+    return mu, mu + m_theta
 
 
 def sigma_energy(backend: GeometryBackend, phi,
@@ -286,39 +271,29 @@ class FunctionalReport:
     quadrature_rule: str
 
     def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "I": self.I,
-            "J": self.J,
-            "j_hat": self.j_hat,
-            "j_tilde": self.j_tilde,
-            "entropy": self.entropy,
-            "k_energy": self.k_energy,
-            "k_energy_modified": self.k_energy_modified,
-            "E": self.E,
-            "path_steps": self.path_steps,
-            "quadrature_rule": self.quadrature_rule,
-        }
+        return asdict(self)
 
 
 def functional_report(backend: GeometryBackend, phi, omega,
                       c: float | None = None) -> FunctionalReport:
-    """Evaluate the full functional family at one potential."""
+    """Evaluate the full functional family at one potential, in one walk."""
     values = backend.check_field(_values(phi), "potential")
-    energies = aubin_ij(backend, values)
-    jh = j_hat(backend, omega, values)
-    coupling = theta_path_term(backend, values)
-    mu, mu_tilde = k_energy_modified(backend, values)
+    omega0 = -ricci_form(backend, backend.base_form())
+    m_vol, m_theta, (m_om, m_ric) = _path_moments(backend, values,
+                                                  (omega, omega0))
+    jh = _j_hat_of(backend, omega, m_vol, m_om)
+    ent = entropy(backend, values)
+    mu = ent + _j_hat_of(backend, omega0, m_vol, m_ric)
     _, e_val = sigma_energy(backend, values, omega)
     return FunctionalReport(
         c=level_constant(backend, omega) if c is None else float(c),
-        I=energies.I,
-        J=energies.J,
+        I=aubin_i(backend, values),
+        J=_j_of(backend, values, m_vol),
         j_hat=jh,
-        j_tilde=jh + coupling,
-        entropy=entropy(backend, values),
+        j_tilde=jh + m_theta,
+        entropy=ent,
         k_energy=mu,
-        k_energy_modified=mu_tilde,
+        k_energy_modified=mu + m_theta,
         E=e_val,
         path_steps=_lobatto_rule(backend.n)[0].size,
         quadrature_rule="gauss_lobatto",

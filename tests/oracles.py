@@ -169,7 +169,10 @@ def directional_difference(f, phi: np.ndarray, psi: np.ndarray,
 
 def simpson_path_functionals(backend, omega_matrices: np.ndarray,
                              phi: np.ndarray) -> dict:
-    """j_hat, j_tilde and aubin_j along the chord from 0 to phi.
+    """Every path functional along the chord from 0 to phi.
+
+    Returns j_hat, j_tilde, j_flow, theta_path_term, aubin_j and the path
+    formula for I - J, each integrated with its own density.
 
     Composite Simpson in t with 33 samples.  Volume and mixed densities
     come from explicit 2x2 adjugate formulas, so this covers n <= 2:
@@ -195,14 +198,20 @@ def simpson_path_functionals(backend, omega_matrices: np.ndarray,
     base_det, base_mixed = det_and_mixed(base, om)
     level = float(np.sum(base_mixed * backend.weights)) / (
         backend.n * float(np.sum(base_det * backend.weights)))
-    totals = {"j_hat": 0.0, "j_tilde": 0.0, "aubin_j": 0.0}
+    totals = dict.fromkeys(("j_hat", "j_tilde", "j_flow", "theta_path_term",
+                            "aubin_j", "i_minus_j_path"), 0.0)
     for tk, ck in zip(t, coeff):
         chi = base + complex_hessian(backend, tk * phi)
         det, mixed = det_and_mixed(chi, om)
+        _, mixed_base = det_and_mixed(chi, base)
         j_dens = mixed - backend.n * level * det
         coupling = theta_of(backend, tk * phi) * det
         pair = phi * backend.weights
         totals["j_hat"] += ck * float(np.sum(pair * j_dens))
         totals["j_tilde"] += ck * float(np.sum(pair * (j_dens + coupling)))
+        totals["j_flow"] += ck * float(np.sum(pair * (j_dens - coupling)))
+        totals["theta_path_term"] += ck * float(np.sum(pair * coupling))
         totals["aubin_j"] += ck * float(np.sum(pair * (base_det - det)))
+        totals["i_minus_j_path"] += ck * float(
+            np.sum(pair * (mixed_base - backend.n * det)))
     return totals

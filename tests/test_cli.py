@@ -116,6 +116,45 @@ def test_cfl_safety_not_positive_is_config_error(tmp_path, capsys, value):
     assert f"offending line: flow.cfl_safety = {value}" in err
 
 
+@pytest.mark.parametrize("kind, entry", [
+    ("torus", "geometry.size = 6"),
+    ("sphere", "geometry.size = 12"),
+    ("sphere", "geometry.s_max = 0.5"),
+])
+def test_backend_range_errors_are_config_errors(tmp_path, capsys, kind, entry):
+    # the backend's own range check, reported on the line of the key at fault
+    base = {"torus": FAST_TORUS, "sphere": FAST_SPHERE}[kind]
+    cfg = write_cfg(tmp_path, base + entry + "\n")
+    assert main(["simulate", "--config", cfg,
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert f"offending line: {entry}" in err
+
+
+@pytest.mark.parametrize("entry", ["geodesic.nodes = 2",
+                                   "hypotheses.epsilon = -0.1"])
+def test_report_rejects_check_keys_before_the_flow(tmp_path, capsys, entry):
+    cfg = write_cfg(tmp_path, FAST_SPHERE + "geodesic.enabled = true\n"
+                    + entry + "\n")
+    out = tmp_path / "run"
+    assert main(["report", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"offending line: {entry}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, entry", [
+    ("geodesic-probe", "geodesic.nodes = 2"),
+    ("check-cone", "hypotheses.epsilon = -0.1"),
+])
+def test_check_subcommands_reject_their_keys(tmp_path, capsys, command, entry):
+    cfg = write_cfg(tmp_path, FAST_SPHERE + entry + "\n")
+    assert main([command, "--config", cfg,
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert f"offending line: {entry}" in err
+
+
 def test_retired_path_steps_changes_no_output(tmp_path, caplog):
     # both runs write to one directory, since the echo records it
     text = "geometry.kind = sphere\ngeometry.size = 64\n"

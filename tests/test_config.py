@@ -2,9 +2,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jflow import ConfigError, GeometryError, parse_config, reference_page
-from jflow.config import (CONFIG_KEYS, build_backend, build_problem,
+from jflow.config import (CONFIG_KEYS, ScenarioConfig, _parse_bool,
+                          _parse_optional_float, build_backend, build_problem,
                           build_reference, initial_potential, load_config)
 from jflow.geometry import SphereBackend, TorusBackend
 
@@ -20,6 +23,32 @@ def test_round_trip_through_render():
     cfg = parse_config("geometry.kind = sphere\nflow.t_max = 2.5\nseed = 9\n")
     again = parse_config(cfg.render())
     assert again.values == cfg.values
+
+
+_FLOATS = st.floats(allow_nan=False)
+# a value that survives one config line: no comment mark, no line break,
+# no surrounding blanks
+_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
+                              blacklist_characters="#"),
+                max_size=24).filter(lambda text: text == text.strip())
+_BY_PARSER = {int: st.integers(), float: _FLOATS, str: _TEXT,
+              _parse_bool: st.booleans(),
+              _parse_optional_float: st.none() | _FLOATS}
+
+
+def _key_values(spec):
+    if spec.choices:
+        return st.sampled_from(spec.choices)
+    return _BY_PARSER[spec.parse]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.fixed_dictionaries(
+    {key: _key_values(spec) for key, spec in CONFIG_KEYS.items()}))
+def test_render_parse_round_trip_every_key(values):
+    again = parse_config(ScenarioConfig(values=values).render()).values
+    assert again == values
+    assert all(type(again[key]) is type(values[key]) for key in values)
 
 
 def test_comments_and_blanks_ignored():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -343,9 +343,14 @@ def test_periodic_neighbours_match_roll(phi):
         assert np.array_equal(down, np.roll(grid, 1, axis))
 
 
+# Distinct entries give every flux a nonzero value, the end fluxes of the
+# sphere stencil included, so a wrong end row cannot hide behind a flat
+# draw; the fixed example checks one such draw on every run.
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.integers(8, 257).flatmap(
-    lambda n: hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0))))
+    lambda n: hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0),
+                         unique=True)))
+@example(np.random.default_rng(3).uniform(-1.0, 1.0, 40))
 def test_kernel_stencils_match_roll_and_diff(raw):
     b = make_backend("torus", size=len(raw))
     kernel = _Kernel(b, b.base_form(), 1.0)

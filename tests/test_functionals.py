@@ -22,6 +22,7 @@ from jflow import (
     sigma_energy,
     volume,
 )
+from jflow import functionals
 from jflow.functionals import aubin_ij, theta_path_term
 from jflow.potentials import hessian_offset_potential
 
@@ -298,6 +299,56 @@ def test_functional_report_fields(torus64, rng):
     assert d["j_tilde"] == d["j_hat"]
     assert d["k_energy_modified"] == d["k_energy"]
     assert d["I"] >= d["J"] >= 0.0
+
+
+def _random_target(b, rng):
+    psi = random_kahler_potential(b, rng, 0.3)
+    return build_metric(b, b.base_form(), psi)
+
+
+@pytest.mark.parametrize("name", ["sphere128", "torus128", "torus2d"])
+def test_functional_report_builds_one_metric_per_node(name, request, rng,
+                                                      monkeypatch):
+    # one walk of 3 Lobatto nodes, plus I, the entropy and E at phi itself
+    b = request.getfixturevalue(name)
+    phi = random_kahler_potential(b, rng, 0.4)
+    omega = _random_target(b, rng)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build_metric(*args, **kwargs)
+
+    monkeypatch.setattr(functionals, "build_metric", counting)
+    functional_report(b, phi, omega)
+    assert len(calls) <= 6
+
+
+@pytest.mark.parametrize("name", ["sphere128", "torus128", "torus2d"])
+def test_functional_report_matches_standalone_and_oracle(name, request, rng):
+    b = request.getfixturevalue(name)
+    for _ in range(2):
+        phi = random_kahler_potential(b, rng, 0.5)
+        omega = _random_target(b, rng)
+        rep = functional_report(b, phi, omega)
+        mu, mu_tilde = k_energy_modified(b, phi)
+        standalone = {
+            "c": level_constant(b, omega), "I": aubin_i(b, phi),
+            "J": aubin_j(b, phi), "j_hat": j_hat(b, omega, phi),
+            "j_tilde": j_tilde(b, omega, phi), "entropy": entropy(b, phi),
+            "k_energy": k_energy(b, phi), "k_energy_modified": mu_tilde,
+            "E": sigma_energy(b, phi, omega)[1]}
+        assert mu == standalone["k_energy"]
+        for key, want in standalone.items():
+            got = getattr(rep, key)
+            assert abs(got - want) <= 1e-13 * abs(want), key
+        # the functionals that the report leaves out, against 33-node Simpson
+        want = oracles.simpson_path_functionals(b, omega.matrices, phi)
+        got = {"j_flow": j_flow(b, omega, phi),
+               "theta_path_term": theta_path_term(b, phi),
+               "i_minus_j_path": aubin_ij(b, phi).i_minus_j_path}
+        for key, value in got.items():
+            assert abs(value - want[key]) <= 1e-13 * abs(want[key]), key
 
 
 def test_functional_report_respects_explicit_level(sphere64, rng):
