@@ -16,12 +16,10 @@ import sys
 import numpy as np
 
 from .config import (ScenarioConfig, build_backend, build_problem,
-                     build_reference, check_geodesic_keys,
-                     check_hypothesis_keys, initial_potential, load_config,
-                     reference_page)
+                     build_reference, check_bound, initial_potential,
+                     load_config, reference_page)
 from .cone import properness_hypotheses
-from .fields import (ConfigError, GeometryError, NonConvergence, StepStalled,
-                     UnsupportedBackend)
+from .fields import ConfigError, GeometryError, NonConvergence, StepStalled
 from .flow import run_flow
 from .functionals import functional_report
 from .geodesic import convexity_probe, geodesic_path
@@ -43,6 +41,7 @@ def _load(args) -> ScenarioConfig:
     if args.out is not None:
         values["output.directory"] = args.out
     if args.seed is not None:
+        check_bound("seed", args.seed, line=f"--seed {args.seed}")
         values["seed"] = args.seed
     return ScenarioConfig(values=values, lines=cfg.lines)
 
@@ -106,7 +105,6 @@ def _functionals(cfg: ScenarioConfig, args) -> int:
 
 
 def _check_cone(cfg: ScenarioConfig, args) -> int:
-    check_hypothesis_keys(cfg)
     backend = build_backend(cfg)
     omega = build_reference(cfg, backend)
     rep = properness_hypotheses(backend, cfg.get("hypotheses.epsilon"),
@@ -118,16 +116,15 @@ def _check_cone(cfg: ScenarioConfig, args) -> int:
     return 0
 
 
+def _require_probe_geometry(cfg: ScenarioConfig) -> None:
+    if cfg.get("geometry.kind") != "sphere":
+        raise ConfigError("geodesic probes need geometry.kind = sphere",
+                          line=cfg.line("geometry.kind"))
+
+
 def _geodesic_probe(cfg: ScenarioConfig, args) -> int:
-    check_geodesic_keys(cfg)
+    _require_probe_geometry(cfg)
     backend = build_backend(cfg)
-    try:
-        return _run_probes(cfg, args, backend)
-    except UnsupportedBackend as exc:
-        raise ConfigError(str(exc), line=cfg.line("geometry.kind")) from exc
-
-
-def _run_probes(cfg: ScenarioConfig, args, backend) -> int:
     omega = build_reference(cfg, backend)
     pairs = cfg.get("geodesic.pairs")
     nodes = cfg.get("geodesic.nodes")
@@ -160,11 +157,8 @@ def _run_probes(cfg: ScenarioConfig, args, backend) -> int:
 
 
 def _report(cfg: ScenarioConfig, args) -> int:
-    # reject an enabled check's keys before the flow runs, not after
-    if cfg.get("hypotheses.enabled"):
-        check_hypothesis_keys(cfg)
     if cfg.get("geodesic.enabled"):
-        check_geodesic_keys(cfg)
+        _require_probe_geometry(cfg)  # before the flow writes anything
     code = _simulate(cfg, args)
     if cfg.get("hypotheses.enabled"):
         _check_cone(cfg, args)

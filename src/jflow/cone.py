@@ -22,6 +22,8 @@ from .geometry import GeometryBackend, ricci_form, theta_of
 
 MARGIN_CLASSIFY_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-10
+# grid points sampled by the spectrum reconstruction check
+RECONSTRUCTION_CHECK_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,7 @@ class RelativeSpectrum:
         return self.eigenvalues[..., -1]
 
 
-def relative_spectrum(omega, chi_prime: HermitianFormField,
-                      check_points: int = 16) -> RelativeSpectrum:
+def relative_spectrum(omega, chi_prime: HermitianFormField) -> RelativeSpectrum:
     """Eigenvalues of omega relative to chi_prime at every grid point.
 
     Solved through a Cholesky congruence; a reconstruction spot check on
@@ -69,7 +70,7 @@ def relative_spectrum(omega, chi_prime: HermitianFormField,
     eig, vecs = np.linalg.eigh(congruent)
 
     flat_idx = np.arange(int(np.prod(chi_prime.grid_shape)))
-    sample = flat_idx[:: max(1, len(flat_idx) // check_points)]
+    sample = flat_idx[:: max(1, len(flat_idx) // RECONSTRUCTION_CHECK_POINTS)]
     n = chi_prime.n
     chol_flat = chol.reshape(-1, n, n)[sample]
     eig_flat = eig.reshape(-1, n)[sample]

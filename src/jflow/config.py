@@ -2,8 +2,9 @@
 
 The format is one ``key = value`` per line with ``#`` comments.  Every
 key lives in the table below, which is the single source of truth for
-names, types, defaults and help text; the CLI help and the effective
-config echoed next to run outputs are both generated from it.  The echo
+names, types, defaults, admissible ranges and help text; the parser
+enforces the ranges, and the CLI help and the effective config echoed
+next to run outputs are both generated from the table.  The echo
 re-parses to the same configuration, which is what makes runs
 reproducible from their own output directory.
 """
@@ -11,13 +12,13 @@ reproducible from their own output directory.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from .fields import ConfigError, GeometryError
 from .flow import FLOW_METHODS, FlowProblem
+from .geodesic import FUNCTIONAL_IDS
 from .geometry import (GeometryBackend, SphereBackend, TorusBackend,
                        complex_hessian)
 from .potentials import (FAMILY_NAMES, hessian_offset_potential,
@@ -52,8 +53,7 @@ def _render(value) -> str:
 
 
 _OFFSET_FAMILIES = ("zero", "sine", "cosine", "bump")
-_PROBE_IDS = ("i", "j", "j_hat", "j_tilde", "j_flow", "entropy",
-              "k_energy", "k_energy_modified", "mean")
+_BOUND_TESTS = {">=": operator.ge, ">": operator.gt}
 
 
 @dataclass(frozen=True)
@@ -62,17 +62,21 @@ class ConfigKey:
     default: object
     help: str
     choices: tuple = ()
+    bound: tuple = ()  # lower bound, e.g. (">=", 3)
 
 
 CONFIG_KEYS: dict[str, ConfigKey] = {
     "geometry.kind": ConfigKey(str, "torus", "backend geometry",
                                choices=("torus", "sphere")),
-    "geometry.dim": ConfigKey(int, 1, "torus complex dimension"),
+    "geometry.dim": ConfigKey(int, 1, "torus complex dimension",
+                              bound=(">=", 1)),
     "geometry.size": ConfigKey(int, 128, "grid points per axis"),
     "geometry.s_max": ConfigKey(float, 12.0,
-                                "sphere chart truncation in the s variable"),
+                                "sphere chart truncation in the s variable",
+                                bound=(">", 1)),
     "reference.scale": ConfigKey(float, 2.0,
-                                 "reference form = scale * chi0 (+ offset)"),
+                                 "reference form = scale * chi0 (+ offset)",
+                                 bound=(">", 0)),
     "reference.offset_family": ConfigKey(
         str, "zero", "density offset added to the reference form, realized "
         "exactly as a Hessian (torus n=1 only)", choices=_OFFSET_FAMILIES),
@@ -87,14 +91,16 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
                                       "sup-norm critical-equation residual "
                                       "declaring convergence"),
     "flow.cfl_safety": ConfigKey(float, 0.2,
-                                 "fraction of the diffusion step bound, > 0 "
-                                 "(rosenbrock: of its first step only)"),
+                                 "fraction of the diffusion step bound "
+                                 "(rosenbrock: of its first step only)",
+                                 bound=(">", 0)),
     "flow.dt_min": ConfigKey(float, 1e-12,
                              "step underflow threshold (StepStalled)"),
     "flow.method": ConfigKey(str, "rk4", "time integrator",
                              choices=FLOW_METHODS),
     "flow.log_every": ConfigKey(int, 10,
-                                "record every k-th accepted step"),
+                                "record every k-th accepted step",
+                                bound=(">=", 1)),
     "flow.require_convergence": ConfigKey(
         _parse_bool, False, "exit 4 when the flow ends above its residual "
         "target instead of reporting the partial run"),
@@ -116,20 +122,23 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
     "geodesic.enabled": ConfigKey(_parse_bool, False,
                                   "run the geodesic convexity probe"),
     "geodesic.functional": ConfigKey(str, "j_tilde", "functional to probe",
-                                     choices=_PROBE_IDS),
-    "geodesic.nodes": ConfigKey(int, 33, "path samples per geodesic (>= 3)"),
-    "geodesic.pairs": ConfigKey(int, 4, "random endpoint pairs to probe"),
+                                     choices=FUNCTIONAL_IDS),
+    "geodesic.nodes": ConfigKey(int, 33, "path samples per geodesic",
+                                bound=(">=", 3)),
+    "geodesic.pairs": ConfigKey(int, 4, "random endpoint pairs to probe",
+                                bound=(">=", 1)),
     "geodesic.amplitude": ConfigKey(float, 0.5,
                                     "amplitude of random endpoints"),
     "hypotheses.enabled": ConfigKey(_parse_bool, True,
                                     "emit a hypothesis report"),
     "hypotheses.epsilon": ConfigKey(float, 0.1,
                                     "positivity slack in the checked "
-                                    "conditions; must be >= 0"),
+                                    "conditions", bound=(">=", 0)),
     "hypotheses.alpha_lower_bound": ConfigKey(
         float, 0.2, "lower bound fed to the invariant-based condition"),
     "output.directory": ConfigKey(str, "out", "where reports are written"),
-    "seed": ConfigKey(int, 0, "random seed for generated potentials"),
+    "seed": ConfigKey(int, 0, "random seed for generated potentials",
+                      bound=(">=", 0)),
 }
 
 # Keys that older effective configs still carry.  They parse with a
@@ -185,9 +194,18 @@ def parse_config(text: str) -> ScenarioConfig:
         if spec.choices and parsed not in spec.choices:
             raise ConfigError(
                 f"{key} must be one of {', '.join(spec.choices)}", line=raw)
+        check_bound(key, parsed, line=raw)
         values[key] = parsed
         lines[key] = raw
     return ScenarioConfig(values=values, lines=lines)
+
+
+def check_bound(key: str, value, line: str) -> None:
+    """Reject a value outside the key's table bound, naming its line."""
+    bound = CONFIG_KEYS[key].bound
+    # nan compares false, so it fails every bound
+    if bound and not _BOUND_TESTS[bound[0]](value, bound[1]):
+        raise ConfigError(f"{key} must be {bound[0]} {bound[1]}", line=line)
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -196,7 +214,7 @@ def load_config(path: str) -> ScenarioConfig:
 
 
 def reference_page() -> str:
-    """Generated key reference: names, defaults, help."""
+    """Generated key reference: names, defaults, help, ranges."""
     out = ["# Configuration reference", "",
            "One `key = value` per line; `#` starts a comment. "
            "Unknown keys are rejected.", ""]
@@ -205,36 +223,31 @@ def reference_page() -> str:
         entry = f"{key:<{width}}  default {_render(spec.default)!s:<8}  {spec.help}"
         if spec.choices:
             entry += f" (one of: {', '.join(spec.choices)})"
+        if spec.bound:
+            entry += f" (must be {spec.bound[0]} {spec.bound[1]})"
         out.append(entry)
     return "\n".join(out) + "\n"
 
 
 def build_backend(cfg: ScenarioConfig) -> GeometryBackend:
-    """The configured backend; its range errors become config errors."""
+    """The configured backend; a grid it calls too coarse is a config error."""
     kind = cfg.get("geometry.kind")
     size = cfg.get("geometry.size")
     dim = cfg.get("geometry.dim")
     if kind == "sphere" and dim != 1:
         raise ConfigError("the sphere reduction is one-dimensional",
                           line=cfg.line("geometry.dim"))
-    if dim < 1:
-        raise ConfigError("geometry.dim must be positive",
-                          line=cfg.line("geometry.dim"))
     try:
         if kind == "sphere":
             return SphereBackend(size, s_max=cfg.get("geometry.s_max"))
         return TorusBackend((size,) * dim)
     except GeometryError as exc:
-        key = "geometry.s_max" if "s_max" in str(exc) else "geometry.size"
-        raise ConfigError(str(exc), line=cfg.line(key)) from exc
+        raise ConfigError(str(exc), line=cfg.line("geometry.size")) from exc
 
 
 def build_reference(cfg: ScenarioConfig, backend: GeometryBackend):
     """The reference form omega from scale and optional exact density offset."""
     scale = cfg.get("reference.scale")
-    if scale <= 0:
-        raise ConfigError("reference.scale must be positive",
-                          line=cfg.line("reference.scale"))
     base = backend.base_form()
     family = cfg.get("reference.offset_family")
     amplitude = cfg.get("reference.offset_amplitude")
@@ -261,12 +274,6 @@ def build_reference(cfg: ScenarioConfig, backend: GeometryBackend):
 
 def build_problem(cfg: ScenarioConfig, backend: GeometryBackend,
                   omega) -> FlowProblem:
-    if cfg.get("flow.log_every") < 1:
-        raise ConfigError("flow.log_every must be at least 1",
-                          line=cfg.line("flow.log_every"))
-    if not cfg.get("flow.cfl_safety") > 0:
-        raise ConfigError("flow.cfl_safety must be positive",
-                          line=cfg.line("flow.cfl_safety"))
     method = cfg.get("flow.method")
     try:
         return FlowProblem(
@@ -278,19 +285,6 @@ def build_problem(cfg: ScenarioConfig, backend: GeometryBackend,
             log_every=cfg.get("flow.log_every"))
     except ConfigError as exc:
         raise ConfigError(str(exc), line=cfg.line("flow.method")) from exc
-
-
-def check_hypothesis_keys(cfg: ScenarioConfig) -> None:
-    if not cfg.get("hypotheses.epsilon") >= 0:
-        raise ConfigError("hypotheses.epsilon must be nonnegative",
-                          line=cfg.line("hypotheses.epsilon"))
-
-
-def check_geodesic_keys(cfg: ScenarioConfig) -> None:
-    if cfg.get("geodesic.nodes") < 3:
-        raise ConfigError("geodesic.nodes must be at least 3: a convexity "
-                          "probe takes second differences",
-                          line=cfg.line("geodesic.nodes"))
 
 
 def initial_potential(cfg: ScenarioConfig, backend: GeometryBackend):

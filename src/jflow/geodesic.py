@@ -24,9 +24,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fields import (ConvexityLost, GeometryError, HermitianFormField,
-                     PotentialField, ScalarField, UnsupportedBackend)
-from .functionals import (aubin_i, aubin_j, entropy, j_flow, j_hat, j_tilde,
-                          k_energy, k_energy_modified)
+                     ScalarField, UnsupportedBackend)
+from .functionals import (_values, aubin_i, aubin_j, entropy, j_flow, j_hat,
+                          j_tilde, k_energy, k_energy_modified)
 from .geometry import GeometryBackend, SphereBackend, build_metric, integrate
 
 # Root tolerance in the moment variable for both transform directions.
@@ -38,12 +38,6 @@ LEGENDRE_TOL = 1e-10
 # farther than the gap width.  A sup pinned into the last sliver of the
 # gap has left the resolvable chart and raises ConvexityLost.
 TAIL_SLIVER = 1e-3
-
-
-def _values(phi) -> np.ndarray:
-    if isinstance(phi, PotentialField):
-        return phi.values
-    return np.asarray(phi, dtype=float)
 
 
 def _require_sphere(backend: GeometryBackend) -> SphereBackend:

@@ -123,9 +123,8 @@ class GeometryBackend:
                 f"{label} has shape {values.shape}, expected {self.grid_shape}")
         return values
 
-    def form(self, matrices: np.ndarray,
-             floor: float = DEFAULT_POSITIVITY_FLOOR) -> HermitianFormField:
-        field = HermitianFormField.from_matrices(matrices, floor=floor)
+    def form(self, matrices: np.ndarray) -> HermitianFormField:
+        field = HermitianFormField.from_matrices(matrices)
         if field.grid_shape != self.grid_shape or field.n != self.n:
             raise ShapeMismatchError(
                 f"form has shape {field.matrices.shape}, expected "
@@ -353,13 +352,12 @@ def complex_hessian(backend: GeometryBackend, phi: ScalarField) -> np.ndarray:
 
 
 def build_metric(backend: GeometryBackend, base: HermitianFormField,
-                 phi: ScalarField,
-                 floor: float = DEFAULT_POSITIVITY_FLOOR) -> HermitianFormField:
+                 phi: ScalarField) -> HermitianFormField:
     """The deformed form ``base + complex_hessian(phi)``, positivity-checked."""
     if base.grid_shape != backend.grid_shape or base.n != backend.n:
         raise ShapeMismatchError("base form does not match backend grid")
     matrices = base.matrices + backend.complex_hessian(phi)
-    return HermitianFormField.from_matrices(matrices, floor=floor)
+    return HermitianFormField.from_matrices(matrices)
 
 
 def trace_with(chi: HermitianFormField,

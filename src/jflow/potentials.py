@@ -7,8 +7,11 @@ what makes grid-refinement measurements meaningful.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .cone import relative_spectrum
 from .fields import GeometryError, Normalization, ScalarField
 from .geometry import (GeometryBackend, SphereBackend, TorusBackend,
                        complex_hessian, integrate)
@@ -31,11 +34,7 @@ def kahler_margin(backend: GeometryBackend, phi) -> float:
     margin is what amplitude scaling has to respect.
     """
     hess = complex_hessian(backend, np.asarray(phi, dtype=float))
-    base = backend.base_form().matrices
-    if hess.shape[-1] == 1:
-        return float((hess[..., 0, 0] / base[..., 0, 0]).min())
-    rel = np.linalg.eigvalsh(np.linalg.solve(base, hess))
-    return float(rel.min())
+    return float(relative_spectrum(hess, backend.base_form()).smallest().min())
 
 
 def scale_to_kahler(backend: GeometryBackend, phi, amplitude: float,
@@ -45,12 +44,13 @@ def scale_to_kahler(backend: GeometryBackend, phi, amplitude: float,
     The returned potential has relative Hessian eigenvalues >= -(1 -
     margin), so build_metric never rejects it.  Scaling is by the
     Hessian eigenvalue, not the sup norm: a small oscillatory potential
-    can already break positivity.
+    can already break positivity.  The shrink applies to |amplitude|
+    times sign(amplitude) * phi, so a negative amplitude is bounded too.
     """
-    values = np.asarray(phi, dtype=float)
+    values = math.copysign(1.0, amplitude) * np.asarray(phi, dtype=float)
     low = kahler_margin(backend, values)
-    scale = amplitude
-    if low < 0 and amplitude * abs(low) > 1.0 - margin:
+    scale = abs(amplitude)
+    if low < 0 and scale * abs(low) > 1.0 - margin:
         scale = (1.0 - margin) / abs(low)
     return scale * values
 

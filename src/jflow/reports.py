@@ -9,7 +9,7 @@ convenience: trajectory comparisons in the test suite are byte-wise.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,23 +19,25 @@ from .flow import FlowResult, MonitorRecord
 from .functionals import FunctionalReport
 from .geodesic import ProbeReport
 
-TRAJECTORY_HEADER = ("t,dt,E,dE_dt_measured,dE_dt_predicted,rhs_min,rhs_max,"
-                     "lambda_max,floor_constant,residual,suspect")
+_TRAJECTORY_FIELDS = fields(MonitorRecord)
+TRAJECTORY_HEADER = ",".join(f.name for f in _TRAJECTORY_FIELDS)
 
 
 def _num(value: float) -> str:
     return repr(float(value))
 
 
+def _cell(record: MonitorRecord, field) -> str:
+    value = getattr(record, field.name)
+    if field.type == "bool":  # flow.py's annotations are strings
+        return "1" if value else "0"
+    return _num(value)
+
+
 def trajectory_csv(records: Iterable[MonitorRecord]) -> str:
     rows = [TRAJECTORY_HEADER]
     for r in records:
-        rows.append(",".join([
-            _num(r.t), _num(r.dt), _num(r.E), _num(r.dE_dt_measured),
-            _num(r.dE_dt_predicted), _num(r.rhs_min), _num(r.rhs_max),
-            _num(r.lambda_max), _num(r.floor_constant), _num(r.residual),
-            "1" if r.suspect else "0",
-        ]))
+        rows.append(",".join(_cell(r, f) for f in _TRAJECTORY_FIELDS))
     return "\n".join(rows) + "\n"
 
 

@@ -198,6 +198,44 @@ def test_geodesic_probe_on_torus_is_config_error(tmp_path, capsys):
     assert "offending line: geometry.kind = torus" in err
 
 
+def test_report_probe_on_torus_is_rejected_before_the_flow(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, FAST_TORUS + "geodesic.enabled = true\n")
+    out = tmp_path / "run"
+    assert main(["report", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "offending line: geometry.kind = torus" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", ["seed = -1", "geodesic.pairs = 0"])
+def test_probe_count_and_seed_bounds_are_config_errors(tmp_path, capsys,
+                                                       entry):
+    # a negative seed used to crash in the random generator, zero pairs to
+    # write an empty summary
+    cfg = write_cfg(tmp_path, FAST_SPHERE + entry + "\n")
+    out = tmp_path / "run"
+    assert main(["geodesic-probe", "--config", cfg, "--out", str(out)]) == 2
+    assert f"offending line: {entry}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seed_flag_obeys_the_seed_bound(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, FAST_SPHERE)
+    out = tmp_path / "run"
+    assert main(["geodesic-probe", "--config", cfg, "--out", str(out),
+                 "--seed", "-1"]) == 2
+    assert "offending line: --seed -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_geodesic_probe_with_negative_amplitude(tmp_path):
+    cfg = write_cfg(tmp_path, FAST_SPHERE + "geodesic.amplitude = -0.4\n")
+    out = str(tmp_path / "run")
+    assert main(["geodesic-probe", "--config", cfg, "--out", out]) == 0
+    summary = json.loads(read(out, "probe_summary.json"))
+    assert len(summary) == 2
+
+
 def test_step_stalled_exit_3(tmp_path, capsys):
     text = FAST_TORUS + "flow.method = euler\nflow.cfl_safety = 5.0\n" \
         "flow.dt_min = 1.0\nflow.t_max = 10.0\n"

@@ -36,9 +36,19 @@ _BY_PARSER = {int: st.integers(), float: _FLOATS, str: _TEXT,
               _parse_optional_float: st.none() | _FLOATS}
 
 
+def _admissible(spec):
+    """Values of a bounded int or float key that satisfy its bound."""
+    op, limit = spec.bound
+    if spec.parse is int:
+        return st.integers(min_value=limit + (op == ">"))
+    return st.floats(min_value=limit, exclude_min=op == ">", allow_nan=False)
+
+
 def _key_values(spec):
     if spec.choices:
         return st.sampled_from(spec.choices)
+    if spec.bound:
+        return _admissible(spec)
     return _BY_PARSER[spec.parse]
 
 
@@ -49,6 +59,67 @@ def test_render_parse_round_trip_every_key(values):
     again = parse_config(ScenarioConfig(values=values).render()).values
     assert again == values
     assert all(type(again[key]) is type(values[key]) for key in values)
+
+
+# --- table bounds -------------------------------------------------------------
+
+_BOUNDED = [key for key, spec in CONFIG_KEYS.items() if spec.bound]
+_ADMITS = {">=": lambda value, limit: value >= limit,
+           ">": lambda value, limit: value > limit}
+
+
+def _first_outside(spec):
+    """The limit itself for a strict bound, else the next value below it."""
+    op, limit = spec.bound
+    if op == ">":
+        return spec.parse(limit)
+    if spec.parse is int:
+        return limit - 1
+    return float(np.nextafter(float(limit), -np.inf))
+
+
+def test_bounded_keys_are_the_range_rules():
+    assert {key: CONFIG_KEYS[key].bound for key in _BOUNDED} == {
+        "geometry.dim": (">=", 1), "geometry.s_max": (">", 1),
+        "reference.scale": (">", 0), "flow.cfl_safety": (">", 0),
+        "flow.log_every": (">=", 1), "geodesic.nodes": (">=", 3),
+        "geodesic.pairs": (">=", 1), "hypotheses.epsilon": (">=", 0),
+        "seed": (">=", 0)}
+
+
+@pytest.mark.parametrize("key", _BOUNDED)
+def test_default_satisfies_bound(key):
+    spec = CONFIG_KEYS[key]
+    assert _ADMITS[spec.bound[0]](spec.default, spec.bound[1])
+
+
+@pytest.mark.parametrize("key", _BOUNDED)
+def test_first_value_outside_bound_is_rejected_on_its_line(key):
+    spec = CONFIG_KEYS[key]
+    outside = [_first_outside(spec)] + [np.nan] * (spec.parse is float)
+    for value in outside:
+        raw = f"{key} = {value!r}"
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.line == raw
+        assert spec.bound[0] in str(err.value)
+
+
+@pytest.mark.parametrize("key", _BOUNDED)
+def test_bound_line_shows_in_reference_page(key):
+    op, limit = CONFIG_KEYS[key].bound
+    line = next(entry for entry in reference_page().splitlines()
+                if entry.startswith(key + " "))
+    assert line.endswith(f"(must be {op} {limit})")
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.data())
+@pytest.mark.parametrize("key", _BOUNDED)
+def test_admissible_values_round_trip(key, data):
+    value = data.draw(_admissible(CONFIG_KEYS[key]))
+    values = dict(parse_config("").values, **{key: value})
+    assert parse_config(ScenarioConfig(values=values).render()).values == values
 
 
 def test_comments_and_blanks_ignored():
@@ -159,9 +230,10 @@ def test_build_reference_scaled_with_exact_offset():
 
 
 def test_build_reference_rejects_bad_scale():
-    cfg = parse_config("reference.scale = -1.0")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
+        cfg = parse_config("reference.scale = -1.0")
         build_reference(cfg, build_backend(cfg))
+    assert err.value.line == "reference.scale = -1.0"
 
 
 def test_build_reference_offset_needs_torus_line():
@@ -197,10 +269,10 @@ def test_build_problem_maps_method_error_to_config():
 
 
 def test_build_problem_rejects_log_every_below_one():
-    cfg = parse_config("flow.log_every = 0")
-    backend = build_backend(cfg)
-    omega = build_reference(cfg, backend)
     with pytest.raises(ConfigError) as err:
+        cfg = parse_config("flow.log_every = 0")
+        backend = build_backend(cfg)
+        omega = build_reference(cfg, backend)
         build_problem(cfg, backend, omega)
     assert err.value.line == "flow.log_every = 0"
 

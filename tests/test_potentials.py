@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jflow import (
     FAMILY_NAMES,
     GeometryError,
     Normalization,
+    TorusBackend,
     build_metric,
     complex_hessian,
     integrate,
@@ -69,6 +73,34 @@ def test_scale_to_kahler_keeps_small_amplitudes(torus64):
     phi = 0.01 * np.sin(2 * np.pi * torus64.axes[0])
     out = scale_to_kahler(torus64, phi, 1.0)
     assert np.array_equal(out, phi)
+
+
+def test_kahler_margin_against_generalized_eigh():
+    # a sheared base: base^-1 H is not symmetric, so the margin must come
+    # from the generalized problem H v = mu B v at each node
+    b = TorusBackend((16, 16), base_matrix=[[1.0, 0.6], [0.6, 3.0]])
+    phi = random_kahler_potential(b, np.random.default_rng(0), amplitude=3.0)
+    hess = complex_hessian(b, phi).reshape(-1, 2, 2)
+    want = min(scipy.linalg.eigh(h, b.base_matrix, eigvals_only=True)[0]
+               for h in hess)
+    assert abs(kahler_margin(b, phi) - want) < 1e-12
+    assert want >= -0.5 - 1e-12  # the margin random potentials promise
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(kind=st.sampled_from(["sphere", "torus"]),
+       amplitude=st.floats(-50.0, 50.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_scale_to_kahler_bounds_signed_amplitudes(sphere64, torus64, kind,
+                                                  amplitude, seed):
+    b = {"sphere": sphere64, "torus": torus64}[kind]
+    raw = np.random.default_rng(seed).normal(size=b.grid_shape)
+    scaled = scale_to_kahler(b, raw, amplitude, margin=0.5)
+    assert kahler_margin(b, scaled) >= -0.5 - 1e-12
+    assert build_metric(b, b.base_form(), scaled).kahler
+    low = kahler_margin(b, np.copysign(1.0, amplitude) * raw)
+    if abs(amplitude) * -low <= 0.5:  # unshrunk: amplitude * raw to the bit
+        assert np.array_equal(scaled, amplitude * raw)
 
 
 def test_random_potentials_always_kahler(torus64, sphere64, torus2d, rng):
