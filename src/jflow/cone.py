@@ -146,7 +146,7 @@ def properness_hypotheses(backend: GeometryBackend, epsilon: float,
     chi' at c = epsilon - r is reported as well.
     """
     epsilon = float(epsilon)
-    if epsilon < 0:
+    if not epsilon >= 0:  # nan fails too
         raise GeometryError("epsilon must be nonnegative")
     alpha_lower_bound = float(alpha_lower_bound)
     n = backend.n

@@ -239,10 +239,27 @@ class _Kernel:
         return (np.column_stack([b.complex_hessian(e)[:, 0, 0] for e in basis]),
                 np.column_stack([b.vector_field_action(e) for e in basis]))
 
-    def jacobian(self, stage) -> np.ndarray:
-        """d rhs/d phi (n == 1): d theta/d phi + diag(omega/rho^2) d rho/d phi."""
+    def jacobian(self, stage, out: np.ndarray | None = None) -> np.ndarray:
+        """d rhs/d phi (n == 1): d theta/d phi + diag(omega/rho^2) d rho/d phi,
+        written into `out` when one is given."""
         d_rho, d_theta = self._operators
-        return d_theta + (self.om / stage[0]**2)[:, None] * d_rho
+        out = np.multiply(d_rho, (self.om / stage[0]**2)[:, None], out=out)
+        out += d_theta
+        return out
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        size = self.backend.grid_shape[0]
+        return np.empty((size, size))
+
+    def implicit_matrix(self, stage, gamma_dt: float) -> np.ndarray:
+        """I - gamma_dt J, built in one buffer the kernel owns and overwrites
+        on every call.  Rounds as np.eye(n) - gamma_dt * J does, up to the
+        signs of zeros off the diagonal."""
+        matrix = self.jacobian(stage, out=self._matrix)
+        matrix *= -gamma_dt
+        matrix.ravel()[::matrix.shape[0] + 1] += 1.0
+        return matrix
 
     def diagnostics(self, stage) -> _Diagnostics:
         chi, theta = stage
@@ -332,7 +349,7 @@ def _rosenbrock(kernel, phi: np.ndarray, stage,
     constant shifts, so J 1 = 0 and a constant drift passes through k1
     and k2 with no estimated error.
     """
-    matrix = np.eye(phi.size) - (ROS2_GAMMA * dt) * kernel.jacobian(stage)
+    matrix = kernel.implicit_matrix(stage, ROS2_GAMMA * dt)
     k1 = np.linalg.solve(matrix, kernel.rhs(stage))
     k2 = np.linalg.solve(
         matrix, kernel.rhs(kernel._stage(phi + dt * k1)) - 2.0 * k1)

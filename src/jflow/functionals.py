@@ -78,13 +78,15 @@ def _lobatto_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _path_moments(backend: GeometryBackend, phi, forms=(),
-                  waypoints=None) -> tuple[float, float, list[float]]:
+def _path_moments(backend: GeometryBackend, phi, forms=(), waypoints=None,
+                  theta: bool = True) -> tuple[float, float | None, list[float]]:
     """(M_vol, M_theta, [M_mixed(A) for A in forms]) along the route to phi.
 
     One walk: each segment is sampled at the Gauss-Lobatto nodes, one
     checked metric per node serves every moment, and nodes are
-    accumulated in a fixed order so results are deterministic.
+    accumulated in a fixed order so results are deterministic.  With
+    theta=False the walk skips theta_t and M_theta is None; each moment
+    is reduced on its own, so the others do not change.
     """
     route = [np.zeros(backend.grid_shape)]
     route += [backend.check_field(_values(w), "waypoint")
@@ -93,7 +95,7 @@ def _path_moments(backend: GeometryBackend, phi, forms=(),
     base = backend.base_form()
     mats = [_matrices(form) for form in forms]
     t_nodes, coeff = _lobatto_rule(backend.n)
-    total = np.zeros(2 + len(mats))
+    total = np.zeros(1 + theta + len(mats))
     for phi_a, phi_b in zip(route[:-1], route[1:]):
         rate = phi_b - phi_a
         for t, ck in zip(t_nodes, coeff):
@@ -101,11 +103,13 @@ def _path_moments(backend: GeometryBackend, phi, forms=(),
             chi_t = build_metric(backend, base, phi_t)
             chi_t.require_kahler("path quadrature node")
             vol = chi_t.det()
-            dens = np.stack([vol, theta_of(backend, phi_t) * vol]
-                            + [mixed_volume_density(chi_t, m) for m in mats])
+            rows = [vol, theta_of(backend, phi_t) * vol] if theta else [vol]
+            dens = np.stack(rows + [mixed_volume_density(chi_t, m)
+                                    for m in mats])
             total += ck * np.sum(rate * dens * backend.weights,
                                  axis=tuple(range(1, dens.ndim)))
-    return float(total[0]), float(total[1]), [float(m) for m in total[2:]]
+    m_theta = float(total[1]) if theta else None
+    return float(total[0]), m_theta, [float(m) for m in total[1 + theta:]]
 
 
 def _j_hat_of(backend: GeometryBackend, omega, m_vol: float,
@@ -157,14 +161,16 @@ def aubin_i(backend: GeometryBackend, phi) -> float:
 
 
 def aubin_j(backend: GeometryBackend, phi, waypoints=None) -> float:
-    m_vol, _, _ = _path_moments(backend, phi, waypoints=waypoints)
+    m_vol, _, _ = _path_moments(backend, phi, waypoints=waypoints,
+                                theta=False)
     return _j_of(backend, phi, m_vol)
 
 
 def aubin_ij(backend: GeometryBackend, phi) -> AubinEnergies:
     """I and J plus a cross-check of I - J against its path formula."""
     i_val = aubin_i(backend, phi)
-    m_vol, _, (m_base,) = _path_moments(backend, phi, (backend.base_form(),))
+    m_vol, _, (m_base,) = _path_moments(backend, phi, (backend.base_form(),),
+                                        theta=False)
     j_val = _j_of(backend, phi, m_vol)
     return AubinEnergies(I=i_val, J=j_val, i_minus_j=i_val - j_val,
                          i_minus_j_path=m_base - backend.n * m_vol)
@@ -172,7 +178,8 @@ def aubin_ij(backend: GeometryBackend, phi) -> AubinEnergies:
 
 def j_hat(backend: GeometryBackend, omega, phi, waypoints=None) -> float:
     """Path integral of phi_dot (mixed(omega) - n c vol) along the route."""
-    m_vol, _, (m_om,) = _path_moments(backend, phi, (omega,), waypoints)
+    m_vol, _, (m_om,) = _path_moments(backend, phi, (omega,), waypoints,
+                                      theta=False)
     return _j_hat_of(backend, omega, m_vol, m_om)
 
 

@@ -274,7 +274,7 @@ class SphereBackend(GeometryBackend):
         size = int(size)
         if size < 16:
             raise GeometryError(f"sphere grid too coarse: {size}")
-        if s_max <= 1.0:
+        if not s_max > 1.0:  # nan fails too
             raise GeometryError("s_max must exceed 1")
         self.size = size
         self.s_max = float(s_max)

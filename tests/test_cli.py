@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from jflow.cli import main
+from jflow.config import build_backend, build_reference, load_config
 
 FAST_TORUS = """
 geometry.kind = torus
@@ -332,6 +333,41 @@ def test_shipped_scenario_runs_clean(tmp_path, command, scenario):
     state = json.loads(read(out, "final_state.json"))
     assert state["converged"] is True
     assert state["suspect_steps"] == 0
+
+
+def test_shipped_torus_scenario_steps_implicitly(tmp_path):
+    # torus.cfg runs rosenbrock: about 140 steps where RK4 takes about
+    # 16,500, none rejected, to the limit that RK4 reaches
+    scenario = SCENARIOS / "torus.cfg"
+    cfg = load_config(str(scenario))
+    target = cfg.get("flow.residual_target")
+    rk4_cfg = write_cfg(tmp_path, scenario.read_text() + "flow.method = rk4\n")
+    states = {}
+    for method, path in (("rosenbrock", str(scenario)), ("rk4", rk4_cfg)):
+        out = str(tmp_path / method)
+        assert main(["simulate", "--config", path, "--out", out]) == 0
+        states[method] = json.loads(read(out, "final_state.json"))
+    state = states["rosenbrock"]
+    assert state["converged"] is True and state["suspect_steps"] == 0
+    stats = state["stats"]
+    assert stats["rejected_positivity"] == stats["rejected_energy"] \
+        == stats["rejected_error"] == 0
+    assert state["step_count"] < 1000
+    assert states["rk4"]["step_count"] > 10000
+
+    # h = 1 + D^2 phi / (4 delta^2), the density of the limit metric
+    backend = build_backend(cfg)
+    omega = build_reference(cfg, backend).density
+    c = -state["minus_nc"]
+
+    def density(phi):
+        phi = np.asarray(phi)
+        second = np.roll(phi, -1) - 2.0 * phi + np.roll(phi, 1)
+        return 1.0 + second / (4.0 * backend.spacing**2)
+
+    h = density(state["phi"])
+    assert np.max(np.abs(omega / h - c)) < target
+    assert np.max(np.abs(h - density(states["rk4"]["phi"]))) < target
 
 
 def test_report_subcommand_runs_enabled_sections(tmp_path):

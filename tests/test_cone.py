@@ -176,8 +176,11 @@ def test_hypotheses_positive_curvature_blocks_class_condition(sphere128):
 
 
 def test_hypotheses_epsilon_sign_checked(torus64):
-    with pytest.raises(GeometryError):
-        properness_hypotheses(torus64, epsilon=-0.1, alpha_lower_bound=0.2)
+    # nan used to pass the sign check and give nan margins
+    for epsilon in (-0.1, float("nan")):
+        with pytest.raises(GeometryError):
+            properness_hypotheses(torus64, epsilon=epsilon,
+                                  alpha_lower_bound=0.2)
 
 
 def test_hypotheses_optional_subsolution_entry(sphere64):

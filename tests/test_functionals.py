@@ -325,6 +325,39 @@ def test_functional_report_builds_one_metric_per_node(name, request, rng,
 
 
 @pytest.mark.parametrize("name", ["sphere128", "torus128", "torus2d"])
+def test_theta_taken_only_by_functionals_that_read_it(name, request, rng,
+                                                      monkeypatch):
+    # aubin_j, aubin_ij and j_hat never read M_theta, so their walks take
+    # no theta_t; j_tilde takes it once per node, functional_report once
+    # more for E
+    b = request.getfixturevalue(name)
+    phi = random_kahler_potential(b, rng, 0.4)
+    waypoint = random_kahler_potential(b, rng, 0.3)
+    omega = _random_target(b, rng)
+    nodes = functionals._lobatto_rule(b.n)[0].size
+    theta_of = functionals.theta_of
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return theta_of(*args, **kwargs)
+
+    monkeypatch.setattr(functionals, "theta_of", counting)
+    for call, want in (
+            (lambda: aubin_j(b, phi), 0),
+            (lambda: aubin_j(b, phi, [waypoint]), 0),
+            (lambda: aubin_ij(b, phi), 0),
+            (lambda: j_hat(b, omega, phi), 0),
+            (lambda: j_hat(b, omega, phi, [waypoint]), 0),
+            (lambda: j_tilde(b, omega, phi), nodes),
+            (lambda: j_tilde(b, omega, phi, [waypoint]), 2 * nodes),
+            (lambda: functional_report(b, phi, omega), nodes + 1)):
+        calls.clear()
+        call()
+        assert len(calls) == want
+
+
+@pytest.mark.parametrize("name", ["sphere128", "torus128", "torus2d"])
 def test_functional_report_matches_standalone_and_oracle(name, request, rng):
     b = request.getfixturevalue(name)
     for _ in range(2):

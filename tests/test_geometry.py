@@ -33,6 +33,13 @@ def test_make_backend_dispatch_and_validation():
         make_backend("torus", dim=2, size=(16, 16, 16))
 
 
+@pytest.mark.parametrize("s_max", [1.0, 0.5, float("nan")])
+def test_sphere_s_max_must_exceed_one(s_max):
+    # nan used to build a backend whose s_max is nan
+    with pytest.raises(GeometryError):
+        SphereBackend(32, s_max=s_max)
+
+
 def test_torus_base_matrix_validation():
     with pytest.raises(GeometryError):
         TorusBackend(16, base_matrix=np.array([[-1.0]]))

@@ -26,6 +26,7 @@ from jflow import (
 )
 from jflow.flow import (
     FLOW_METHODS,
+    ROS2_GAMMA,
     _advance,
     _Kernel,
     _make_kernel,
@@ -138,6 +139,30 @@ def test_single_step_has_local_order_three(torus64):
         gaps.append(float(np.abs(ros - phi).max()))
     ratios = [a / b for a, b in zip(gaps[:-1], gaps[1:])]
     assert min(ratios) >= 6.0, ratios
+
+
+def test_implicit_matrix_is_built_in_place(torus64, sphere64):
+    # I - gamma dt J in the kernel's own buffer equals np.eye(n) -
+    # (gamma dt) J exactly, J built afresh from the probed operators, for
+    # two stages and steps in a row, so nothing of the first build
+    # survives into the second
+    rng = np.random.default_rng(5)
+    for b, omega in ((torus64, torus_target_form(torus64)),
+                     (sphere64, sphere64.base_form())):
+        kernel = _make_kernel(FlowProblem(backend=b, omega=omega,
+                                          method="rosenbrock"))
+        built = []
+        for dt in (0.3, 2e-3):
+            stage = kernel._stage(random_kahler_potential(b, rng, 0.4))
+            d_rho, d_theta = kernel._operators
+            jac = d_theta + (kernel.om / stage[0]**2)[:, None] * d_rho
+            assert np.array_equal(kernel.jacobian(stage), jac)
+            gamma_dt = ROS2_GAMMA * dt
+            matrix = kernel.implicit_matrix(stage, gamma_dt)
+            want = np.eye(b.grid_shape[0]) - gamma_dt * jac
+            assert np.array_equal(matrix, want), (b.name, dt)
+            built.append(matrix)
+        assert built[0] is built[1]
 
 
 def test_error_estimate_sets_the_step(sphere64):
