@@ -196,8 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="override output.directory")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the scenario seed")
-        cmd.add_argument("--threads", type=int, default=None,
-                         help="deprecated and ignored: probes run serially")
         cmd.add_argument("--plot", choices=("none", "svg"), default="none",
                          help="emit SVG line plots")
     return parser
@@ -206,9 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _configure_logging()
     args = _build_parser().parse_args(argv)
-    if args.threads is not None:
-        log.warning("ignoring deprecated --threads: a worker pool gave no "
-                    "measured speed-up, so probes run serially")
     try:
         cfg = _load(args)
         return _COMMANDS[args.command](cfg, args)

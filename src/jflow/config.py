@@ -11,7 +11,6 @@ reproducible from their own output directory.
 
 from __future__ import annotations
 
-import logging
 import operator
 from dataclasses import dataclass, field
 from typing import Callable
@@ -23,9 +22,6 @@ from .geometry import (GeometryBackend, SphereBackend, TorusBackend,
                        complex_hessian)
 from .potentials import (FAMILY_NAMES, hessian_offset_potential,
                          named_potential)
-
-
-log = logging.getLogger("jflow")
 
 
 def _parse_bool(text: str) -> bool:
@@ -141,13 +137,6 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
                       bound=(">=", 0)),
 }
 
-# Keys that older effective configs still carry.  They parse with a
-# warning and change nothing, so those echoes rerun as they are.
-RETIRED_KEYS: dict[str, str] = {
-    "functionals.path_steps": "the path quadrature is exact at a node "
-                              "count fixed by the dimension",
-}
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -181,9 +170,6 @@ def parse_config(text: str) -> ScenarioConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key in RETIRED_KEYS:
-            log.warning("ignoring retired key %s: %s", key, RETIRED_KEYS[key])
-            continue
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown configuration key {key!r}", line=raw)
         spec = CONFIG_KEYS[key]

@@ -9,7 +9,7 @@ nonincreasing.  Monitor violations beyond tolerance mark a step
 `suspect` but never abort the run; discretization can transiently
 violate continuous-time bounds near the stability limit.
 
-Explicit stepping (RK4 by default, or Euler) caps the step by
+Explicit RK4 stepping (the default) caps the step by
 cfl_safety * spacing^2 / (chart stiffness bound).  The linearly implicit
 method `rosenbrock` (ROS2 of Verwer, Spee, Blom and Hundsdorfer, with the
 exact Jacobian, on the one-dimensional geometries) has no such cap: its
@@ -25,7 +25,7 @@ n = 1, the matrix stack otherwise) and theta; `rhs`, `stiffness`,
 `linearized_operator`.  The stage of an accepted state, built for its
 diagnostics, serves the next step's stiffness cap and first stage, and a
 rejected attempt reuses it as well, so an accepted RK4 step builds four
-stages, an Euler step one and a ROS2 step two.  `FlowResult.stats`
+stages and a ROS2 step two.  `FlowResult.stats`
 counts the builds, the right-hand-side evaluations, the rejections by
 cause and the steps whose size the stiffness cap set.
 """
@@ -48,7 +48,7 @@ from .cone import relative_spectrum, subsolution_margin
 from .functionals import level_constant, _values
 from .geometry import GeometryBackend, theta_of
 
-FLOW_METHODS = ("rk4", "euler", "rosenbrock")
+FLOW_METHODS = ("rk4", "rosenbrock")
 
 # ROS2's diagonal coefficient 1 + 1/sqrt(2), which makes the method L-stable.
 ROS2_GAMMA = 1.0 + 1.0 / np.sqrt(2.0)
@@ -58,8 +58,8 @@ ROSENBROCK_TOL = 1e-5
 # ENERGY_TOL_REL * |E| + ENERGY_TOL_ABS.
 ENERGY_TOL_REL = 1e-9
 ENERGY_TOL_ABS = 1e-12
-# The explicit methods grow the step by GROWTH_FACTOR after GROWTH_EVERY
-# accepted steps in a row.
+# RK4 grows the step by GROWTH_FACTOR after GROWTH_EVERY accepted steps
+# in a row.
 GROWTH_EVERY = 10
 GROWTH_FACTOR = 1.2
 
@@ -326,12 +326,9 @@ def linearized_operator(backend: GeometryBackend, phi,
                               max_coefficient=backend.stiffness(chi, om))
 
 
-def _advance(kernel, phi: np.ndarray, stage, dt: float,
-             method: str) -> np.ndarray:
-    """One explicit step from phi, whose kernel stage is `stage`."""
+def _advance(kernel, phi: np.ndarray, stage, dt: float) -> np.ndarray:
+    """One RK4 step from phi, whose kernel stage is `stage`."""
     k1 = kernel.rhs(stage)
-    if method == "euler":
-        return phi + dt * k1
     k2 = kernel.rhs(kernel._stage(phi + 0.5 * dt * k1))
     k3 = kernel.rhs(kernel._stage(phi + 0.5 * dt * k2))
     k4 = kernel.rhs(kernel._stage(phi + dt * k3))
@@ -398,7 +395,7 @@ def _attempt_step(problem: FlowProblem, kernel, state: FlowState, stage,
         if implicit:
             trial, error = _rosenbrock(kernel, state.phi, stage, dt)
         else:
-            trial = _advance(kernel, state.phi, stage, dt, problem.method)
+            trial = _advance(kernel, state.phi, stage, dt)
         trial_stage = kernel._stage(trial)
         diag = kernel.diagnostics(trial_stage)
     except NotKahlerError:

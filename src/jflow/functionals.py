@@ -274,8 +274,6 @@ class FunctionalReport:
     k_energy: float
     k_energy_modified: float
     E: float
-    path_steps: int
-    quadrature_rule: str
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -302,6 +300,4 @@ def functional_report(backend: GeometryBackend, phi, omega,
         k_energy=mu,
         k_energy_modified=mu + m_theta,
         E=e_val,
-        path_steps=_lobatto_rule(backend.n)[0].size,
-        quadrature_rule="gauss_lobatto",
     )

@@ -69,22 +69,16 @@ def random_kahler_potential(backend: GeometryBackend,
             raw += rng.standard_normal() * np.cos(np.pi * k * m)
     else:
         raw = np.zeros(backend.grid_shape)
-        for axis, coord in enumerate(_torus_coords(backend)):
+        for coord in backend.coords():
             for k in range(1, modes + 1):
                 raw += rng.standard_normal() * np.sin(2.0 * np.pi * k * coord)
                 raw += rng.standard_normal() * np.cos(2.0 * np.pi * k * coord)
     return scale_to_kahler(backend, raw, amplitude, margin)
 
 
-def _torus_coords(backend: TorusBackend):
-    grids = np.meshgrid(*backend.axes, indexing="ij")
-    return grids
-
-
 def _torus_family(backend: TorusBackend, name: str, amplitude: float,
                   wavenumber: int) -> ScalarField:
-    coords = _torus_coords(backend)
-    x = coords[0]
+    x = backend.coords()[0]
     if name == "zero":
         return np.zeros(backend.grid_shape)
     if name == "sine":

@@ -2,7 +2,7 @@
 
 Everything here is plain text with repr-level floats, written with
 unix newlines, so identical inputs produce identical bytes on every
-platform and worker count.  That determinism is a contract, not a
+platform.  That determinism is a contract, not a
 convenience: trajectory comparisons in the test suite are byte-wise.
 """
 

@@ -20,7 +20,7 @@ from jflow import (
 )
 import oracles
 from jflow.flow import _Diagnostics, _Kernel, initial_state, step
-from jflow.geometry import _periodic_neighbours
+from jflow.geometry import SphereBackend, _periodic_neighbours
 from jflow.potentials import hessian_offset_potential, named_potential
 
 
@@ -165,10 +165,10 @@ def test_single_step_advances(torus64):
 
 
 def test_stalled_step_raises(torus64):
-    # euler far above its stability cap: the energy monitor rejects the
+    # rk4 far above its stability cap: the energy monitor rejects the
     # step and the halved size immediately underflows the floor
     omega = torus_target_form(torus64)
-    problem = FlowProblem(backend=torus64, omega=omega, method="euler",
+    problem = FlowProblem(backend=torus64, omega=omega, method="rk4",
                           cfl_safety=5.0, dt_min=1.0, t_max=10.0)
     with pytest.raises(StepStalled):
         run_flow(problem)
@@ -406,7 +406,7 @@ def test_kernel_matches_oracle(geometry, torus128, sphere128):
             assert _relative_gap(getattr(diag, name), want[name]) <= 1e-12, name
 
 
-@pytest.mark.parametrize("method, builds_per_step", [("rk4", 4), ("euler", 1)])
+@pytest.mark.parametrize("method, builds_per_step", [("rk4", 4)])
 def test_stage_builds_per_accepted_step(torus64, method, builds_per_step):
     # one start-up build; the diagnostics' stage serves the next step
     result = run_flow(FlowProblem(backend=torus64, omega=torus_target_form(torus64),
@@ -480,3 +480,28 @@ def test_kernel_is_blind_to_constant_shifts(case, shift):
     moved = kernel.rhs(kernel._stage(phi + shift)) - kernel.rhs(kernel._stage(phi))
     bound = 1e-14 * scale * (abs(shift) + float(np.abs(phi).max()))
     assert float(np.abs(moved).max()) <= bound
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_jacobian_case())
+def test_kernel_jacobian_is_banded_with_nonnegative_off_diagonals(case):
+    # the structure an unpivoted banded solve of I - gamma dt J rests on:
+    # J is periodic tridiagonal on the torus line and tridiagonal plus the
+    # one-sided end fills (0, 2) and (N-1, N-3) on the sphere, and every
+    # off-diagonal entry but those fills is >= 0
+    b, _, kernel, phi, _ = case
+    jac = kernel.jacobian(kernel._stage(phi))
+    size = jac.shape[0]
+    rows = np.arange(size)
+    off_diagonal = np.zeros_like(jac, dtype=bool)
+    band = np.zeros_like(jac, dtype=bool)
+    if isinstance(b, SphereBackend):
+        off_diagonal[rows[1:], rows[:-1]] = off_diagonal[rows[:-1], rows[1:]] = True
+        band[[0, size - 1], [2, size - 3]] = True
+    else:
+        off_diagonal[rows, (rows + 1) % size] = True
+        off_diagonal[rows, (rows - 1) % size] = True
+    band |= off_diagonal
+    band[rows, rows] = True
+    assert np.all(jac[~band] == 0.0)
+    assert np.all(jac[off_diagonal] >= 0.0)

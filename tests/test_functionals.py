@@ -291,9 +291,7 @@ def test_functional_report_fields(torus64, rng):
     d = rep.to_dict()
     assert sorted(d) == sorted([
         "c", "I", "J", "j_hat", "j_tilde", "entropy", "k_energy",
-        "k_energy_modified", "E", "path_steps", "quadrature_rule"])
-    assert d["quadrature_rule"] == "gauss_lobatto"
-    assert d["path_steps"] == 3
+        "k_energy_modified", "E"])
     assert d["c"] == 1.0
     # vanishing vector field collapses the modified pair onto the plain one
     assert d["j_tilde"] == d["j_hat"]

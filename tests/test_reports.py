@@ -1,6 +1,7 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -29,7 +30,7 @@ from jflow.reports import (
     trajectory_csv,
 )
 
-SCHEMA_DIR = "src/jflow/schemas"
+SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "jflow" / "schemas"
 
 
 @pytest.fixture(scope="module")
@@ -86,17 +87,17 @@ def test_functional_report_schema(torus64, rng):
     phi = random_kahler_potential(torus64, rng, 0.4)
     rep = functional_report(torus64, phi, torus64.base_form())
     payload = json.loads(functional_report_json(rep))
-    with open(f"{SCHEMA_DIR}/functional_report.schema.json") as fh:
+    with open(SCHEMA_DIR / "functional_report.schema.json") as fh:
         schema = json.load(fh)
     jsonschema.validate(payload, schema)
-    assert payload["quadrature_rule"] == "gauss_lobatto"
+    assert sorted(payload) == sorted(schema["required"])
 
 
 def test_hypothesis_report_schema(sphere64):
     rep = properness_hypotheses(sphere64, 0.1, 0.2,
                                 omega=sphere64.base_form())
     payload = json.loads(hypothesis_report_json(rep))
-    with open(f"{SCHEMA_DIR}/hypothesis_report.schema.json") as fh:
+    with open(SCHEMA_DIR / "hypothesis_report.schema.json") as fh:
         schema = json.load(fh)
     jsonschema.validate(payload, schema)
     assert payload["passes"]["class_positivity"] is False
