@@ -106,12 +106,6 @@ def classify_margin(margin: float, tol: float = MARGIN_CLASSIFY_TOL) -> str:
     return "boundary"
 
 
-def _min_relative_eigenvalue(matrices: np.ndarray) -> float:
-    if matrices.shape[-1] == 1:
-        return float(matrices[..., 0, 0].min())
-    return float(np.linalg.eigvalsh(matrices)[..., 0].min())
-
-
 @dataclass(frozen=True)
 class HypothesisReport:
     condition_margins: dict[str, float]
@@ -146,8 +140,8 @@ def properness_hypotheses(backend: GeometryBackend, epsilon: float,
     chi' at c = epsilon - r is reported as well.
     """
     epsilon = float(epsilon)
-    if not epsilon >= 0:  # nan fails too
-        raise GeometryError("epsilon must be nonnegative")
+    if not 0.0 <= epsilon < np.inf:  # nan and inf fail too
+        raise GeometryError("epsilon must be finite and nonnegative")
     alpha_lower_bound = float(alpha_lower_bound)
     n = backend.n
     chi_prime = backend.base_form() if chi_prime is None else chi_prime
@@ -161,11 +155,11 @@ def properness_hypotheses(backend: GeometryBackend, epsilon: float,
 
     margins = {
         "alpha_bound": (n + 1) / n * alpha_lower_bound - epsilon,
-        "class_positivity": _min_relative_eigenvalue(
-            (epsilon + min_theta) * chi_prime.matrices - ric0),
-        "combined_positivity": _min_relative_eigenvalue(
+        "class_positivity": HermitianFormField.from_matrices(
+            (epsilon + min_theta) * chi_prime.matrices - ric0).min_eigenvalue,
+        "combined_positivity": HermitianFormField.from_matrices(
             (-n * r + min_theta + epsilon) * chi_prime.matrices
-            + (n - 1) * ric0),
+            + (n - 1) * ric0).min_eigenvalue,
         "level_claim": n * c_theorem + min_theta,
     }
     if omega is not None:

@@ -19,9 +19,11 @@ rejected, and the step size halved, when positivity fails anywhere or E
 increases beyond round-off tolerance.
 
 One kernel serves every geometry.  The backend builds each stage from
-its own stencils: the positivity-checked raw metric (the density when
-n = 1, the matrix stack otherwise) and theta; `rhs`, `stiffness`,
-`jacobian` and `diagnostics` take that stage, and so do `flow_rhs` and
+its own stencils: the checked raw metric of `GeometryBackend.metric`
+(the density when n = 1, the matrix stack otherwise), which the
+functionals and the geodesics build through the same call, and theta;
+`rhs`, `stiffness`, `jacobian` and `diagnostics` take that stage and
+the backend's raw `trace` and `integral`, and so do `flow_rhs` and
 `linearized_operator`.  The stage of an accepted state, built for its
 diagnostics, serves the next step's stiffness cap and first stage, and a
 rejected attempt reuses it as well, so an accepted RK4 step builds four
@@ -216,16 +218,10 @@ class _Kernel:
         self.stats.metric_builds += 1
         return self.backend.stage(phi)
 
-    def _trace(self, chi: np.ndarray) -> np.ndarray:
-        """tr(chi^{-1} omega) at every node."""
-        if self.n == 1:
-            return self.om / chi
-        return np.einsum("...ii->...", np.linalg.solve(chi, self.om))
-
     def rhs(self, stage) -> np.ndarray:
         self.stats.rhs_evaluations += 1
         chi, theta = stage
-        rhs = self.nc + theta - self._trace(chi)
+        rhs = self.nc + theta - self.backend.trace(chi, self.om)
         return rhs if self.n == 1 else rhs / self.n
 
     def stiffness(self, stage) -> float:
@@ -263,7 +259,7 @@ class _Kernel:
 
     def diagnostics(self, stage) -> _Diagnostics:
         chi, theta = stage
-        lam = self._trace(chi)
+        lam = self.backend.trace(chi, self.om)
         sigma = theta - lam
         rhs = self.nc + sigma if self.n == 1 else (self.nc + sigma) / self.n
         energy = self.backend.integral(sigma * sigma, chi)
@@ -315,7 +311,7 @@ class LinearizedOperator:
 def linearized_operator(backend: GeometryBackend, phi,
                         omega: HermitianFormField) -> LinearizedOperator:
     values = backend.check_field(_values(phi), "potential")
-    chi, _ = backend.stage(values)
+    chi = backend.metric(values, "linearized operator")
     om = backend.raw_form(omega)
     if backend.n == 1:
         coeff = (om / chi**2)[:, None, None]

@@ -26,7 +26,10 @@ and the k = ceil((n + 4) / 2) node rule is exact to degree
 2k - 3 >= n + 1, so the quadrature is exact in every dimension and the
 only discretization error is spatial.  For n <= 2 the rule is Simpson's
 3-node rule.  The rule keeps both segment ends, and chi_t is affine in
-t, so the positivity check at the nodes covers the whole path.
+t, so checking each node through ``backend.metric`` (finite and
+positive) covers the whole path.  Every functional here works on the
+backend's raw metric, as the flow kernel does; each form's shape is
+checked against the grid once, by ``backend.raw_form``.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .geometry import (
     GeometryBackend,
     build_metric,
     integrate,
-    mixed_volume_density,
     ricci_form,
     theta_of,
     trace_with,
@@ -57,12 +59,6 @@ def _values(phi) -> np.ndarray:
     if isinstance(phi, PotentialField):
         return phi.values
     return np.asarray(phi, dtype=float)
-
-
-def _matrices(form) -> np.ndarray:
-    if isinstance(form, HermitianFormField):
-        return form.matrices
-    return np.asarray(form, dtype=float)
 
 
 @lru_cache(maxsize=None)
@@ -83,7 +79,7 @@ def _path_moments(backend: GeometryBackend, phi, forms=(), waypoints=None,
     """(M_vol, M_theta, [M_mixed(A) for A in forms]) along the route to phi.
 
     One walk: each segment is sampled at the Gauss-Lobatto nodes, one
-    checked metric per node serves every moment, and nodes are
+    checked raw metric per node serves every moment, and nodes are
     accumulated in a fixed order so results are deterministic.  With
     theta=False the walk skips theta_t and M_theta is None; each moment
     is reduced on its own, so the others do not change.
@@ -92,20 +88,18 @@ def _path_moments(backend: GeometryBackend, phi, forms=(), waypoints=None,
     route += [backend.check_field(_values(w), "waypoint")
               for w in (() if waypoints is None else waypoints)]
     route.append(backend.check_field(_values(phi), "potential"))
-    base = backend.base_form()
-    mats = [_matrices(form) for form in forms]
+    oms = [backend.raw_form(form) for form in forms]
     t_nodes, coeff = _lobatto_rule(backend.n)
-    total = np.zeros(1 + theta + len(mats))
+    total = np.zeros(1 + theta + len(oms))
     for phi_a, phi_b in zip(route[:-1], route[1:]):
         rate = phi_b - phi_a
         for t, ck in zip(t_nodes, coeff):
             phi_t = phi_a + t * rate
-            chi_t = build_metric(backend, base, phi_t)
-            chi_t.require_kahler("path quadrature node")
-            vol = chi_t.det()
-            rows = [vol, theta_of(backend, phi_t) * vol] if theta else [vol]
-            dens = np.stack(rows + [mixed_volume_density(chi_t, m)
-                                    for m in mats])
+            chi_t = backend.metric(phi_t, "path quadrature node")
+            vol = backend.det(chi_t)
+            rows = [vol, backend.theta(phi_t) * vol] if theta else [vol]
+            dens = np.stack(rows + [backend.trace(chi_t, om) * vol
+                                    for om in oms])
             total += ck * np.sum(rate * dens * backend.weights,
                                  axis=tuple(range(1, dens.ndim)))
     m_theta = float(total[1]) if theta else None
@@ -131,10 +125,11 @@ def level_constant(backend: GeometryBackend, omega,
     divided by n; independent of the class representative chi up to
     quadrature error.
     """
-    chi = backend.base_form() if chi is None else chi
-    om = _matrices(omega)
-    density = backend.volume_density(chi)
-    numerator = float(np.sum(trace_with(chi, om) * density))
+    chi = backend.raw_form(backend.base_form() if chi is None
+                           else chi.require_kahler("level constant"))
+    density = backend.raw_volume_density(chi)
+    numerator = float(np.sum(backend.trace(chi, backend.raw_form(omega))
+                             * density))
     return numerator / (backend.n * float(np.sum(density)))
 
 
@@ -154,9 +149,8 @@ class AubinEnergies:
 
 def aubin_i(backend: GeometryBackend, phi) -> float:
     values = backend.check_field(_values(phi), "potential")
-    base = backend.base_form()
-    chi = build_metric(backend, base, values).require_kahler("aubin energies")
-    diff = base.det() - chi.det()
+    chi = backend.metric(values, "aubin energies")
+    diff = backend.base_form().det() - backend.det(chi)
     return float(np.sum(values * diff * backend.weights))
 
 
@@ -207,10 +201,9 @@ def j_flow(backend: GeometryBackend, omega, phi, waypoints=None) -> float:
 
 def entropy(backend: GeometryBackend, phi) -> float:
     values = backend.check_field(_values(phi), "potential")
-    base = backend.base_form()
-    chi = build_metric(backend, base, values).require_kahler("entropy")
-    ratio = chi.det() / base.det()
-    val = float(np.sum(np.log(ratio) * chi.det() * backend.weights))
+    vol = backend.det(backend.metric(values, "entropy"))
+    ratio = vol / backend.base_form().det()
+    val = float(np.sum(np.log(ratio) * vol * backend.weights))
     if val < ENTROPY_FLOOR:
         # Total volumes agree exactly on both backends, so Jensen bounds
         # the discrete value below by zero up to round-off.
@@ -234,12 +227,10 @@ def sigma_energy(backend: GeometryBackend, phi,
                  omega) -> tuple[ScalarField, float]:
     """sigma = theta(chi_phi) - tr(chi_phi^{-1} omega) and E = int sigma^2 dV."""
     values = backend.check_field(_values(phi), "potential")
-    chi = build_metric(backend, backend.base_form(), values)
-    chi.require_kahler("sigma energy")
-    om = _matrices(omega)
-    sigma = theta_of(backend, values) - trace_with(chi, om)
-    energy = integrate(backend, sigma * sigma, chi)
-    return sigma, energy
+    om = backend.raw_form(omega)
+    chi = backend.metric(values, "sigma energy")
+    sigma = backend.theta(values) - backend.trace(chi, om)
+    return sigma, backend.integral(sigma * sigma, chi)
 
 
 def extremal_residual(backend: GeometryBackend, phi) -> ScalarField:

@@ -27,7 +27,7 @@ from .fields import (ConvexityLost, GeometryError, HermitianFormField,
                      ScalarField, UnsupportedBackend)
 from .functionals import (_values, aubin_i, aubin_j, entropy, j_flow, j_hat,
                           j_tilde, k_energy, k_energy_modified)
-from .geometry import GeometryBackend, SphereBackend, build_metric, integrate
+from .geometry import GeometryBackend, SphereBackend, integrate
 
 # Root tolerance in the moment variable for both transform directions.
 LEGENDRE_TOL = 1e-10
@@ -210,8 +210,7 @@ def legendre_transform(backend: GeometryBackend, phi) -> SymplecticPotential:
     """
     sphere = _require_sphere(backend)
     values = sphere.check_field(_values(phi), "potential")
-    build_metric(sphere, sphere.base_form(), values).require_kahler(
-        "legendre transform")
+    sphere.metric(values, "legendre transform")
     m = sphere.m
     # Quintic interpolation keeps the end-derivative error well under the
     # round-trip tolerance.
@@ -317,12 +316,9 @@ def geodesic_path(backend: GeometryBackend, phi_a, phi_b,
                      legendre_transform(sphere, phi_b).values - u0], axis=1)
     ts = np.linspace(0.0, 1.0, steps)
     rows = _inverse_rows(sphere, ends, np.stack([1.0 - ts, ts], axis=1))
-    base = sphere.base_form()
-    path = []
     for phi_t in rows:
-        build_metric(sphere, base, phi_t).require_kahler("geodesic sample")
-        path.append(phi_t)
-    return path
+        sphere.metric(phi_t, "geodesic sample")
+    return list(rows)
 
 
 def geodesic_residual(backend: GeometryBackend,
@@ -331,19 +327,19 @@ def geodesic_residual(backend: GeometryBackend,
 
     Time derivatives are central differences at the path's own node
     spacing, so for an exact geodesic this decays like the square of
-    the grid and node spacings together.
+    the grid and node spacings together.  Every interior node must be
+    Kahler, as on every other geodesic entry point.
     """
     sphere = _require_sphere(backend)
     if len(path) < 3:
         raise GeometryError("residual needs at least three path nodes")
     arr = np.stack([sphere.check_field(_values(p), "path node") for p in path])
     dt = 1.0 / (len(path) - 1)
-    base = sphere.base_form()
     worst = 0.0
     for k in range(1, len(path) - 1):
         accel = (arr[k + 1] - 2.0 * arr[k] + arr[k - 1]) / dt**2
         vel = (arr[k + 1] - arr[k - 1]) / (2.0 * dt)
-        rho = build_metric(sphere, base, arr[k]).density
+        rho = sphere.metric(arr[k], "geodesic residual")
         residual = accel - sphere.vector_field_action(vel)**2 / rho
         worst = max(worst, float(np.abs(residual).max()))
     return worst

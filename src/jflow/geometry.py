@@ -59,13 +59,24 @@ def _periodic_second(values: np.ndarray, axis: int, delta: float) -> np.ndarray:
 class GeometryBackend:
     """Common interface; concrete backends fill in the chart-level ops.
 
-    The flow kernel's stencils take raw arrays, unwrapped and unchecked:
-    a form is its density when ``n == 1``, else its matrix stack.  Each
-    backend's ``_complex_hessian`` is the raw body of ``complex_hessian``;
-    ``stage(phi)`` is (chi0 + complex_hessian(phi), positivity-checked;
-    theta(phi)), ``stiffness`` the explicit step's stiffness bound, and
-    ``dissipation`` the integral of |d sigma|^2 (contracted through
-    chi^{-1} omega chi^{-1}) against the volume of chi.
+    Internal consumers (the flow kernel, the functionals, the geodesics)
+    work on raw arrays: a form is its density when ``n == 1``, else its
+    matrix stack, and ``raw_form`` unwraps one, checking its shape
+    against the grid.  ``_complex_hessian`` is the raw body of
+    ``complex_hessian``.  The raw operations:
+
+        metric(phi, context)   chi0 + complex_hessian(phi), checked finite
+                               and positive (NotKahlerError names context)
+        theta(phi)             theta0 + X(phi); the scalar 0 on the torus
+        stage(phi)             (metric(phi, "flow stage"), theta(phi))
+        det(chi), trace(chi, om)
+                               det chi and tr(chi^{-1} om) at every node
+        integral(values, chi)  the integral of values against vol(chi)
+        stiffness(chi, om)     the explicit step's stiffness bound
+        dissipation(sigma, chi, om)
+                               the integral of |d sigma|^2, contracted
+                               through chi^{-1} omega chi^{-1}, against
+                               vol(chi)
     """
 
     name: str
@@ -75,6 +86,7 @@ class GeometryBackend:
     weights: np.ndarray | float
     has_vector_field: bool
     tail_bound: float
+    _base_raw: np.ndarray
 
     def base_form(self) -> HermitianFormField:
         raise NotImplementedError
@@ -92,8 +104,29 @@ class GeometryBackend:
     def ricci_form(self, chi: HermitianFormField) -> np.ndarray:
         raise NotImplementedError
 
-    def stage(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+    def metric(self, phi: np.ndarray, context: str) -> np.ndarray:
+        chi = self._base_raw + self._complex_hessian(phi)
+        if not np.isfinite(chi).all():
+            raise NotKahlerError(f"{context} requires a finite form")
+        least = chi.min() if self.n == 1 else np.linalg.eigvalsh(chi)[..., 0].min()
+        if not least > DEFAULT_POSITIVITY_FLOOR:
+            raise NotKahlerError(f"{context} requires a positive form "
+                                 f"(least eigenvalue {least:.3e})")
+        return chi
+
+    def theta(self, phi: np.ndarray) -> np.ndarray | float:
         raise NotImplementedError
+
+    def stage(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+        return self.metric(phi, "flow stage"), self.theta(phi)
+
+    def det(self, chi: np.ndarray) -> np.ndarray:
+        return chi if self.n == 1 else np.linalg.det(chi)
+
+    def trace(self, chi: np.ndarray, om: np.ndarray) -> np.ndarray:
+        if self.n == 1:
+            return om / chi
+        return np.einsum("...ii->...", np.linalg.solve(chi, om))
 
     def stiffness(self, chi: np.ndarray, om: np.ndarray) -> float:
         raise NotImplementedError
@@ -102,19 +135,14 @@ class GeometryBackend:
                     om: np.ndarray) -> float:
         raise NotImplementedError
 
-    def cfl_coefficient(self, chi: HermitianFormField,
-                        omega: HermitianFormField) -> float:
-        return self.stiffness(self.raw_form(chi), self.raw_form(omega))
-
     def raw_form(self, form: HermitianFormField | np.ndarray) -> np.ndarray:
-        mats = form.matrices if isinstance(form, HermitianFormField) else form
+        mats = (form.matrices if isinstance(form, HermitianFormField)
+                else np.asarray(form, dtype=float))
+        want = self.grid_shape + (self.n, self.n)
+        if mats.shape != want:
+            raise ShapeMismatchError(
+                f"form has shape {mats.shape}, expected {want}")
         return mats[..., 0, 0] if self.n == 1 else mats
-
-    def _checked(self, chi: np.ndarray) -> np.ndarray:
-        least = chi.min() if self.n == 1 else np.linalg.eigvalsh(chi)[..., 0].min()
-        if not least > DEFAULT_POSITIVITY_FLOOR:  # NaN fails too
-            raise NotKahlerError(f"metric not positive (least eigenvalue {least:.3e})")
-        return chi
 
     def check_field(self, values: np.ndarray, label: str = "field") -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -124,16 +152,11 @@ class GeometryBackend:
         return values
 
     def form(self, matrices: np.ndarray) -> HermitianFormField:
-        field = HermitianFormField.from_matrices(matrices)
-        if field.grid_shape != self.grid_shape or field.n != self.n:
-            raise ShapeMismatchError(
-                f"form has shape {field.matrices.shape}, expected "
-                f"{self.grid_shape + (self.n, self.n)}")
-        return field
+        self.raw_form(matrices)  # checks the shape against the grid
+        return HermitianFormField.from_matrices(matrices)
 
     def raw_volume_density(self, chi: np.ndarray) -> np.ndarray:
-        det = chi if self.n == 1 else np.linalg.det(chi)
-        return det * self.weights
+        return self.det(chi) * self.weights
 
     def integral(self, values: np.ndarray, chi: np.ndarray) -> float:
         """The integral of values against the volume of the raw metric chi."""
@@ -226,14 +249,9 @@ class TorusBackend(GeometryBackend):
         log_ratio = np.log(chi.det() / self._base_det)
         return -self.complex_hessian(log_ratio)
 
-    def stage(self, phi):
+    def theta(self, phi) -> float:
         # theta vanishes identically
-        return self._checked(self._base_raw + self._complex_hessian(phi)), 0.0
-
-    def integral(self, values, chi) -> float:
-        if self.n == 1:  # the weights are one constant
-            return float(np.sum(values * chi) * self.weights)
-        return super().integral(values, chi)
+        return 0.0
 
     def stiffness(self, chi, om) -> float:
         if self.n == 1:
@@ -285,7 +303,7 @@ class SphereBackend(GeometryBackend):
         self.grid_shape = (size,)
         self.spacing = self.delta
         self.mprime = self.m * (1.0 - self.m)
-        self.rho0 = self.mprime
+        self.rho0 = self._base_raw = self.mprime
         m_half = self.m[:-1] + 0.5 * self.delta
         self.mprime_half = m_half * (1.0 - m_half)
         self.weights = np.pi * self.delta / self.mprime
@@ -335,9 +353,8 @@ class SphereBackend(GeometryBackend):
         ric = 2.0 * self.rho0 - self._complex_hessian(log_ratio)
         return ric[:, None, None]
 
-    def stage(self, phi):
-        return (self._checked(self.rho0 + self._complex_hessian(phi)),
-                self._theta0 + self.mprime * self._moment_derivative(phi))
+    def theta(self, phi) -> np.ndarray:
+        return self._theta0 + self.mprime * self._moment_derivative(phi)
 
     def stiffness(self, rho, om) -> float:
         return float((om * self.mprime**2 / rho**2).max())
@@ -392,12 +409,6 @@ def integrate(backend: GeometryBackend, values: ScalarField,
 
 def volume(backend: GeometryBackend, chi: HermitianFormField | None = None) -> float:
     return float(np.sum(backend.volume_density(chi)))
-
-
-def mixed_volume_density(chi: HermitianFormField,
-                         form: HermitianFormField | np.ndarray) -> np.ndarray:
-    """Density of ``form ^ chi^{n-1} / (n-1)!``: tr(chi^{-1} form) det(chi)."""
-    return trace_with(chi, form) * chi.det()
 
 
 def make_backend(kind: str, **params) -> GeometryBackend:

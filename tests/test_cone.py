@@ -176,9 +176,9 @@ def test_hypotheses_positive_curvature_blocks_class_condition(sphere128):
 
 
 def test_hypotheses_epsilon_sign_checked(torus64):
-    # nan used to pass the sign check and give nan margins
-    for epsilon in (-0.1, float("nan")):
-        with pytest.raises(GeometryError):
+    # nan used to pass the sign check and give nan margins, inf infinite ones
+    for epsilon in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(GeometryError, match="epsilon"):
             properness_hypotheses(torus64, epsilon=epsilon,
                                   alpha_lower_bound=0.2)
 

@@ -3,7 +3,9 @@ import pytest
 
 import oracles
 from jflow import (
+    GeometryError,
     NotKahlerError,
+    ShapeMismatchError,
     aubin_i,
     aubin_j,
     build_metric,
@@ -17,6 +19,7 @@ from jflow import (
     k_energy,
     k_energy_modified,
     level_constant,
+    make_backend,
     random_kahler_potential,
     scalar_curvature,
     sigma_energy,
@@ -304,6 +307,19 @@ def _random_target(b, rng):
     return build_metric(b, b.base_form(), psi)
 
 
+def _count_calls(monkeypatch, backend, name):
+    """A list that grows by one at each call of the backend method `name`."""
+    calls = []
+    original = getattr(backend, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(backend, name, counting)
+    return calls
+
+
 @pytest.mark.parametrize("name", ["sphere128", "torus128", "torus2d"])
 def test_functional_report_builds_one_metric_per_node(name, request, rng,
                                                       monkeypatch):
@@ -311,36 +327,23 @@ def test_functional_report_builds_one_metric_per_node(name, request, rng,
     b = request.getfixturevalue(name)
     phi = random_kahler_potential(b, rng, 0.4)
     omega = _random_target(b, rng)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return build_metric(*args, **kwargs)
-
-    monkeypatch.setattr(functionals, "build_metric", counting)
+    calls = _count_calls(monkeypatch, b, "metric")
     functional_report(b, phi, omega)
-    assert len(calls) <= 6
+    assert functionals._lobatto_rule(b.n)[0].size <= len(calls) <= 6
 
 
 @pytest.mark.parametrize("name", ["sphere128", "torus128", "torus2d"])
 def test_theta_taken_only_by_functionals_that_read_it(name, request, rng,
                                                       monkeypatch):
     # aubin_j, aubin_ij and j_hat never read M_theta, so their walks take
-    # no theta_t; j_tilde takes it once per node, functional_report once
-    # more for E
+    # no theta_t (and so build no stage, which takes one); j_tilde takes it
+    # once per node, functional_report once more for E
     b = request.getfixturevalue(name)
     phi = random_kahler_potential(b, rng, 0.4)
     waypoint = random_kahler_potential(b, rng, 0.3)
     omega = _random_target(b, rng)
     nodes = functionals._lobatto_rule(b.n)[0].size
-    theta_of = functionals.theta_of
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return theta_of(*args, **kwargs)
-
-    monkeypatch.setattr(functionals, "theta_of", counting)
+    calls = _count_calls(monkeypatch, b, "theta")
     for call, want in (
             (lambda: aubin_j(b, phi), 0),
             (lambda: aubin_j(b, phi, [waypoint]), 0),
@@ -386,3 +389,65 @@ def test_functional_report_respects_explicit_level(sphere64, rng):
     phi = random_kahler_potential(sphere64, rng, 0.3)
     rep = functional_report(sphere64, phi, sphere64.base_form(), c=2.5)
     assert rep.c == 2.5
+
+
+# --- input checks -----------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(16, 1, 1), (33, 1, 1), (1, 1, 1)])
+def test_forms_off_the_grid_are_rejected(shape):
+    # a form on another grid must not reach the pointwise trace, where it
+    # would fail without naming the form or broadcast into a number
+    b = make_backend("sphere", size=32)
+    phi = 0.5 * random_kahler_potential(b, np.random.default_rng(1), 0.5)
+    omega = np.ones(shape)
+    for call in (lambda: j_hat(b, omega, phi),
+                 lambda: j_tilde(b, omega, phi),
+                 lambda: sigma_energy(b, phi, omega),
+                 lambda: functional_report(b, phi, omega)):
+        with pytest.raises(ShapeMismatchError):
+            call()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_potentials_raise(torus64, torus2d, sphere64, bad):
+    for b in (torus64, torus2d, sphere64):
+        phi = np.zeros(b.grid_shape)
+        phi.flat[5] = bad
+        omega = b.base_form()
+        for call in (lambda: aubin_i(b, phi), lambda: aubin_j(b, phi),
+                     lambda: entropy(b, phi), lambda: j_tilde(b, omega, phi),
+                     lambda: sigma_energy(b, phi, omega),
+                     lambda: functional_report(b, phi, omega)):
+            with pytest.raises(GeometryError):
+                call()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_metric_is_refused(torus64):
+    # finite, but its second differences overflow to +inf at every node,
+    # which a positivity scan alone lets through
+    phi = np.full(torus64.grid_shape, -1e308)
+    omega = torus64.base_form()
+    for call in (lambda: aubin_i(torus64, phi), lambda: entropy(torus64, phi),
+                 lambda: sigma_energy(torus64, phi, omega)):
+        with pytest.raises(GeometryError):
+            call()
+
+
+def test_non_kahler_potentials_name_their_context(torus64, torus2d, sphere64,
+                                                  rng):
+    # grid-scale noise: its Hessian dwarfs the reference form, both signs
+    for b in (torus64, torus2d, sphere64):
+        phi = rng.normal(size=b.grid_shape)
+        omega = b.base_form()
+        for call, context in (
+                (lambda: aubin_i(b, phi), "aubin energies"),
+                (lambda: aubin_j(b, phi), "path quadrature node"),
+                (lambda: entropy(b, phi), "entropy"),
+                (lambda: j_tilde(b, omega, phi), "path quadrature node"),
+                (lambda: sigma_energy(b, phi, omega), "sigma energy"),
+                (lambda: functional_report(b, phi, omega),
+                 "path quadrature node")):
+            with pytest.raises(NotKahlerError, match=context):
+                call()

@@ -9,6 +9,7 @@ from jflow import (
     FUNCTIONAL_IDS,
     FlowProblem,
     GeometryError,
+    NotKahlerError,
     SymplecticPotential,
     UnsupportedBackend,
     convexity_probe,
@@ -133,6 +134,17 @@ def test_inverse_converges_in_few_solver_evaluations(sphere128, rng,
     assert 0 < len(calls) <= 10
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_transform_refuses_non_finite_and_non_kahler_potentials(sphere64, rng):
+    for bad in (np.nan, np.inf):
+        phi = np.zeros(sphere64.grid_shape)
+        phi[5] = bad
+        with pytest.raises(GeometryError):
+            legendre_transform(sphere64, phi)
+    with pytest.raises(NotKahlerError, match="legendre transform"):
+        legendre_transform(sphere64, rng.normal(size=sphere64.grid_shape))
+
+
 def test_inverse_shape_checked(sphere128):
     with pytest.raises(GeometryError):
         legendre_inverse(sphere128, np.zeros(7))
@@ -224,6 +236,14 @@ def test_residual_flags_non_geodesic(sphere256):
     geo = geodesic_residual(sphere256, geodesic_path(sphere256, pa, pb, 17))
     lin = geodesic_residual(sphere256, chord(pa, pb, 17))
     assert lin > 100.0 * geo
+
+
+def test_residual_refuses_non_kahler_nodes(sphere64):
+    # the chord's interior nodes are not Kahler: dividing by their density
+    # would give a finite residual (253.8 here) that means nothing
+    bump = -3.0 * np.sin(4.0 * np.pi * sphere64.m)
+    with pytest.raises(NotKahlerError, match="geodesic residual"):
+        geodesic_residual(sphere64, chord(0.0 * bump, bump, 5))
 
 
 def test_residual_needs_three_nodes(sphere128):
