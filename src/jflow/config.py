@@ -3,14 +3,16 @@
 The format is one ``key = value`` per line with ``#`` comments.  Every
 key lives in the table below, which is the single source of truth for
 names, types, defaults, admissible ranges and help text; the parser
-enforces the ranges, and the CLI help and the effective config echoed
-next to run outputs are both generated from the table.  The echo
+enforces the ranges and rejects every non-finite float value, and the
+CLI help and the effective config echoed next to run outputs are both
+generated from the table.  The echo
 re-parses to the same configuration, which is what makes runs
 reproducible from their own output directory.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Callable
@@ -181,6 +183,8 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(
                 f"{key} must be one of {', '.join(spec.choices)}", line=raw)
         check_bound(key, parsed, line=raw)
+        if isinstance(parsed, float) and not math.isfinite(parsed):
+            raise ConfigError(f"{key} must be a finite number", line=raw)
         values[key] = parsed
         lines[key] = raw
     return ScenarioConfig(values=values, lines=lines)

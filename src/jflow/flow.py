@@ -14,15 +14,20 @@ cfl_safety * spacing^2 / (chart stiffness bound).  The linearly implicit
 method `rosenbrock` (ROS2 of Verwer, Spee, Blom and Hundsdorfer, with the
 exact Jacobian, on the one-dimensional geometries) has no such cap: its
 embedded first-order solution gives a local error estimate, and a
-standard controller sets the step from it.  With every method a step is
-rejected, and the step size halved, when positivity fails anywhere or E
-increases beyond round-off tolerance.
+standard controller sets the step from it.  J is tridiagonal (periodic on
+the torus line, with two one-sided end fills on the sphere), so each ROS2
+step forms the bands of I - gamma dt J from the backend's constant
+stencil bands and factorises them once, in O(N), for both stages; a step
+whose banded matrix is not strictly row diagonally dominant is rejected
+and halved.  With every method a step is rejected, and the step size
+halved, when positivity fails anywhere or E increases beyond round-off
+tolerance.
 
 One kernel serves every geometry.  The backend builds each stage from
 its own stencils: the checked raw metric of `GeometryBackend.metric`
 (the density when n = 1, the matrix stack otherwise), which the
 functionals and the geodesics build through the same call, and theta;
-`rhs`, `stiffness`, `jacobian` and `diagnostics` take that stage and
+`rhs`, `stiffness`, `jacobian_bands` and `diagnostics` take that stage and
 the backend's raw `trace` and `integral`, and so do `flow_rhs` and
 `linearized_operator`.  The stage of an accepted state, built for its
 diagnostics, serves the next step's stiffness cap and first stage, and a
@@ -142,9 +147,11 @@ class FlowStats:
     metric_builds counts the positivity-checked stages the kernel built,
     rhs_evaluations the right-hand sides taken for stepping (the initial
     range included), rejected_error the attempts whose local error
-    estimate exceeded ROSENBROCK_TOL, and steps_at_cap the accepted steps
-    whose size the stiffness cap set rather than the step-size history or
-    t_max (never, for rosenbrock).
+    estimate exceeded ROSENBROCK_TOL, rejected_dominance the rosenbrock
+    attempts whose I - gamma dt J was not strictly row diagonally
+    dominant, and steps_at_cap the accepted steps whose size the
+    stiffness cap set rather than the step-size history or t_max (never,
+    for rosenbrock).
     """
 
     rhs_evaluations: int = 0
@@ -152,6 +159,7 @@ class FlowStats:
     rejected_positivity: int = 0
     rejected_energy: int = 0
     rejected_error: int = 0
+    rejected_dominance: int = 0
     steps_at_cap: int = 0
 
 
@@ -201,6 +209,79 @@ class _Diagnostics:
     theta_max: float
 
 
+class _NotDominant(Exception):
+    """I - gamma dt J is not strictly row diagonally dominant, so the
+    unpivoted banded solve cannot be trusted at this step size."""
+
+
+class _ImplicitSolver:
+    """I - gamma dt J, given as bands (lower, diagonal, upper, fill),
+    factorised once in O(N) for both ROS2 stages.
+
+    On the sphere rows 1 and N - 2 first remove the fills at (0, 2) and
+    (N - 1, N - 3), leaving a tridiagonal matrix for Thomas's algorithm.
+    On the torus line lower[0] and upper[-1] are the periodic corners;
+    Sherman-Morrison folds them into a rank-one correction of Thomas.
+    Thomas does not pivot, so the reduced matrix must be strictly row
+    diagonally dominant, corners included; that is checked before any
+    division by a pivot.  It holds for every dt small enough, as the
+    matrix tends to I.
+    """
+
+    def __init__(self, bands: np.ndarray, periodic: bool):
+        lower, diagonal, upper, fill = bands
+        self.periodic = periodic
+        if not periodic:
+            # row 0 -= head * row 1 and row N - 1 -= tail * row N - 2; a
+            # zero divisor leaves a non-finite row, which fails the check
+            self.head = float(fill[0] / upper[1])
+            self.tail = float(fill[-1] / lower[-2])
+            diagonal[0] -= self.head * lower[1]
+            upper[0] -= self.head * diagonal[1]
+            lower[-1] -= self.tail * diagonal[-2]
+            diagonal[-1] -= self.tail * upper[-2]
+        if not np.all(np.abs(diagonal) > np.abs(lower) + np.abs(upper)):
+            raise _NotDominant
+        lower, diagonal, upper = lower.tolist(), diagonal.tolist(), upper.tolist()
+        if periodic:
+            # A = T + u v^T with u = (g, 0, ..., 0, upper[-1]) and
+            # v = (1, 0, ..., 0, lower[0] / g), g = -diagonal[0]
+            g = -diagonal[0]
+            self.corner = lower[0] / g
+            diagonal[0] -= g
+            diagonal[-1] -= upper[-1] * self.corner
+        self.upper = upper
+        self.ratios = ratios = [0.0] * len(diagonal)
+        self.pivots = pivots = diagonal
+        for i in range(1, len(diagonal)):
+            ratios[i] = lower[i] / pivots[i - 1]
+            pivots[i] -= ratios[i] * upper[i - 1]
+        if periodic:
+            u = [0.0] * len(diagonal)
+            u[0], u[-1] = g, upper[-1]
+            self.z = np.array(self._thomas(u))
+            self.denominator = 1.0 + self.z[0] + self.corner * self.z[-1]
+
+    def _thomas(self, x: list) -> list:
+        """T^{-1} x, overwriting x."""
+        ratios, pivots, upper = self.ratios, self.pivots, self.upper
+        for i in range(1, len(x)):
+            x[i] -= ratios[i] * x[i - 1]
+        x[-1] /= pivots[-1]
+        for i in range(len(x) - 2, -1, -1):
+            x[i] = (x[i] - upper[i] * x[i + 1]) / pivots[i]
+        return x
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x = rhs.tolist()
+        if self.periodic:
+            y = np.array(self._thomas(x))
+            return y - ((y[0] + self.corner * y[-1]) / self.denominator) * self.z
+        x[0] -= self.head * x[1]
+        x[-1] -= self.tail * x[-2]
+        return np.array(self._thomas(x))
+
+
 class _Kernel:
     """The flow's right-hand side, stiffness cap, Jacobian and diagnostics
     at a raw stage (chi, theta) that the backend builds and checks."""
@@ -228,34 +309,40 @@ class _Kernel:
         return self.backend.stiffness(stage[0], self.om)
 
     @cached_property
-    def _operators(self) -> tuple[np.ndarray, np.ndarray]:
-        """d rho/d phi and d theta/d phi (n == 1) as dense matrices, probed
-        column by column through the backend's affine stencils."""
-        b, basis = self.backend, np.eye(self.backend.grid_shape[0])
-        return (np.column_stack([b.complex_hessian(e)[:, 0, 0] for e in basis]),
-                np.column_stack([b.vector_field_action(e) for e in basis]))
+    def _bands(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.backend.jacobian_bands()
 
-    def jacobian(self, stage, out: np.ndarray | None = None) -> np.ndarray:
-        """d rhs/d phi (n == 1): d theta/d phi + diag(omega/rho^2) d rho/d phi,
-        written into `out` when one is given."""
-        d_rho, d_theta = self._operators
-        out = np.multiply(d_rho, (self.om / stage[0]**2)[:, None], out=out)
-        out += d_theta
-        return out
+    def jacobian_bands(self, stage) -> np.ndarray:
+        """d rhs/d phi (n == 1), d theta/d phi + diag(omega/rho^2) d rho/d phi,
+        as the backend's rows (lower, diagonal, upper, fill)."""
+        d_rho, d_theta = self._bands
+        return d_rho * (self.om / stage[0]**2) + d_theta
 
-    @cached_property
-    def _matrix(self) -> np.ndarray:
-        size = self.backend.grid_shape[0]
-        return np.empty((size, size))
+    def jacobian(self, stage) -> np.ndarray:
+        """jacobian_bands(stage) as a dense matrix."""
+        lower, diagonal, upper, fill = self.jacobian_bands(stage)
+        size = diagonal.size
+        rows = np.arange(size)
+        jac = np.zeros((size, size))
+        jac[rows, rows - 1] = lower
+        jac[rows, rows] = diagonal
+        jac[rows, (rows + 1) % size] = upper
+        jac[0, 2], jac[-1, -3] = fill[0], fill[-1]
+        return jac
 
-    def implicit_matrix(self, stage, gamma_dt: float) -> np.ndarray:
-        """I - gamma_dt J, built in one buffer the kernel owns and overwrites
-        on every call.  Rounds as np.eye(n) - gamma_dt * J does, up to the
-        signs of zeros off the diagonal."""
-        matrix = self.jacobian(stage, out=self._matrix)
-        matrix *= -gamma_dt
-        matrix.ravel()[::matrix.shape[0] + 1] += 1.0
-        return matrix
+    def implicit_bands(self, stage, gamma_dt: float) -> np.ndarray:
+        """The bands of I - gamma_dt J, rounded as np.eye(n) - gamma_dt * J
+        rounds them."""
+        bands = self.jacobian_bands(stage)
+        bands *= -gamma_dt
+        bands[1] += 1.0
+        return bands
+
+    def implicit_solver(self, stage, gamma_dt: float) -> _ImplicitSolver:
+        """I - gamma_dt J factorised in O(N); raises _NotDominant when the
+        banded system is not strictly row diagonally dominant."""
+        return _ImplicitSolver(self.implicit_bands(stage, gamma_dt),
+                               periodic=self.backend.name == "torus")
 
     def diagnostics(self, stage) -> _Diagnostics:
         chi, theta = stage
@@ -342,10 +429,9 @@ def _rosenbrock(kernel, phi: np.ndarray, stage,
     constant shifts, so J 1 = 0 and a constant drift passes through k1
     and k2 with no estimated error.
     """
-    matrix = kernel.implicit_matrix(stage, ROS2_GAMMA * dt)
-    k1 = np.linalg.solve(matrix, kernel.rhs(stage))
-    k2 = np.linalg.solve(
-        matrix, kernel.rhs(kernel._stage(phi + dt * k1)) - 2.0 * k1)
+    solver = kernel.implicit_solver(stage, ROS2_GAMMA * dt)
+    k1 = solver.solve(kernel.rhs(stage))
+    k2 = solver.solve(kernel.rhs(kernel._stage(phi + dt * k1)) - 2.0 * k1)
     error = 0.5 * dt * float(np.abs(k1 + k2).max())
     return phi + 1.5 * dt * k1 + 0.5 * dt * k2, error
 
@@ -396,6 +482,9 @@ def _attempt_step(problem: FlowProblem, kernel, state: FlowState, stage,
         diag = kernel.diagnostics(trial_stage)
     except NotKahlerError:
         stats.rejected_positivity += 1
+        return _retry(problem, state, stage, 0.5 * dt)
+    except _NotDominant:
+        stats.rejected_dominance += 1
         return _retry(problem, state, stage, 0.5 * dt)
     if error > ROSENBROCK_TOL:
         stats.rejected_error += 1

@@ -131,6 +131,15 @@ class GeometryBackend:
     def stiffness(self, chi: np.ndarray, om: np.ndarray) -> float:
         raise NotImplementedError
 
+    def jacobian_bands(self) -> tuple[np.ndarray, np.ndarray]:
+        """d(Hessian density)/d phi and d theta/d phi (n == 1), each as
+        rows (lower, diagonal, upper, fill) of length N: row i's entries
+        in columns i - 1, i and i + 1 (mod N on the torus line, zero past
+        the ends on the sphere), and the one-sided fills at (0, 2) in
+        fill[0] and at (N - 1, N - 3) in fill[-1].  Each entry is the
+        stencil's own value on a unit column, bit for bit."""
+        raise NotImplementedError
+
     def dissipation(self, sigma: np.ndarray, chi: np.ndarray,
                     om: np.ndarray) -> float:
         raise NotImplementedError
@@ -229,6 +238,14 @@ class TorusBackend(GeometryBackend):
                 hess[..., k, l] = mixed
                 hess[..., l, k] = mixed
         return 0.25 * hess
+
+    def jacobian_bands(self) -> tuple[np.ndarray, np.ndarray]:
+        # _periodic_second on a unit column: up - 2 values + down is 1, -2, 1
+        if self.n != 1:
+            raise UnsupportedBackend("Jacobian bands need the torus line")
+        stencil = np.array([1.0, -2.0, 1.0, 0.0]) / self.deltas[0]**2
+        hessian = np.repeat((0.25 * stencil)[:, None], self.grid_shape[0], axis=1)
+        return hessian, np.zeros_like(hessian)
 
     def theta_base(self) -> ScalarField:
         return np.zeros(self.grid_shape)
@@ -337,6 +354,23 @@ class SphereBackend(GeometryBackend):
         div[1:-1] = flux[1:] - flux[:-1]
         div[-1] = -flux[-1]
         return self.mprime * div / self.delta
+
+    def jacobian_bands(self) -> tuple[np.ndarray, np.ndarray]:
+        # _complex_hessian on a unit column: the flux mprime_half (+-1) /
+        # delta enters div through the cells on either side of the node
+        flux = self.mprime_half / self.delta
+        div = np.zeros((4, self.size))
+        div[0, 1:] = flux
+        div[2, :-1] = flux
+        div[1, 1:-1] = -flux[1:] - flux[:-1]
+        div[1, 0], div[1, -1] = -flux[0], -flux[-1]
+        # _moment_derivative on a unit column: the numerators' coefficients
+        numer = np.zeros((4, self.size))
+        numer[0, 1:-1], numer[2, 1:-1] = -1.0, 1.0
+        numer[1:, 0] = -3.0, 4.0, -1.0
+        numer[:2, -1], numer[3, -1] = (-4.0, 3.0), 1.0
+        return (self.mprime * div / self.delta,
+                self.mprime * (numer / (2.0 * self.delta)))
 
     def theta_base(self) -> ScalarField:
         return self._theta0.copy()

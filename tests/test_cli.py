@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from jflow.cli import main
-from jflow.config import build_backend, build_reference, load_config
+from jflow.config import (CONFIG_KEYS, _parse_optional_float, build_backend,
+                          build_reference, load_config)
 
 FAST_TORUS = """
 geometry.kind = torus
@@ -159,6 +160,20 @@ def test_check_subcommands_reject_their_keys(tmp_path, capsys, command, entry):
                  "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert f"offending line: {entry}" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", [
+    key for key, spec in CONFIG_KEYS.items()
+    if spec.parse in (float, _parse_optional_float)])
+def test_non_finite_float_is_config_error(tmp_path, capsys, key, value):
+    # each float key once ran on, stalled or failed later on such a value
+    entry = f"{key} = {value}"
+    cfg = write_cfg(tmp_path, FAST_TORUS + entry + "\n")
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert f"offending line: {entry}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded(tmp_path):
@@ -327,7 +342,7 @@ def test_shipped_torus_scenario_steps_implicitly(tmp_path):
     assert state["converged"] is True and state["suspect_steps"] == 0
     stats = state["stats"]
     assert stats["rejected_positivity"] == stats["rejected_energy"] \
-        == stats["rejected_error"] == 0
+        == stats["rejected_error"] == stats["rejected_dominance"] == 0
     assert state["step_count"] < 1000
     assert states["rk4"]["step_count"] > 10000
 

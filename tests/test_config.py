@@ -25,7 +25,7 @@ def test_round_trip_through_render():
     assert again.values == cfg.values
 
 
-_FLOATS = st.floats(allow_nan=False)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 # a value that survives one config line: no comment mark, no line break,
 # no surrounding blanks
 _TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
@@ -41,7 +41,8 @@ def _admissible(spec):
     op, limit = spec.bound
     if spec.parse is int:
         return st.integers(min_value=limit + (op == ">"))
-    return st.floats(min_value=limit, exclude_min=op == ">", allow_nan=False)
+    return st.floats(min_value=limit, exclude_min=op == ">", allow_nan=False,
+                     allow_infinity=False)
 
 
 def _key_values(spec):
@@ -103,6 +104,20 @@ def test_first_value_outside_bound_is_rejected_on_its_line(key):
             parse_config(raw)
         assert err.value.line == raw
         assert spec.bound[0] in str(err.value)
+
+
+FLOAT_KEYS = [key for key, spec in CONFIG_KEYS.items()
+              if spec.parse in (float, _parse_optional_float)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_is_rejected_on_its_line(key, value):
+    raw = f"{key} = {value}"
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"seed = 3\n{raw}")
+    assert err.value.line == raw
+    assert key in str(err.value)
 
 
 @pytest.mark.parametrize("key", _BOUNDED)

@@ -92,6 +92,21 @@ def test_round_trip_random_potentials(sphere256, rng):
         assert np.abs(back - phi).max() < 1e-9
 
 
+@settings(max_examples=30, deadline=None, database=None)
+@given(size=st.integers(64, 256), seed=st.integers(0, 2**32 - 1),
+       amplitude=st.floats(0.0, 0.5, exclude_min=True))
+def test_round_trip_on_random_grids(size, seed, amplitude):
+    # the round trip is exact up to the quintic's interpolation error,
+    # largest at the end nodes, whose roots lie in the boundary gaps where
+    # the end pieces are extrapolated: in 2,000 random draws it reached
+    # 815 spacing^4 (8.8e-6 at N = 98), and exceeded the fixed draws'
+    # 1e-9 above in 908 of them
+    b = SphereBackend(size)
+    phi = random_kahler_potential(b, np.random.default_rng(seed), amplitude)
+    back = legendre_inverse(b, legendre_transform(b, phi))
+    assert np.abs(back - phi).max() < 2e3 * b.delta**4
+
+
 def test_round_trip_translation_family(sphere256):
     phi = named_potential(sphere256, "translation", amplitude=2.0)
     back = legendre_inverse(sphere256, legendre_transform(sphere256, phi))

@@ -117,6 +117,7 @@ def test_final_state_payload(torus_result):
     assert payload["suspect_steps"] == 0
     assert payload["stats"] == {
         "metric_builds": result.stats.metric_builds,
+        "rejected_dominance": result.stats.rejected_dominance,
         "rejected_energy": result.stats.rejected_energy,
         "rejected_error": result.stats.rejected_error,
         "rejected_positivity": result.stats.rejected_positivity,

@@ -28,13 +28,15 @@ from jflow.flow import (
     FLOW_METHODS,
     ROS2_GAMMA,
     _advance,
+    _attempt_step,
     _Kernel,
     _make_kernel,
     _rosenbrock,
+    _start,
 )
 from jflow.potentials import hessian_offset_potential
 from test_acceptance import limit_density, torus_reference
-from test_flow import torus_target_form
+from test_flow import _jacobian_case, torus_target_form
 
 
 def _reference(b):
@@ -141,28 +143,108 @@ def test_single_step_has_local_order_three(torus64):
     assert min(ratios) >= 6.0, ratios
 
 
-def test_implicit_matrix_is_built_in_place(torus64, sphere64):
-    # I - gamma dt J in the kernel's own buffer equals np.eye(n) -
-    # (gamma dt) J exactly, J built afresh from the probed operators, for
-    # two stages and steps in a row, so nothing of the first build
-    # survives into the second
-    rng = np.random.default_rng(5)
-    for b, omega in ((torus64, torus_target_form(torus64)),
-                     (sphere64, sphere64.base_form())):
-        kernel = _make_kernel(FlowProblem(backend=b, omega=omega,
-                                          method="rosenbrock"))
-        built = []
-        for dt in (0.3, 2e-3):
-            stage = kernel._stage(random_kahler_potential(b, rng, 0.4))
-            d_rho, d_theta = kernel._operators
-            jac = d_theta + (kernel.om / stage[0]**2)[:, None] * d_rho
-            assert np.array_equal(kernel.jacobian(stage), jac)
-            gamma_dt = ROS2_GAMMA * dt
-            matrix = kernel.implicit_matrix(stage, gamma_dt)
-            want = np.eye(b.grid_shape[0]) - gamma_dt * jac
-            assert np.array_equal(matrix, want), (b.name, dt)
-            built.append(matrix)
-        assert built[0] is built[1]
+@st.composite
+def _implicit_case(draw):
+    """A Jacobian case (a random Kahler target and stage on the torus line
+    or the sphere, N = 16-96) and a step dt from 1e-6 to 100."""
+    b, omega, kernel, phi, rng = draw(_jacobian_case())
+    return b, kernel, phi, 10.0 ** draw(st.floats(-6.0, 2.0))
+
+
+def _probed_implicit_matrix(b, kernel, stage, gamma_dt):
+    # np.eye(N) - gamma_dt J, J probed column by column through the public
+    # stencils
+    basis = np.eye(b.grid_shape[0])
+    d_rho = np.column_stack([b.complex_hessian(e)[:, 0, 0] for e in basis])
+    d_theta = np.column_stack([b.vector_field_action(e) for e in basis])
+    jac = d_theta + (kernel.om / stage[0]**2)[:, None] * d_rho
+    return basis - gamma_dt * jac, jac
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_implicit_case())
+def test_implicit_bands_equal_the_probed_matrix(case):
+    # every band of I - gamma dt J, fills and periodic corners included,
+    # equals the probed dense matrix's entry exactly, and the matrix has
+    # no entry outside them
+    b, kernel, phi, dt = case
+    stage = kernel._stage(phi)
+    gamma_dt = ROS2_GAMMA * dt
+    want, jac = _probed_implicit_matrix(b, kernel, stage, gamma_dt)
+    assert np.array_equal(kernel.jacobian(stage), jac)
+    lower, diagonal, upper, fill = kernel.implicit_bands(stage, gamma_dt)
+    size = diagonal.size
+    rows = np.arange(size)
+    got = np.zeros((size, size))
+    got[rows, rows - 1] = lower
+    got[rows, rows] = diagonal
+    got[rows, (rows + 1) % size] = upper
+    got[0, 2], got[-1, -3] = fill[0], fill[-1]
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_implicit_case())
+def test_banded_stages_match_the_dense_solve(case):
+    # k1 and k2 of one ROS2 step against np.linalg.solve on the probed
+    # matrix A, to 1e-12 of |A| |k|: at dt = 100, A's condition number
+    # reaches 1e7, and the dense solve itself then errs by about 1e-11
+    # of |k| against a solution refined in extended precision
+    b, kernel, phi, dt = case
+    stage = kernel._stage(phi)
+    matrix, _ = _probed_implicit_matrix(b, kernel, stage, ROS2_GAMMA * dt)
+    scale = float(np.abs(matrix).sum(axis=1).max())
+    solver = kernel.implicit_solver(stage, ROS2_GAMMA * dt)
+    rhs = kernel.rhs(stage)
+    k1 = solver.solve(rhs)
+    checks = [(rhs, k1)]
+    try:
+        rhs = kernel.rhs(kernel._stage(phi + dt * k1)) - 2.0 * k1
+    except NotKahlerError:
+        pass  # the step loses positivity: there is no k2
+    else:
+        checks.append((rhs, solver.solve(rhs)))
+    for rhs, k in checks:
+        dense = np.linalg.solve(matrix, rhs)
+        assert np.abs(k - dense).max() <= 1e-12 * scale * np.abs(dense).max()
+
+
+def _spiked_sphere_start(b, node, factor):
+    """A sphere potential whose density is factor times the base density
+    at `node` and a constant fraction of it elsewhere: the flux-form
+    Hessian inverted by two cumulative sums."""
+    offset = b.rho0 * ((factor - 1.0) * (np.arange(b.size) == node)
+                       - (factor - 1.0) / b.size)
+    flux = np.cumsum(offset * b.delta / b.mprime)[:-1]
+    return np.concatenate(([0.0], np.cumsum(flux * b.delta / b.mprime_half)))
+
+
+def test_dominance_failure_is_rejected_and_halved(sphere64):
+    # at about 40 times the base density the advective entry of J's lower
+    # band outweighs the diffusive one, so I - gamma dt J loses diagonal
+    # dominance at a large step; the attempt is counted and halved
+    phi0 = _spiked_sphere_start(sphere64, 32, 40.0)
+    problem = FlowProblem(backend=sphere64, omega=sphere64.base_form(),
+                          method="rosenbrock", dt_init=1.0, t_max=50.0)
+    kernel = _make_kernel(problem)
+    state, stage = _start(problem, kernel, phi0)
+    assert stage[0][32] / sphere64.rho0[32] == pytest.approx(40.0 - 39.0 / 64)
+    assert kernel.jacobian(stage)[32, 31] < 0.0
+    energy = kernel.diagnostics(stage).E
+    retried, same_stage, diag = _attempt_step(problem, kernel, state, stage,
+                                              energy)
+    assert diag is None and same_stage is stage
+    assert retried.dt == 0.5 * state.dt
+    stats = kernel.stats
+    assert stats.rejected_dominance == 1
+    assert stats.rejected_positivity == stats.rejected_energy \
+        == stats.rejected_error == 0
+    try:
+        result = run_flow(problem, phi0)
+    except StepStalled:
+        return
+    assert result.stats.rejected_dominance > 0
+    assert result.state.step_count > 0
 
 
 def test_error_estimate_sets_the_step(sphere64):
