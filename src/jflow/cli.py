@@ -2,7 +2,8 @@
 
 Subcommands cover the library surface one module at a time (simulate,
 functionals, check-cone, geodesic-probe) plus an all-in-one report.
-Every run echoes its effective configuration into the output directory;
+`main` builds the backend and the reference form once and hands both to
+the command, so `report`'s sections share one geometry.  Every run echoes its effective configuration into the output directory;
 re-running from that echo reproduces the outputs byte for byte.
 """
 
@@ -59,9 +60,7 @@ def _write(outdir: str, name: str, text: str) -> None:
     log.info("wrote %s", os.path.join(outdir, name))
 
 
-def _simulate(cfg: ScenarioConfig, args) -> int:
-    backend = build_backend(cfg)
-    omega = build_reference(cfg, backend)
+def _simulate(cfg: ScenarioConfig, args, backend, omega) -> int:
     problem = build_problem(cfg, backend, omega)
     phi0 = initial_potential(cfg, backend)
     outdir = _outdir(cfg)
@@ -90,9 +89,7 @@ def _simulate(cfg: ScenarioConfig, args) -> int:
     return 0
 
 
-def _functionals(cfg: ScenarioConfig, args) -> int:
-    backend = build_backend(cfg)
-    omega = build_reference(cfg, backend)
+def _functionals(cfg: ScenarioConfig, args, backend, omega) -> int:
     phi = named_potential(backend, cfg.get("functionals.family"),
                           cfg.get("functionals.amplitude"),
                           cfg.get("functionals.wavenumber"),
@@ -104,9 +101,7 @@ def _functionals(cfg: ScenarioConfig, args) -> int:
     return 0
 
 
-def _check_cone(cfg: ScenarioConfig, args) -> int:
-    backend = build_backend(cfg)
-    omega = build_reference(cfg, backend)
+def _check_cone(cfg: ScenarioConfig, args, backend, omega) -> int:
     rep = properness_hypotheses(backend, cfg.get("hypotheses.epsilon"),
                                 cfg.get("hypotheses.alpha_lower_bound"),
                                 omega=omega)
@@ -116,16 +111,7 @@ def _check_cone(cfg: ScenarioConfig, args) -> int:
     return 0
 
 
-def _require_probe_geometry(cfg: ScenarioConfig) -> None:
-    if cfg.get("geometry.kind") != "sphere":
-        raise ConfigError("geodesic probes need geometry.kind = sphere",
-                          line=cfg.line("geometry.kind"))
-
-
-def _geodesic_probe(cfg: ScenarioConfig, args) -> int:
-    _require_probe_geometry(cfg)
-    backend = build_backend(cfg)
-    omega = build_reference(cfg, backend)
+def _geodesic_probe(cfg: ScenarioConfig, args, backend, omega) -> int:
     pairs = cfg.get("geodesic.pairs")
     nodes = cfg.get("geodesic.nodes")
     amplitude = cfg.get("geodesic.amplitude")
@@ -156,14 +142,12 @@ def _geodesic_probe(cfg: ScenarioConfig, args) -> int:
     return 0
 
 
-def _report(cfg: ScenarioConfig, args) -> int:
-    if cfg.get("geodesic.enabled"):
-        _require_probe_geometry(cfg)  # before the flow writes anything
-    code = _simulate(cfg, args)
+def _report(cfg: ScenarioConfig, args, backend, omega) -> int:
+    code = _simulate(cfg, args, backend, omega)
     if cfg.get("hypotheses.enabled"):
-        _check_cone(cfg, args)
+        _check_cone(cfg, args, backend, omega)
     if cfg.get("geodesic.enabled"):
-        _geodesic_probe(cfg, args)
+        _geodesic_probe(cfg, args, backend, omega)
     return code
 
 
@@ -206,7 +190,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load(args)
-        return _COMMANDS[args.command](cfg, args)
+        # checked before report's flow writes anything
+        probes = args.command == "geodesic-probe" or (
+            args.command == "report" and cfg.get("geodesic.enabled"))
+        if probes and cfg.get("geometry.kind") != "sphere":
+            raise ConfigError("geodesic probes need geometry.kind = sphere",
+                              line=cfg.line("geometry.kind"))
+        backend = build_backend(cfg)
+        omega = build_reference(cfg, backend)
+        return _COMMANDS[args.command](cfg, args, backend, omega)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         if exc.line is not None:

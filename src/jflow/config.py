@@ -20,8 +20,8 @@ from typing import Callable
 from .fields import ConfigError, GeometryError
 from .flow import FLOW_METHODS, FlowProblem
 from .geodesic import FUNCTIONAL_IDS
-from .geometry import (GeometryBackend, SphereBackend, TorusBackend,
-                       complex_hessian)
+from .geometry import (GeometryBackend, TorusBackend, complex_hessian,
+                       make_backend)
 from .potentials import (FAMILY_NAMES, hessian_offset_potential,
                          named_potential)
 
@@ -222,15 +222,14 @@ def reference_page() -> str:
 def build_backend(cfg: ScenarioConfig) -> GeometryBackend:
     """The configured backend; a grid it calls too coarse is a config error."""
     kind = cfg.get("geometry.kind")
-    size = cfg.get("geometry.size")
     dim = cfg.get("geometry.dim")
     if kind == "sphere" and dim != 1:
         raise ConfigError("the sphere reduction is one-dimensional",
                           line=cfg.line("geometry.dim"))
+    params = {"s_max": cfg.get("geometry.s_max")} if kind == "sphere" \
+        else {"dim": dim}
     try:
-        if kind == "sphere":
-            return SphereBackend(size, s_max=cfg.get("geometry.s_max"))
-        return TorusBackend((size,) * dim)
+        return make_backend(kind, size=cfg.get("geometry.size"), **params)
     except GeometryError as exc:
         raise ConfigError(str(exc), line=cfg.line("geometry.size")) from exc
 

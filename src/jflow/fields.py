@@ -71,23 +71,6 @@ def _require_finite(values: np.ndarray, label: str) -> None:
 
 
 @dataclass(frozen=True)
-class PotentialField:
-    """A real potential on the grid, tagged with its gauge normalization."""
-
-    values: ScalarField
-    normalization: Normalization = Normalization.MEAN_ZERO
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        _require_finite(values, "potential")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def grid_shape(self) -> tuple[int, ...]:
-        return self.values.shape
-
-
-@dataclass(frozen=True)
 class HermitianFormField:
     """Stack of Hermitian matrices in the backend chart.
 

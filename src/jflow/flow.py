@@ -1,13 +1,15 @@
 """Time integration of the trace flow with a-priori monitors.
 
 The flow is phi_t = (1/n)(n c + theta(chi_phi) - tr(chi_phi^{-1} omega)).
-Estimates that hold for the continuous flow are enforced as runtime
-monitors: the initial range of the right-hand side must sandwich all
-later values, the trace of omega stays below its initial maximum plus
-the oscillation of theta, and the energy E = int sigma^2 dV is
-nonincreasing.  Monitor violations beyond tolerance mark a step
-`suspect` but never abort the run; discretization can transiently
-violate continuous-time bounds near the stability limit.
+`run_flow` is the one driver: it starts from a potential, steps, records
+the trajectory and returns a `FlowResult`.  Estimates that hold for the
+continuous flow are checked at every accepted step: the initial range of
+the right-hand side must sandwich all later values, and the trace of
+omega stays below its initial maximum plus the oscillation of theta.
+Violations beyond tolerance mark a step `suspect` but never abort the
+run; discretization can transiently violate continuous-time bounds near
+the stability limit.  The energy E = int sigma^2 dV is nonincreasing by
+construction, since a step that raises it is rejected.
 
 Explicit RK4 stepping (the default) caps the step by
 cfl_safety * spacing^2 / (chart stiffness bound).  The linearly implicit
@@ -52,7 +54,7 @@ from .fields import (
     StepStalled,
 )
 from .cone import relative_spectrum, subsolution_margin
-from .functionals import level_constant, _values
+from .functionals import level_constant
 from .geometry import GeometryBackend, theta_of
 
 FLOW_METHODS = ("rk4", "rosenbrock")
@@ -360,17 +362,12 @@ class _Kernel:
             residual=float(np.abs(lam - self.nc - theta).max()),
             lambda_max=float(lam.max()), floor_constant=floor,
             rhs_min=float(rhs.min()), rhs_max=float(rhs.max()),
-            # theta is the scalar 0 where the geometry has no vector field
-            theta_max=float(theta.max()) if self.backend.has_vector_field else 0.0)
-
-
-def _make_kernel(problem: FlowProblem) -> _Kernel:
-    return _Kernel(problem.backend, problem.omega, problem.level)
+            theta_max=float(np.max(theta)))
 
 
 def flow_rhs(backend: GeometryBackend, phi, omega, c: float) -> ScalarField:
     """(1/n)(n c + theta(chi_phi) - tr(chi_phi^{-1} omega))."""
-    values = backend.check_field(_values(phi), "potential")
+    values = backend.check_field(phi, "potential")
     return _Kernel(backend, omega, c).rhs(backend.stage(values))
 
 
@@ -389,7 +386,7 @@ class LinearizedOperator:
     max_coefficient: float
 
     def apply(self, psi) -> ScalarField:
-        values = self.backend.check_field(_values(psi), "test field")
+        values = self.backend.check_field(psi, "test field")
         hess = self.backend.complex_hessian(values)
         second = np.einsum("...ij,...ij->...", self.coefficients, hess)
         return (second + self.backend.vector_field_action(values)) / self.backend.n
@@ -397,7 +394,7 @@ class LinearizedOperator:
 
 def linearized_operator(backend: GeometryBackend, phi,
                         omega: HermitianFormField) -> LinearizedOperator:
-    values = backend.check_field(_values(phi), "potential")
+    values = backend.check_field(phi, "potential")
     chi = backend.metric(values, "linearized operator")
     om = backend.raw_form(omega)
     if backend.n == 1:
@@ -444,6 +441,12 @@ def _error_factor(error: float) -> float:
     return min(5.0, max(0.2, 0.9 * np.sqrt(ROSENBROCK_TOL / error)))
 
 
+def _explicit_cap(problem: FlowProblem, kernel, stage) -> float:
+    """The explicit step's stiffness cap cfl_safety spacing^2 / stiffness."""
+    return problem.cfl_safety * problem.backend.spacing**2 \
+        / kernel.stiffness(stage)
+
+
 def _retry(problem: FlowProblem, state: FlowState, stage, dt: float):
     """The rejected attempt's outcome: the same state and stage, to be
     tried again with step dt."""
@@ -463,11 +466,7 @@ def _attempt_step(problem: FlowProblem, kernel, state: FlowState, stage,
     """
     stats = kernel.stats
     implicit = problem.method == "rosenbrock"
-    if implicit:
-        cap = np.inf
-    else:
-        cap = problem.cfl_safety * problem.backend.spacing**2 \
-            / kernel.stiffness(stage)
+    cap = np.inf if implicit else _explicit_cap(problem, kernel, stage)
     dt = min(state.dt, cap)
     lands_on_end = state.t + dt >= problem.t_max
     if lands_on_end:
@@ -509,26 +508,17 @@ def _attempt_step(problem: FlowProblem, kernel, state: FlowState, stage,
     return new, trial_stage, diag
 
 
-def step(problem: FlowProblem, state: FlowState) -> FlowState:
-    """Public single-step entry point; see run_flow for the monitored loop."""
-    kernel = _make_kernel(problem)
-    stage = kernel._stage(state.phi)
-    energy = kernel.diagnostics(stage).E
-    new_state, _, _ = _attempt_step(problem, kernel, state, stage, energy)
-    return new_state
-
-
 def _start(problem: FlowProblem, kernel, phi0) -> tuple[FlowState, object]:
     """The initial state and its kernel stage."""
     backend = problem.backend
     if phi0 is None:
         phi = np.zeros(backend.grid_shape)
     else:
-        phi = backend.check_field(_values(phi0), "initial potential").copy()
+        phi = backend.check_field(phi0, "initial potential").copy()
     stage = kernel._stage(phi)
     rhs0 = kernel.rhs(stage)
     # the explicit cap also starts rosenbrock, which alone may exceed it
-    cap = problem.cfl_safety * backend.spacing**2 / kernel.stiffness(stage)
+    cap = _explicit_cap(problem, kernel, stage)
     dt = cap if problem.dt_init is None else problem.dt_init
     if problem.method != "rosenbrock":
         dt = min(dt, cap)
@@ -537,25 +527,35 @@ def _start(problem: FlowProblem, kernel, phi0) -> tuple[FlowState, object]:
     return state, stage
 
 
-def initial_state(problem: FlowProblem, phi0=None) -> FlowState:
-    return _start(problem, _make_kernel(problem), phi0)[0]
+def _record(state: FlowState, diag: _Diagnostics, measured: float,
+            suspect: bool) -> MonitorRecord:
+    """The trajectory row of `state`, whose diagnostics are `diag`."""
+    return MonitorRecord(
+        t=state.t, dt=state.dt, E=diag.E, dE_dt_measured=measured,
+        dE_dt_predicted=diag.dissipation, rhs_min=diag.rhs_min,
+        rhs_max=diag.rhs_max, lambda_max=diag.lambda_max,
+        floor_constant=diag.floor_constant, residual=diag.residual,
+        suspect=suspect)
 
 
 def run_flow(problem: FlowProblem, phi0=None) -> FlowResult:
     """Integrate until the critical-equation residual meets its target.
 
     Per accepted step the monitors are evaluated (always, regardless of
-    log_every): right-hand-side sandwich against the initial range, the
-    trace bound, energy monotonicity, and the positivity floor.  A row
-    outside tolerance is flagged suspect; the run continues.
+    log_every): right-hand-side sandwich against the initial range and
+    the trace bound; energy monotonicity and positivity are enforced by
+    rejecting the step.  A row outside tolerance is flagged suspect; the
+    run continues.  Every log_every-th accepted step is recorded, and so
+    is the final state, whether or not log_every thins it out.
     """
     backend = problem.backend
-    kernel = _make_kernel(problem)
+    level = problem.level
+    kernel = _Kernel(backend, problem.omega, level)
     state, stage = _start(problem, kernel, phi0)
 
     theta0 = theta_of(backend, np.zeros(backend.grid_shape))
-    margin = subsolution_margin(backend.base_form(), problem.omega,
-                                problem.level, theta0)
+    margin = subsolution_margin(backend.base_form(), problem.omega, level,
+                                theta0)
     min_theta0 = float(theta0.min())
 
     sandwich_tol = 1e-6 + 10.0 * backend.spacing**2
@@ -563,12 +563,8 @@ def run_flow(problem: FlowProblem, phi0=None) -> FlowResult:
 
     diag = kernel.diagnostics(stage)
     lambda_max0 = diag.lambda_max
-    records = [MonitorRecord(
-        t=0.0, dt=state.dt, E=diag.E, dE_dt_measured=float("nan"),
-        dE_dt_predicted=diag.dissipation, rhs_min=diag.rhs_min,
-        rhs_max=diag.rhs_max, lambda_max=diag.lambda_max,
-        floor_constant=diag.floor_constant, residual=diag.residual,
-        suspect=False)]
+    records = [_record(state, diag, float("nan"), False)]
+    keep = True
     snapshots = [(0.0, state.phi.copy())]
     snap_stride = 1
 
@@ -595,17 +591,10 @@ def run_flow(problem: FlowProblem, phi0=None) -> FlowResult:
             diag.rhs_min < rhs_lo - sandwich_tol
             or diag.rhs_max > rhs_hi + sandwich_tol
             or diag.lambda_max > lambda_bound
-            or diag.E > energy + problem.energy_budget(energy)
         )
-
-        measured = (diag.E - energy) / (state.t - prev_t)
-        record = MonitorRecord(
-            t=state.t, dt=state.dt, E=diag.E, dE_dt_measured=measured,
-            dE_dt_predicted=diag.dissipation, rhs_min=diag.rhs_min,
-            rhs_max=diag.rhs_max, lambda_max=diag.lambda_max,
-            floor_constant=diag.floor_constant, residual=diag.residual,
-            suspect=suspect)
-        keep = (state.step_count % problem.log_every == 0)
+        record = _record(state, diag, (diag.E - energy) / (state.t - prev_t),
+                         suspect)
+        keep = state.step_count % problem.log_every == 0
         if keep:
             records.append(record)
         energy = diag.E
@@ -620,12 +609,8 @@ def run_flow(problem: FlowProblem, phi0=None) -> FlowResult:
         if diag.residual < problem.residual_target:
             converged = True
             reason = "residual"
-            if not keep:
-                records.append(record)
-            break
-    # diag is the diagnostics of the final state from here on, and record
-    # that state's row, thinned out or not.
-    if not converged and records[-1].t < state.t:
+    # diag and record belong to the final state from here on
+    if not keep:
         records.append(record)
     if snapshots[-1][0] < state.t:
         snapshots.append((state.t, state.phi.copy()))
@@ -637,7 +622,7 @@ def run_flow(problem: FlowProblem, phi0=None) -> FlowResult:
     return FlowResult(
         problem=problem, state=state, records=records, converged=converged,
         reason=reason, subsolution_margin=margin, sigma_mean=sigma_mean,
-        minus_nc=-backend.n * problem.level,
+        minus_nc=-backend.n * level,
         kappa=float(np.sum(diag.rhs * dens)) / volume,
         rhs_spread=diag.rhs_max - diag.rhs_min, stats=kernel.stats,
         snapshots=snapshots)

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import GeometryError, HermitianFormField, PotentialField, ScalarField
+from .fields import GeometryError, HermitianFormField, ScalarField
 from .geometry import (
     GeometryBackend,
     build_metric,
@@ -53,12 +53,6 @@ from .geometry import (
 # Discrete Jensen guard: entropy of equal-mass measures cannot go below
 # zero by more than round-off.
 ENTROPY_FLOOR = -1e-8
-
-
-def _values(phi) -> np.ndarray:
-    if isinstance(phi, PotentialField):
-        return phi.values
-    return np.asarray(phi, dtype=float)
 
 
 @lru_cache(maxsize=None)
@@ -85,9 +79,9 @@ def _path_moments(backend: GeometryBackend, phi, forms=(), waypoints=None,
     is reduced on its own, so the others do not change.
     """
     route = [np.zeros(backend.grid_shape)]
-    route += [backend.check_field(_values(w), "waypoint")
+    route += [backend.check_field(w, "waypoint")
               for w in (() if waypoints is None else waypoints)]
-    route.append(backend.check_field(_values(phi), "potential"))
+    route.append(backend.check_field(phi, "potential"))
     oms = [backend.raw_form(form) for form in forms]
     t_nodes, coeff = _lobatto_rule(backend.n)
     total = np.zeros(1 + theta + len(oms))
@@ -112,7 +106,7 @@ def _j_hat_of(backend: GeometryBackend, omega, m_vol: float,
 
 
 def _j_of(backend: GeometryBackend, phi, m_vol: float) -> float:
-    values = backend.check_field(_values(phi), "potential")
+    values = backend.check_field(phi, "potential")
     vol0 = backend.base_form().det()
     return float(np.sum(values * vol0 * backend.weights)) - m_vol
 
@@ -148,7 +142,7 @@ class AubinEnergies:
 
 
 def aubin_i(backend: GeometryBackend, phi) -> float:
-    values = backend.check_field(_values(phi), "potential")
+    values = backend.check_field(phi, "potential")
     chi = backend.metric(values, "aubin energies")
     diff = backend.base_form().det() - backend.det(chi)
     return float(np.sum(values * diff * backend.weights))
@@ -200,7 +194,7 @@ def j_flow(backend: GeometryBackend, omega, phi, waypoints=None) -> float:
 
 
 def entropy(backend: GeometryBackend, phi) -> float:
-    values = backend.check_field(_values(phi), "potential")
+    values = backend.check_field(phi, "potential")
     vol = backend.det(backend.metric(values, "entropy"))
     ratio = vol / backend.base_form().det()
     val = float(np.sum(np.log(ratio) * vol * backend.weights))
@@ -226,7 +220,7 @@ def k_energy_modified(backend: GeometryBackend, phi) -> tuple[float, float]:
 def sigma_energy(backend: GeometryBackend, phi,
                  omega) -> tuple[ScalarField, float]:
     """sigma = theta(chi_phi) - tr(chi_phi^{-1} omega) and E = int sigma^2 dV."""
-    values = backend.check_field(_values(phi), "potential")
+    values = backend.check_field(phi, "potential")
     om = backend.raw_form(omega)
     chi = backend.metric(values, "sigma energy")
     sigma = backend.theta(values) - backend.trace(chi, om)
@@ -241,7 +235,7 @@ def extremal_residual(backend: GeometryBackend, phi) -> ScalarField:
     the directional derivative of k_energy_modified equal to minus the
     pairing with this residual.
     """
-    values = backend.check_field(_values(phi), "potential")
+    values = backend.check_field(phi, "potential")
     chi = build_metric(backend, backend.base_form(), values)
     chi.require_kahler("extremal residual")
     curv = trace_with(chi, ricci_form(backend, chi))
@@ -273,7 +267,7 @@ class FunctionalReport:
 def functional_report(backend: GeometryBackend, phi, omega,
                       c: float | None = None) -> FunctionalReport:
     """Evaluate the full functional family at one potential, in one walk."""
-    values = backend.check_field(_values(phi), "potential")
+    values = backend.check_field(phi, "potential")
     omega0 = -ricci_form(backend, backend.base_form())
     m_vol, m_theta, (m_om, m_ric) = _path_moments(backend, values,
                                                   (omega, omega0))

@@ -84,7 +84,6 @@ class GeometryBackend:
     grid_shape: tuple[int, ...]
     spacing: float
     weights: np.ndarray | float
-    has_vector_field: bool
     tail_bound: float
     _base_raw: np.ndarray
 
@@ -185,7 +184,6 @@ class TorusBackend(GeometryBackend):
     """
 
     name = "torus"
-    has_vector_field = False
     tail_bound = 0.0
 
     def __init__(self, shape: tuple[int, ...] | int,
@@ -303,7 +301,6 @@ class SphereBackend(GeometryBackend):
 
     name = "sphere"
     n = 1
-    has_vector_field = True
 
     def __init__(self, size: int, s_max: float = 12.0):
         size = int(size)

@@ -370,3 +370,23 @@ def test_report_subcommand_runs_enabled_sections(tmp_path):
     assert {"trajectory.csv", "final_state.json", "functional_report.json",
             "hypothesis_report.json", "probe_summary.json",
             "config.effective.cfg"} <= listing
+
+
+def test_report_sets_up_its_geometry_once(tmp_path, monkeypatch):
+    # the flow, the cone check and the probes share one backend and form
+    calls = {"build_backend": 0, "build_reference": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name, original in (("build_backend", build_backend),
+                           ("build_reference", build_reference)):
+        monkeypatch.setattr(f"jflow.cli.{name}", counted(name, original))
+    cfg = write_cfg(tmp_path, FAST_SPHERE + "geodesic.enabled = true\n")
+    out = str(tmp_path / "run")
+    assert main(["report", "--config", cfg, "--out", out]) == 0
+    assert "probe_summary.json" in os.listdir(out)
+    assert calls == {"build_backend": 1, "build_reference": 1}

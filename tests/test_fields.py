@@ -6,9 +6,7 @@ from jflow import (
     ConvexityLost,
     GeometryError,
     HermitianFormField,
-    Normalization,
     NotKahlerError,
-    PotentialField,
     ShapeMismatchError,
     UnsupportedBackend,
 )
@@ -28,16 +26,6 @@ def test_config_error_carries_line():
     err = ConfigError("bad value", line="flow.t_max = banana")
     assert err.line == "flow.t_max = banana"
     assert ConfigError("no line").line is None
-
-
-def test_potential_field_defaults_and_finiteness():
-    phi = PotentialField(np.zeros(8))
-    assert phi.normalization is Normalization.MEAN_ZERO
-    assert phi.grid_shape == (8,)
-    with pytest.raises(GeometryError):
-        PotentialField(np.array([0.0, np.nan]))
-    with pytest.raises(GeometryError):
-        PotentialField(np.array([np.inf, 0.0]))
 
 
 def test_form_field_symmetrizes_exactly():

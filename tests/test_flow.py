@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +21,7 @@ from jflow import (
     trace_with,
 )
 import oracles
-from jflow.flow import _Diagnostics, _Kernel, initial_state, step
+from jflow.flow import _Diagnostics, _Kernel, _start
 from jflow.geometry import SphereBackend, _periodic_neighbours
 from jflow.potentials import hessian_offset_potential, named_potential
 
@@ -32,6 +34,10 @@ def torus_target_form(backend, amplitude=0.3, scale=2.0):
     from jflow import complex_hessian
     density = scale + complex_hessian(backend, psi)[..., 0, 0]
     return backend.form(density[:, None, None])
+
+
+def _make_kernel(problem):
+    return _Kernel(problem.backend, problem.omega, problem.level)
 
 
 # --- right-hand side ---------------------------------------------------------
@@ -148,17 +154,17 @@ def test_level_defaults_to_class_ratio(torus64):
 def test_initial_state_caps_dt(torus64):
     omega = torus64.base_form()
     problem = FlowProblem(backend=torus64, omega=omega, cfl_safety=0.3)
-    st = initial_state(problem)
+    st, _ = _start(problem, _make_kernel(problem), None)
     assert st.dt <= 0.3 * torus64.spacing**2 / 0.25 + 1e-15
     tiny = FlowProblem(backend=torus64, omega=omega, dt_init=1e-9)
-    assert initial_state(tiny).dt == 1e-9
+    assert _start(tiny, _make_kernel(tiny), None)[0].dt == 1e-9
 
 
 def test_single_step_advances(torus64):
     omega = torus_target_form(torus64)
     problem = FlowProblem(backend=torus64, omega=omega)
-    st0 = initial_state(problem)
-    st1 = step(problem, st0)
+    st0, _ = _start(problem, _make_kernel(problem), None)
+    st1 = run_flow(replace(problem, max_steps=1)).state
     assert st1.t > 0.0
     assert st1.step_count == 1
     assert not np.array_equal(st1.phi, st0.phi)
@@ -264,6 +270,23 @@ def test_flow_log_thinning_and_final_row(torus64):
     assert last.dE_dt_measured < 0.0
     assert abs(last.dE_dt_measured - last.dE_dt_predicted) \
         <= 0.05 * abs(last.dE_dt_predicted)
+
+
+def test_flow_converging_on_a_thinned_step_keeps_its_row(torus64):
+    problem = FlowProblem(backend=torus64, omega=torus_target_form(torus64),
+                          method="rosenbrock", t_max=60.0,
+                          residual_target=1e-6)
+    full = run_flow(problem)
+    steps = full.state.step_count
+    assert full.converged and steps > 2
+    # steps % (steps - 1) == 1: log_every thins out the converging step
+    result = run_flow(replace(problem, log_every=steps - 1))
+    assert result.converged and result.state.step_count == steps
+    assert [r.t for r in result.records] == \
+        [full.records[k].t for k in (0, steps - 1, steps)]
+    assert result.records[-1].t == result.state.t
+    assert result.records[-1] == full.records[-1]
+    assert result.residual < problem.residual_target
 
 
 def test_flow_snapshot_budget(torus64):

@@ -30,13 +30,12 @@ from jflow.flow import (
     _advance,
     _attempt_step,
     _Kernel,
-    _make_kernel,
     _rosenbrock,
     _start,
 )
 from jflow.potentials import hessian_offset_potential
 from test_acceptance import limit_density, torus_reference
-from test_flow import _jacobian_case, torus_target_form
+from test_flow import _jacobian_case, _make_kernel, torus_target_form
 
 
 def _reference(b):
