@@ -8,10 +8,13 @@ measures):
     mixed density     A ^ chi^(n-1) / (n-1)! ->  tr(chi^{-1} A) det(chi) * weights
 
 Every path functional integrates phi_dot against a density along the
-same piecewise-linear route from 0 to phi, so one walk per potential
-gives the path moments M_vol = int phi_dot vol_t, M_theta = int phi_dot
-theta_t vol_t and, for each form A, M_mixed(A) = int phi_dot mixed(A)_t.
-Each functional is a fixed combination (c(A) is the level constant):
+same piecewise-linear route from 0 to phi, so one walk gives the path
+moments M_vol = int phi_dot vol_t, M_theta = int phi_dot theta_t vol_t
+and, for each form A, M_mixed(A) = int phi_dot mixed(A)_t.  The walk
+takes a stack of potentials on a leading axis and walks all of them in
+one stacked pass, as ``convexity_probe`` does with a path's nodes; each
+public functional is the one-row case of its stacked form.  Each
+functional is a fixed combination (c(A) is the level constant):
 
     J                 = int phi vol_0 - M_vol
     (I - J) by path   = M_mixed(chi_0) - n M_vol
@@ -57,34 +60,67 @@ ENTROPY_FLOOR = -1e-8
 
 @lru_cache(maxsize=None)
 def _lobatto_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Lobatto nodes and weights on [0, 1], exact to degree n + 1."""
+    """Gauss-Lobatto nodes and weights on [0, 1], exact to degree n + 1.
+
+    The k-node rule's interior nodes are the roots of P_{k-1}', that is
+    of the Jacobi polynomial P^(1,1)_{k-2}: the eigenvalues of its Jacobi
+    matrix, whose off-diagonal entries are sqrt(j (j + 2) / ((2 j + 1)
+    (2 j + 3))).  The weights are 2 / (k (k - 1) P_{k-1}(x)^2), with
+    P_{k-1} from Bonnet's recurrence.
+    """
     k = -(-(n + 4) // 2)
-    p = np.polynomial.legendre.Legendre.basis(k - 1)
-    x = np.concatenate([[-1.0], np.sort(p.deriv().roots().real), [1.0]])
-    w = 2.0 / (k * (k - 1) * p(x) ** 2)
+    j = np.arange(1.0, k - 2)
+    off = np.sqrt(j * (j + 2.0) / ((2.0 * j + 1.0) * (2.0 * j + 3.0)))
+    interior = np.linalg.eigvalsh(np.diag(off, 1), UPLO="U")
+    x = np.concatenate([[-1.0], interior, [1.0]])
+    p_prev, p = np.ones_like(x), x
+    for d in range(1, k - 1):
+        p_prev, p = p, ((2 * d + 1) * x * p - d * p_prev) / (d + 1)
+    w = 2.0 / (k * (k - 1) * p ** 2)
     nodes, weights = 0.5 * (x + 1.0), 0.5 * w
     # Cached and shared between callers, so frozen.
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
-def _path_moments(backend: GeometryBackend, phi, forms=(), waypoints=None,
-                  theta: bool = True) -> tuple[float, float | None, list[float]]:
-    """(M_vol, M_theta, [M_mixed(A) for A in forms]) along the route to phi.
+def _stack(backend: GeometryBackend, phi) -> np.ndarray:
+    """One potential, checked against the grid, as a stack of one row."""
+    return backend.check_field(phi, "potential")[None]
 
-    One walk: each segment is sampled at the Gauss-Lobatto nodes, one
-    checked raw metric per node serves every moment, and nodes are
-    accumulated in a fixed order so results are deterministic.  With
-    theta=False the walk skips theta_t and M_theta is None; each moment
-    is reduced on its own, so the others do not change.
+
+def _grid_sum(backend: GeometryBackend, values: np.ndarray) -> np.ndarray:
+    """The sum over the trailing grid axes: one value per leading index."""
+    return np.sum(values, axis=tuple(range(-len(backend.grid_shape), 0)))
+
+
+def _one_row(rows, backend: GeometryBackend, phi, *args) -> float:
+    """The stacked functional ``rows(backend, phis, *args)`` at one phi."""
+    return float(rows(backend, _stack(backend, phi), *args)[0])
+
+
+def _path_moments(backend: GeometryBackend, phis: np.ndarray, forms=(),
+                  waypoints=None, theta: bool = True
+                  ) -> tuple[np.ndarray, np.ndarray | None, list[np.ndarray]]:
+    """(M_vol, M_theta, [M_mixed(A) for A in forms]) along the route to
+    each row of phis, a stack of potentials on a leading axis; each
+    moment holds one value per row.
+
+    A path is walked in one stacked pass: each segment is sampled at the
+    Gauss-Lobatto nodes, one checked raw metric of the whole stack per
+    node serves every moment of every row, and nodes are accumulated in
+    a fixed order.  Each row gets the bits it would get alone, so the
+    results are deterministic and do not depend on the stack.  The
+    waypoints are shared by every row.  With theta=False the walk skips
+    theta_t and M_theta is None; each moment is reduced on its own, so
+    the others do not change.
     """
-    route = [np.zeros(backend.grid_shape)]
-    route += [backend.check_field(w, "waypoint")
+    route = [np.zeros((1,) + backend.grid_shape)]
+    route += [backend.check_field(w, "waypoint")[None]
               for w in (() if waypoints is None else waypoints)]
-    route.append(backend.check_field(phi, "potential"))
+    route.append(phis)
     oms = [backend.raw_form(form) for form in forms]
     t_nodes, coeff = _lobatto_rule(backend.n)
-    total = np.zeros(1 + theta + len(oms))
+    total = np.zeros((1 + theta + len(oms), len(phis)))
     for phi_a, phi_b in zip(route[:-1], route[1:]):
         rate = phi_b - phi_a
         for t, ck in zip(t_nodes, coeff):
@@ -94,21 +130,17 @@ def _path_moments(backend: GeometryBackend, phi, forms=(), waypoints=None,
             rows = [vol, backend.theta(phi_t) * vol] if theta else [vol]
             dens = np.stack(rows + [backend.trace(chi_t, om) * vol
                                     for om in oms])
-            total += ck * np.sum(rate * dens * backend.weights,
-                                 axis=tuple(range(1, dens.ndim)))
-    m_theta = float(total[1]) if theta else None
-    return float(total[0]), m_theta, [float(m) for m in total[1 + theta:]]
+            total += ck * _grid_sum(backend, rate * dens * backend.weights)
+    return total[0], total[1] if theta else None, list(total[1 + theta:])
 
 
-def _j_hat_of(backend: GeometryBackend, omega, m_vol: float,
-              m_mixed: float) -> float:
+def _j_hat_of(backend: GeometryBackend, omega, m_vol, m_mixed):
     return m_mixed - backend.n * level_constant(backend, omega) * m_vol
 
 
-def _j_of(backend: GeometryBackend, phi, m_vol: float) -> float:
-    values = backend.check_field(phi, "potential")
+def _j_of(backend: GeometryBackend, phis: np.ndarray, m_vol) -> np.ndarray:
     vol0 = backend.base_form().det()
-    return float(np.sum(values * vol0 * backend.weights)) - m_vol
+    return _grid_sum(backend, phis * vol0 * backend.weights) - m_vol
 
 
 def level_constant(backend: GeometryBackend, omega,
@@ -141,45 +173,74 @@ class AubinEnergies:
         return abs(self.i_minus_j - self.i_minus_j_path)
 
 
-def aubin_i(backend: GeometryBackend, phi) -> float:
-    values = backend.check_field(phi, "potential")
-    chi = backend.metric(values, "aubin energies")
+# Each functional below is written once, on a stack of potentials
+# (``_*_rows``); the public function is its one-row case.
+
+def _aubin_i_rows(backend: GeometryBackend, phis: np.ndarray) -> np.ndarray:
+    chi = backend.metric(phis, "aubin energies")
     diff = backend.base_form().det() - backend.det(chi)
-    return float(np.sum(values * diff * backend.weights))
+    return _grid_sum(backend, phis * diff * backend.weights)
+
+
+def aubin_i(backend: GeometryBackend, phi) -> float:
+    return _one_row(_aubin_i_rows, backend, phi)
+
+
+def _aubin_j_rows(backend: GeometryBackend, phis: np.ndarray,
+                  waypoints=None) -> np.ndarray:
+    m_vol, _, _ = _path_moments(backend, phis, waypoints=waypoints,
+                                theta=False)
+    return _j_of(backend, phis, m_vol)
 
 
 def aubin_j(backend: GeometryBackend, phi, waypoints=None) -> float:
-    m_vol, _, _ = _path_moments(backend, phi, waypoints=waypoints,
-                                theta=False)
-    return _j_of(backend, phi, m_vol)
+    return _one_row(_aubin_j_rows, backend, phi, waypoints)
 
 
 def aubin_ij(backend: GeometryBackend, phi) -> AubinEnergies:
     """I and J plus a cross-check of I - J against its path formula."""
-    i_val = aubin_i(backend, phi)
-    m_vol, _, (m_base,) = _path_moments(backend, phi, (backend.base_form(),),
+    phis = _stack(backend, phi)
+    i_val = float(_aubin_i_rows(backend, phis)[0])
+    m_vol, _, (m_base,) = _path_moments(backend, phis, (backend.base_form(),),
                                         theta=False)
-    j_val = _j_of(backend, phi, m_vol)
+    j_val = float(_j_of(backend, phis, m_vol)[0])
     return AubinEnergies(I=i_val, J=j_val, i_minus_j=i_val - j_val,
-                         i_minus_j_path=m_base - backend.n * m_vol)
+                         i_minus_j_path=float(m_base[0] - backend.n * m_vol[0]))
 
 
-def j_hat(backend: GeometryBackend, omega, phi, waypoints=None) -> float:
-    """Path integral of phi_dot (mixed(omega) - n c vol) along the route."""
-    m_vol, _, (m_om,) = _path_moments(backend, phi, (omega,), waypoints,
+def _j_hat_rows(backend: GeometryBackend, phis: np.ndarray, omega,
+                waypoints=None) -> np.ndarray:
+    m_vol, _, (m_om,) = _path_moments(backend, phis, (omega,), waypoints,
                                       theta=False)
     return _j_hat_of(backend, omega, m_vol, m_om)
 
 
+def j_hat(backend: GeometryBackend, omega, phi, waypoints=None) -> float:
+    """Path integral of phi_dot (mixed(omega) - n c vol) along the route."""
+    return _one_row(_j_hat_rows, backend, phi, omega, waypoints)
+
+
 def theta_path_term(backend: GeometryBackend, phi, waypoints=None) -> float:
     """Path integral of phi_dot theta(chi_t) dV_t, the symmetry coupling."""
-    return _path_moments(backend, phi, waypoints=waypoints)[1]
+    return float(_path_moments(backend, _stack(backend, phi),
+                               waypoints=waypoints)[1][0])
+
+
+def _j_tilde_rows(backend: GeometryBackend, phis: np.ndarray, omega,
+                  waypoints=None) -> np.ndarray:
+    m_vol, m_theta, (m_om,) = _path_moments(backend, phis, (omega,), waypoints)
+    return _j_hat_of(backend, omega, m_vol, m_om) + m_theta
 
 
 def j_tilde(backend: GeometryBackend, omega, phi, waypoints=None) -> float:
     """j_hat plus the symmetry coupling term (equals j_hat when X = 0)."""
-    m_vol, m_theta, (m_om,) = _path_moments(backend, phi, (omega,), waypoints)
-    return _j_hat_of(backend, omega, m_vol, m_om) + m_theta
+    return _one_row(_j_tilde_rows, backend, phi, omega, waypoints)
+
+
+def _j_flow_rows(backend: GeometryBackend, phis: np.ndarray, omega,
+                 waypoints=None) -> np.ndarray:
+    m_vol, m_theta, (m_om,) = _path_moments(backend, phis, (omega,), waypoints)
+    return _j_hat_of(backend, omega, m_vol, m_om) - m_theta
 
 
 def j_flow(backend: GeometryBackend, omega, phi, waypoints=None) -> float:
@@ -189,20 +250,31 @@ def j_flow(backend: GeometryBackend, omega, phi, waypoints=None) -> float:
     stationary states of the flow; it decreases along trajectories.
     Coincides with j_tilde when the vector field vanishes.
     """
-    m_vol, m_theta, (m_om,) = _path_moments(backend, phi, (omega,), waypoints)
-    return _j_hat_of(backend, omega, m_vol, m_om) - m_theta
+    return _one_row(_j_flow_rows, backend, phi, omega, waypoints)
+
+
+def _entropy_rows(backend: GeometryBackend, phis: np.ndarray) -> np.ndarray:
+    vol = backend.det(backend.metric(phis, "entropy"))
+    ratio = vol / backend.base_form().det()
+    val = _grid_sum(backend, np.log(ratio) * vol * backend.weights)
+    if val.min() < ENTROPY_FLOOR:
+        # Total volumes agree exactly on both backends, so Jensen bounds
+        # the discrete value below by zero up to round-off.
+        raise GeometryError(
+            f"entropy {val.min():.3e} violates the Jensen floor")
+    return val
 
 
 def entropy(backend: GeometryBackend, phi) -> float:
-    values = backend.check_field(phi, "potential")
-    vol = backend.det(backend.metric(values, "entropy"))
-    ratio = vol / backend.base_form().det()
-    val = float(np.sum(np.log(ratio) * vol * backend.weights))
-    if val < ENTROPY_FLOOR:
-        # Total volumes agree exactly on both backends, so Jensen bounds
-        # the discrete value below by zero up to round-off.
-        raise GeometryError(f"entropy {val:.3e} violates the Jensen floor")
-    return val
+    return _one_row(_entropy_rows, backend, phi)
+
+
+def _k_energy_rows(backend: GeometryBackend,
+                   phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    omega0 = -ricci_form(backend, backend.base_form())
+    m_vol, m_theta, (m_ric,) = _path_moments(backend, phis, (omega0,))
+    mu = _entropy_rows(backend, phis) + _j_hat_of(backend, omega0, m_vol, m_ric)
+    return mu, mu + m_theta
 
 
 def k_energy(backend: GeometryBackend, phi) -> float:
@@ -211,10 +283,8 @@ def k_energy(backend: GeometryBackend, phi) -> float:
 
 def k_energy_modified(backend: GeometryBackend, phi) -> tuple[float, float]:
     """(mu, mu_tilde): entropy plus j_hat / j_tilde against -Ric(chi0)."""
-    omega0 = -ricci_form(backend, backend.base_form())
-    m_vol, m_theta, (m_ric,) = _path_moments(backend, phi, (omega0,))
-    mu = entropy(backend, phi) + _j_hat_of(backend, omega0, m_vol, m_ric)
-    return mu, mu + m_theta
+    mu, mu_tilde = _k_energy_rows(backend, _stack(backend, phi))
+    return float(mu[0]), float(mu_tilde[0])
 
 
 def sigma_energy(backend: GeometryBackend, phi,
@@ -267,22 +337,22 @@ class FunctionalReport:
 def functional_report(backend: GeometryBackend, phi, omega,
                       c: float | None = None) -> FunctionalReport:
     """Evaluate the full functional family at one potential, in one walk."""
-    values = backend.check_field(phi, "potential")
+    phis = _stack(backend, phi)
     omega0 = -ricci_form(backend, backend.base_form())
-    m_vol, m_theta, (m_om, m_ric) = _path_moments(backend, values,
+    m_vol, m_theta, (m_om, m_ric) = _path_moments(backend, phis,
                                                   (omega, omega0))
     jh = _j_hat_of(backend, omega, m_vol, m_om)
-    ent = entropy(backend, values)
+    ent = _entropy_rows(backend, phis)
     mu = ent + _j_hat_of(backend, omega0, m_vol, m_ric)
-    _, e_val = sigma_energy(backend, values, omega)
+    _, e_val = sigma_energy(backend, phis[0], omega)
     return FunctionalReport(
         c=level_constant(backend, omega) if c is None else float(c),
-        I=aubin_i(backend, values),
-        J=_j_of(backend, values, m_vol),
-        j_hat=jh,
-        j_tilde=jh + m_theta,
-        entropy=ent,
-        k_energy=mu,
-        k_energy_modified=mu + m_theta,
+        I=float(_aubin_i_rows(backend, phis)[0]),
+        J=float(_j_of(backend, phis, m_vol)[0]),
+        j_hat=float(jh[0]),
+        j_tilde=float(jh[0] + m_theta[0]),
+        entropy=float(ent[0]),
+        k_energy=float(mu[0]),
+        k_energy_modified=float(mu[0] + m_theta[0]),
         E=e_val,
     )

@@ -17,7 +17,7 @@ entry point refuses torus backends with UnsupportedBackend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 from typing import Callable, Sequence
 
@@ -25,9 +25,10 @@ import numpy as np
 
 from .fields import (ConvexityLost, GeometryError, HermitianFormField,
                      ScalarField, UnsupportedBackend)
-from .functionals import (aubin_i, aubin_j, entropy, j_flow, j_hat, j_tilde,
-                          k_energy, k_energy_modified)
-from .geometry import GeometryBackend, SphereBackend, integrate
+from .functionals import (_aubin_i_rows, _aubin_j_rows, _entropy_rows,
+                          _j_flow_rows, _j_hat_rows, _j_tilde_rows,
+                          _k_energy_rows)
+from .geometry import GeometryBackend, SphereBackend
 
 # Root tolerance in the moment variable for both transform directions.
 LEGENDRE_TOL = 1e-10
@@ -130,7 +131,9 @@ class _Quintic:
     the nodes rather than only at the knots keeps |x - node| within a
     cell, and with it the round-off of the high-order terms.  ``values``
     holds one column per trailing index, and evaluation at x returns
-    arrays of shape x.shape + values.shape[1:].
+    arrays of shape x.shape + values.shape[1:].  ``coef[d]`` holds the
+    degree-d coefficients at every node, so each Horner term is one
+    contiguous slice.
     """
 
     def __init__(self, m: np.ndarray, values: np.ndarray):
@@ -138,23 +141,23 @@ class _Quintic:
         fit = _quintic_fit(self.nodes.tobytes())
         values = np.asarray(values, dtype=float)
         taylor = (fit @ values.reshape(m.size, -1)).reshape(m.size, 6, -1)
-        # Degree last, so one gather per evaluation fetches whole polynomials.
-        self.coef = np.ascontiguousarray(np.moveaxis(taylor, 1, -1)).reshape(
-            m.size, *values.shape[1:], 6)
+        self.coef = np.ascontiguousarray(np.moveaxis(taylor, 1, 0)).reshape(
+            6, m.size, *values.shape[1:])
 
     def __call__(self, x: np.ndarray, *orders: int) -> list[np.ndarray]:
         """The derivatives of the given orders (0 is the value) at x."""
-        node = np.clip(np.searchsorted(self.nodes, x, side="right") - 1,
-                       0, self.nodes.size - 1)
-        coef = self.coef[node]
+        # The last node at or left of x, else the first: counting the
+        # nodes after the first that are <= x needs no clip.
+        node = np.searchsorted(self.nodes[1:], x, side="right")
+        coef = np.take(self.coef, node, axis=1)
         dx = (x - self.nodes[node]).reshape(
             node.shape + (1,) * (coef.ndim - node.ndim - 1))
         out = []
         for nu in orders:
-            # Horner on the nu-th derivative of sum_d coef[..., d] dx^d.
-            acc = coef[..., 5] * (factorial(5) // factorial(5 - nu))
+            # Horner on the nu-th derivative of sum_d coef[d] dx^d.
+            acc = coef[5] * (factorial(5) // factorial(5 - nu))
             for d in range(4, nu - 1, -1):
-                acc = acc * dx + coef[..., d] * (factorial(d) // factorial(d - nu))
+                acc = acc * dx + coef[d] * (factorial(d) // factorial(d - nu))
             out.append(acc)
         return out
 
@@ -251,8 +254,15 @@ def _inverse_rows(sphere: SphereBackend, deviations: np.ndarray,
     columns = _Quintic(m, deviations)
 
     def deviation(x, *orders):
-        return [np.sum(d * weights[:, None, :], axis=-1)
-                for d in columns(x, *orders)]
+        # The weighted columns added in column order: the same sums as
+        # np.sum over the column axis, without a reduction per call.
+        out = []
+        for d in columns(x, *orders):
+            acc = d[..., 0] * weights[:, None, 0]
+            for j in range(1, weights.shape[1]):
+                acc = acc + d[..., j] * weights[:, None, j]
+            out.append(acc)
+        return out
 
     def slope(x):
         rho0 = x * (1.0 - x)
@@ -313,7 +323,8 @@ def geodesic_path(backend: GeometryBackend, phi_a, phi_b,
     ``steps`` is the number of samples returned, at uniform t in [0, 1];
     the path is affine between the endpoint symplectic potentials, which
     is what solves the geodesic equation in this reduction.  All samples
-    are solved together, and every sample is positivity-checked.
+    are solved together, and every sample is positivity-checked, in one
+    stacked metric check.
     """
     sphere = _require_sphere(backend)
     if steps < 2:
@@ -323,8 +334,7 @@ def geodesic_path(backend: GeometryBackend, phi_a, phi_b,
                      legendre_transform(sphere, phi_b).values - u0], axis=1)
     ts = np.linspace(0.0, 1.0, steps)
     rows = _inverse_rows(sphere, ends, np.stack([1.0 - ts, ts], axis=1))
-    for phi_t in rows:
-        sphere.metric(phi_t, "geodesic sample")
+    sphere.metric(rows, "geodesic sample")
     return list(rows)
 
 
@@ -335,40 +345,39 @@ def geodesic_residual(backend: GeometryBackend,
     Time derivatives are central differences at the path's own node
     spacing, so for an exact geodesic this decays like the square of
     the grid and node spacings together.  Every interior node must be
-    Kahler, as on every other geodesic entry point.
+    Kahler, as on every other geodesic entry point; all of them are
+    checked, and their residuals taken, on one stack.
     """
     sphere = _require_sphere(backend)
     if len(path) < 3:
         raise GeometryError("residual needs at least three path nodes")
     arr = np.stack([sphere.check_field(p, "path node") for p in path])
     dt = 1.0 / (len(path) - 1)
-    worst = 0.0
-    for k in range(1, len(path) - 1):
-        accel = (arr[k + 1] - 2.0 * arr[k] + arr[k - 1]) / dt**2
-        vel = (arr[k + 1] - arr[k - 1]) / (2.0 * dt)
-        rho = sphere.metric(arr[k], "geodesic residual")
-        residual = accel - sphere.vector_field_action(vel)**2 / rho
-        worst = max(worst, float(np.abs(residual).max()))
-    return worst
+    accel = (arr[2:] - 2.0 * arr[1:-1] + arr[:-2]) / dt**2
+    vel = (arr[2:] - arr[:-2]) / (2.0 * dt)
+    rho = sphere.metric(arr[1:-1], "geodesic residual")
+    residual = accel - (sphere.mprime * sphere._moment_derivative(vel))**2 / rho
+    return float(np.abs(residual).max())
 
 
-def _mean_value(backend, phi, omega):
-    return integrate(backend, phi) / backend.volume
+def _mean_rows(backend, phis):
+    return np.sum(phis * backend.volume_density(), axis=-1) / backend.volume
 
 
+# The probed functionals, each on a stack of potentials (one per row).
 _OMEGA_FREE = {
-    "i": lambda b, phi, om: aubin_i(b, phi),
-    "j": lambda b, phi, om: aubin_j(b, phi),
-    "entropy": lambda b, phi, om: entropy(b, phi),
-    "k_energy": lambda b, phi, om: k_energy(b, phi),
-    "k_energy_modified": lambda b, phi, om: k_energy_modified(b, phi)[1],
-    "mean": _mean_value,
+    "i": _aubin_i_rows,
+    "j": _aubin_j_rows,
+    "entropy": _entropy_rows,
+    "k_energy": lambda b, phis: _k_energy_rows(b, phis)[0],
+    "k_energy_modified": lambda b, phis: _k_energy_rows(b, phis)[1],
+    "mean": _mean_rows,
 }
 
 _OMEGA_BOUND = {
-    "j_hat": lambda b, phi, om: j_hat(b, om, phi),
-    "j_tilde": lambda b, phi, om: j_tilde(b, om, phi),
-    "j_flow": lambda b, phi, om: j_flow(b, om, phi),
+    "j_hat": _j_hat_rows,
+    "j_tilde": _j_tilde_rows,
+    "j_flow": _j_flow_rows,
 }
 
 FUNCTIONAL_IDS = tuple(sorted(_OMEGA_FREE) + sorted(_OMEGA_BOUND))
@@ -401,19 +410,21 @@ def convexity_probe(backend: GeometryBackend, functional_id: str,
                     path: Sequence, omega=None) -> ProbeReport:
     """Evaluate a named functional along a path and report convexity.
 
-    The probe reports raw second differences, negative ones included;
-    it never rejects a path for failing to be convex.  ``omega``
-    defaults to the base form and must be positive for the functionals
-    that pair against it.
+    The path is walked in one stacked pass: the functional is evaluated
+    at every node in one call, on the stack of node potentials, so
+    shared set-up such as the level constant c(omega) is done once per
+    probe.  Each node's value is the one the public scalar functional
+    gives it.  The probe reports raw second differences, negative ones
+    included; it never rejects a path for failing to be convex.
+    ``omega`` defaults to the base form and must be positive for the
+    functionals that pair against it.
     """
     sphere = _require_sphere(backend)
     if len(path) < 3:
         raise GeometryError("a convexity probe needs at least three path nodes")
     if functional_id in _OMEGA_FREE:
-        fn = _OMEGA_FREE[functional_id]
-        om = omega
+        evaluate = _OMEGA_FREE[functional_id]
     elif functional_id in _OMEGA_BOUND:
-        fn = _OMEGA_BOUND[functional_id]
         if omega is None:
             om = sphere.base_form()
         elif isinstance(omega, HermitianFormField):
@@ -421,11 +432,13 @@ def convexity_probe(backend: GeometryBackend, functional_id: str,
         else:
             om = sphere.form(np.asarray(omega, dtype=float))
         om.require_kahler(f"{functional_id} probe reference")
+        evaluate = partial(_OMEGA_BOUND[functional_id], omega=om)
     else:
         raise GeometryError(
             f"unknown functional id {functional_id!r}; expected one of "
             f"{', '.join(FUNCTIONAL_IDS)}")
     ts = np.linspace(0.0, 1.0, len(path))
-    values = np.array([fn(sphere, p, om) for p in path])
+    values = evaluate(sphere, np.stack([sphere.check_field(p, "path node")
+                                        for p in path]))
     return ProbeReport(functional_id=functional_id, ts=ts, values=values,
                        second_differences=np.diff(values, 2))

@@ -35,12 +35,13 @@ from .fields import (
 )
 
 
-def _periodic_neighbours(values: np.ndarray, axis: int = 0):
+def _periodic_neighbours(values: np.ndarray, axis: int = -1):
     """The periodic neighbours of every node along `axis`: np.roll(values,
     -1, axis) and np.roll(values, 1, axis), as views of one copy padded
     with a wrapped node at each end."""
+    axis %= values.ndim
     if axis:
-        up, down = _periodic_neighbours(values.swapaxes(0, axis))
+        up, down = _periodic_neighbours(values.swapaxes(0, axis), 0)
         return up.swapaxes(0, axis), down.swapaxes(0, axis)
     padded = np.concatenate((values[-1:], values, values[:1]))
     return padded[2:], padded[:-2]
@@ -63,10 +64,14 @@ class GeometryBackend:
     work on raw arrays: a form is its density when ``n == 1``, else its
     matrix stack, and ``raw_form`` unwraps one, checking its shape
     against the grid.  ``_complex_hessian`` is the raw body of
-    ``complex_hessian``.  The raw operations:
+    ``complex_hessian``.  metric, theta, stage, det and trace act on the
+    trailing grid (and matrix) axes, so each also takes a stack of
+    fields on leading axes and gives each row the bits it would get
+    alone; the reductions take one field.  The raw operations:
 
         metric(phi, context)   chi0 + complex_hessian(phi), checked finite
-                               and positive (NotKahlerError names context)
+                               and positive at every node of every row
+                               (NotKahlerError names context)
         theta(phi)             theta0 + X(phi); the scalar 0 on the torus
         stage(phi)             (metric(phi, "flow stage"), theta(phi))
         det(chi), trace(chi, om)
@@ -224,15 +229,17 @@ class TorusBackend(GeometryBackend):
         return self._base
 
     def _complex_hessian(self, phi: np.ndarray) -> np.ndarray:
-        """A quarter of the real Hessian, raw: a density when n == 1."""
+        """A quarter of the real Hessian, raw: a density when n == 1.
+        Grid axis k is axis k - n of phi, so stacks lead."""
         if self.n == 1:
-            return 0.25 * _periodic_second(phi, 0, self.deltas[0])
-        hess = np.empty(self.grid_shape + (self.n, self.n))
+            return 0.25 * _periodic_second(phi, -1, self.deltas[0])
+        hess = np.empty(phi.shape + (self.n, self.n))
         for k in range(self.n):
-            hess[..., k, k] = _periodic_second(phi, k, self.deltas[k])
+            hess[..., k, k] = _periodic_second(phi, k - self.n, self.deltas[k])
             for l in range(k + 1, self.n):
                 mixed = _periodic_central(
-                    _periodic_central(phi, k, self.deltas[k]), l, self.deltas[l])
+                    _periodic_central(phi, k - self.n, self.deltas[k]),
+                    l - self.n, self.deltas[l])
                 hess[..., k, l] = mixed
                 hess[..., l, k] = mixed
         return 0.25 * hess
@@ -253,7 +260,7 @@ class TorusBackend(GeometryBackend):
         return np.zeros(self.grid_shape)
 
     def _gradient(self, phi: np.ndarray) -> np.ndarray:
-        return np.stack([_periodic_central(phi, k, delta)
+        return np.stack([_periodic_central(phi, k - self.n, delta)
                          for k, delta in enumerate(self.deltas)], axis=-1)
 
     def gradient(self, phi: ScalarField) -> np.ndarray:
@@ -277,7 +284,7 @@ class TorusBackend(GeometryBackend):
 
     def dissipation(self, sigma, chi, om) -> float:
         if self.n == 1:
-            dsig = _periodic_central(sigma, 0, self.deltas[0])
+            dsig = _periodic_central(sigma, -1, self.deltas[0])
             return 0.25 * float(np.sum(dsig * dsig * om / chi) * self.weights)
         v = np.linalg.solve(chi, self._gradient(sigma)[..., None])[..., 0]
         return self.integral(
@@ -333,10 +340,13 @@ class SphereBackend(GeometryBackend):
         return self._base
 
     def _moment_derivative(self, phi: np.ndarray) -> np.ndarray:
+        # Along the trailing axis, indexed through the transposes, where
+        # it leads: the end nodes of one field stay scalars.
         out = np.empty_like(phi)
-        out[1:-1] = (phi[2:] - phi[:-2]) / (2.0 * self.delta)
-        out[0] = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / (2.0 * self.delta)
-        out[-1] = (3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / (2.0 * self.delta)
+        p, o = phi.T, out.T
+        o[1:-1] = (p[2:] - p[:-2]) / (2.0 * self.delta)
+        o[0] = (-3.0 * p[0] + 4.0 * p[1] - p[2]) / (2.0 * self.delta)
+        o[-1] = (3.0 * p[-1] - 4.0 * p[-2] + p[-3]) / (2.0 * self.delta)
         return out
 
     def moment_derivative(self, phi: ScalarField) -> ScalarField:
@@ -344,12 +354,14 @@ class SphereBackend(GeometryBackend):
         return self._moment_derivative(self.check_field(phi, "potential"))
 
     def _complex_hessian(self, phi: np.ndarray) -> np.ndarray:
-        """The flux-form Hessian density, zero flux through both ends."""
-        flux = self.mprime_half * (phi[1:] - phi[:-1]) / self.delta
+        """The flux-form Hessian density, zero flux through both ends,
+        along the trailing axis (transposed as in _moment_derivative)."""
+        flux = self.mprime_half * (phi[..., 1:] - phi[..., :-1]) / self.delta
         div = np.empty_like(phi)
-        div[0] = flux[0]
-        div[1:-1] = flux[1:] - flux[:-1]
-        div[-1] = -flux[-1]
+        f, d = flux.T, div.T
+        d[0] = f[0]
+        d[1:-1] = f[1:] - f[:-1]
+        d[-1] = -f[-1]
         return self.mprime * div / self.delta
 
     def jacobian_bands(self) -> tuple[np.ndarray, np.ndarray]:

@@ -294,7 +294,7 @@ def test_check_cone_subcommand(tmp_path):
     assert payload["epsilon"] == 0.1
 
 
-def test_geodesic_probe_thread_count_invariance(tmp_path):
+def test_geodesic_probe_rerun_is_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, FAST_SPHERE)
     # two runs of one config write the same bytes
     out1 = str(tmp_path / "a")

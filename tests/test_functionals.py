@@ -122,6 +122,26 @@ def test_path_rule_exact_to_degree_n_plus_one():
             assert abs(np.dot(w, t**degree) - 1.0 / (degree + 1)) < 1e-15
 
 
+def test_path_rule_matches_numpy_polynomial_rule():
+    # the rule numpy.polynomial gives (roots of P_{k-1}', weights from
+    # P_{k-1}): bit for bit at k = 3, the rule of every n <= 2, and to
+    # 1e-15 for k = 3 to 8 (n = 1 to 12)
+    from jflow.functionals import _lobatto_rule
+    for n in range(1, 13):
+        k = -(-(n + 4) // 2)
+        p = np.polynomial.legendre.Legendre.basis(k - 1)
+        x = np.concatenate([[-1.0], np.sort(p.deriv().roots().real), [1.0]])
+        w = 2.0 / (k * (k - 1) * p(x) ** 2)
+        t, c = _lobatto_rule(n)
+        assert t.size == k
+        assert not t.flags.writeable and not c.flags.writeable
+        if k == 3:
+            assert np.array_equal(t, 0.5 * (x + 1.0))
+            assert np.array_equal(c, 0.5 * w)
+        assert np.abs(t - 0.5 * (x + 1.0)).max() <= 1e-15
+        assert np.abs(c - 0.5 * w).max() <= 1e-15
+
+
 def test_path_functionals_match_simpson_oracle(sphere128, torus2d, rng):
     # the 3-node rule is exact for n <= 2, so 33-node composite Simpson
     # agrees with it to round-off on both dimensions

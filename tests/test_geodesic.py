@@ -12,10 +12,19 @@ from jflow import (
     NotKahlerError,
     SymplecticPotential,
     UnsupportedBackend,
+    aubin_i,
+    aubin_j,
+    build_metric,
     convexity_probe,
+    entropy,
     geodesic_path,
     geodesic_residual,
+    integrate,
     j_flow,
+    j_hat,
+    j_tilde,
+    k_energy,
+    k_energy_modified,
     legendre_inverse,
     legendre_transform,
     named_potential,
@@ -248,9 +257,17 @@ def test_residual_decays_with_node_count(sphere256):
 def test_residual_flags_non_geodesic(sphere256):
     pa = np.zeros(sphere256.grid_shape)
     pb = named_potential(sphere256, "translation", amplitude=1.0)
-    geo = geodesic_residual(sphere256, geodesic_path(sphere256, pa, pb, 17))
+    path = geodesic_path(sphere256, pa, pb, 17)
+    geo = geodesic_residual(sphere256, path)
     lin = geodesic_residual(sphere256, chord(pa, pb, 17))
     assert lin > 100.0 * geo
+    # the stacked residual is the node-by-node one, bit for bit
+    dt = 1.0 / 16
+    worst = max(np.abs(
+        (path[k + 1] - 2.0 * path[k] + path[k - 1]) / dt**2
+        - sphere256.vector_field_action((path[k + 1] - path[k - 1]) / (2.0 * dt))**2
+        / sphere256.metric(path[k], "node")).max() for k in range(1, 16))
+    assert geo == worst
 
 
 def test_residual_refuses_non_kahler_nodes(sphere64):
@@ -295,6 +312,48 @@ def test_probe_report_alignment(sphere128):
     k = int(np.argmin(rep.second_differences))
     assert rep.min_second_difference == rep.second_differences[k]
     assert rep.t_at_min == rep.ts[k + 1]
+
+
+def _scalar_functional(functional_id, backend, phi, omega):
+    if functional_id == "mean":
+        return integrate(backend, phi) / backend.volume
+    if functional_id == "k_energy_modified":
+        return k_energy_modified(backend, phi)[1]
+    if functional_id in ("j_hat", "j_tilde", "j_flow"):
+        return SCALARS[functional_id](backend, omega, phi)
+    return SCALARS[functional_id](backend, phi)
+
+
+SCALARS = {"i": aubin_i, "j": aubin_j, "entropy": entropy,
+           "k_energy": k_energy, "j_hat": j_hat, "j_tilde": j_tilde,
+           "j_flow": j_flow}
+
+
+@pytest.mark.parametrize("functional_id", FUNCTIONAL_IDS)
+def test_probe_walk_matches_scalar_functionals(functional_id, sphere64, rng):
+    # one stacked walk of the path gives every node the bits of the public
+    # scalar functional at that node, with the default and another omega
+    pa = random_kahler_potential(sphere64, rng, 0.5)
+    pb = random_kahler_potential(sphere64, rng, 0.5)
+    path = geodesic_path(sphere64, pa, pb, 7)
+    omega = build_metric(sphere64, sphere64.base_form(),
+                         random_kahler_potential(sphere64, rng, 0.3))
+    for om in (None, omega):
+        rep = convexity_probe(sphere64, functional_id, path, om)
+        want = [_scalar_functional(functional_id, sphere64, phi,
+                                   sphere64.base_form() if om is None else om)
+                for phi in path]
+        assert np.array_equal(rep.values, np.array(want))
+
+
+def test_probe_refuses_non_kahler_nodes(sphere64):
+    # one stacked metric check per walk node still names its context
+    bump = -3.0 * np.sin(4.0 * np.pi * sphere64.m)
+    for functional_id, context in (("j_tilde", "path quadrature node"),
+                                   ("i", "aubin energies"),
+                                   ("entropy", "entropy")):
+        with pytest.raises(NotKahlerError, match=context):
+            convexity_probe(sphere64, functional_id, chord(0.0 * bump, bump, 5))
 
 
 def test_mean_is_linear_along_chords(sphere256):

@@ -293,3 +293,53 @@ def test_sphere_grid_symmetric_about_half(sphere128):
     m = sphere128.m
     assert np.allclose(m + m[::-1], 1.0, atol=1e-15)
     assert sphere128.m_lo == m[0]
+
+
+# --- stacks of fields ---------------------------------------------------------
+
+def _stack_backend(kind, size):
+    if kind == "sphere":
+        return make_backend("sphere", size=size)
+    if kind == "torus":
+        return make_backend("torus", size=size)
+    # unequal sides, so a roll along the wrong grid axis cannot pass
+    return make_backend("torus", dim=2, size=(8 + size % 9, 8 + size // 9 % 7))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(kind=st.sampled_from(["sphere", "torus", "torus2d"]),
+       size=st.integers(16, 96), rows=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_raw_operators_match_row_by_row(kind, size, rows, seed):
+    # The raw operators act along the trailing grid axes: a stack of
+    # potentials on a leading axis gets, row for row, the bits each
+    # potential gets alone, and no stencil reaches across rows.
+    from jflow import random_kahler_potential
+    backend = _stack_backend(kind, size)
+    rng = np.random.default_rng(seed)
+    phis = np.stack([random_kahler_potential(backend, rng, 0.4)
+                     for _ in range(rows)])
+    om = backend.raw_form(build_metric(backend, backend.base_form(),
+                                       random_kahler_potential(backend, rng, 0.3)))
+    chi = backend.metric(phis, "stack")
+    alone = [backend.metric(phi, "row") for phi in phis]
+    assert chi.shape == (rows,) + alone[0].shape
+    assert np.array_equal(chi, np.stack(alone))
+    theta = np.broadcast_to(backend.theta(phis), phis.shape)
+    assert np.array_equal(theta, np.stack(
+        [np.broadcast_to(backend.theta(phi), phi.shape) for phi in phis]))
+    assert np.array_equal(backend.det(chi),
+                          np.stack([backend.det(c) for c in alone]))
+    assert np.array_equal(backend.trace(chi, om),
+                          np.stack([backend.trace(c, om) for c in alone]))
+
+
+@pytest.mark.parametrize("kind", ["sphere", "torus", "torus2d"])
+def test_stacked_metric_check_names_its_context(kind, rng):
+    # one non-Kahler row among Kahler ones fails the whole stacked check
+    from jflow import NotKahlerError, random_kahler_potential
+    backend = _stack_backend(kind, 32)
+    good = random_kahler_potential(backend, rng, 0.3)
+    bad = 50.0 * backend.spacing**2 * rng.normal(size=backend.grid_shape)
+    with pytest.raises(NotKahlerError, match="stacked sample"):
+        backend.metric(np.stack([good, bad, good]), "stacked sample")
