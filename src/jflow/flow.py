@@ -13,17 +13,17 @@ construction, since a step that raises it is rejected.
 
 Explicit RK4 stepping (the default) caps the step by
 cfl_safety * spacing^2 / (chart stiffness bound).  The linearly implicit
-method `rosenbrock` (ROS2 of Verwer, Spee, Blom and Hundsdorfer, with the
-exact Jacobian, on the one-dimensional geometries) has no such cap: its
-embedded first-order solution gives a local error estimate, and a
-standard controller sets the step from it.  J is tridiagonal (periodic on
-the torus line, with two one-sided end fills on the sphere), so each ROS2
-step forms the bands of I - gamma dt J from the backend's constant
-stencil bands and factorises them once, in O(N), for both stages; a step
-whose banded matrix is not strictly row diagonally dominant is rejected
-and halved.  With every method a step is rejected, and the step size
-halved, when positivity fails anywhere or E increases beyond round-off
-tolerance.
+method `rosenbrock` (RODAS3 of Sandu et al., Atmos. Environ. 31, 1997:
+order three, L-stable, with the exact Jacobian, on the one-dimensional
+geometries) has no such cap: its embedded second-order solution gives a
+local error estimate, and a standard controller sets the step from it.
+J is tridiagonal (periodic on the torus line, with two one-sided end
+fills on the sphere), so each step forms the bands of I - (dt/2) J from
+the backend's constant stencil bands and factorises them once, in O(N),
+for all four stages; a step whose banded matrix is not strictly row
+diagonally dominant is rejected and halved.  With every method a step is
+rejected, and the step size halved, when positivity fails anywhere or E
+increases beyond round-off tolerance.
 
 One kernel serves every geometry.  The backend builds each stage from
 its own stencils: the checked raw metric of `GeometryBackend.metric`
@@ -34,7 +34,7 @@ the backend's raw `trace` and `integral`, and so do `flow_rhs` and
 `linearized_operator`.  The stage of an accepted state, built for its
 diagnostics, serves the next step's stiffness cap and first stage, and a
 rejected attempt reuses it as well, so an accepted RK4 step builds four
-stages and a ROS2 step two.  `FlowResult.stats`
+stages and a RODAS3 step three.  `FlowResult.stats`
 counts the builds, the right-hand-side evaluations, the rejections by
 cause and the steps whose size the stiffness cap set.
 """
@@ -59,9 +59,9 @@ from .geometry import GeometryBackend, theta_of
 
 FLOW_METHODS = ("rk4", "rosenbrock")
 
-# ROS2's diagonal coefficient 1 + 1/sqrt(2), which makes the method L-stable.
-ROS2_GAMMA = 1.0 + 1.0 / np.sqrt(2.0)
-# Bound on the sup norm of ROS2's local error estimate, in units of phi.
+# RODAS3's diagonal coefficient: every stage solves with I - gamma dt J.
+ROSENBROCK_GAMMA = 0.5
+# Bound on the sup norm of RODAS3's local error estimate, in units of phi.
 ROSENBROCK_TOL = 1e-5
 # An accepted step may raise the energy E by at most
 # ENERGY_TOL_REL * |E| + ENERGY_TOL_ABS.
@@ -218,7 +218,7 @@ class _NotDominant(Exception):
 
 class _ImplicitSolver:
     """I - gamma dt J, given as bands (lower, diagonal, upper, fill),
-    factorised once in O(N) for both ROS2 stages.
+    factorised once in O(N) for all four RODAS3 stages.
 
     On the sphere rows 1 and N - 2 first remove the fills at (0, 2) and
     (N - 1, N - 3), leaving a tridiagonal matrix for Thomas's algorithm.
@@ -417,28 +417,38 @@ def _advance(kernel, phi: np.ndarray, stage, dt: float) -> np.ndarray:
 
 def _rosenbrock(kernel, phi: np.ndarray, stage,
                 dt: float) -> tuple[np.ndarray, float]:
-    """One ROS2 step from phi, whose kernel stage is `stage`, and the sup
+    """One RODAS3 step from phi, whose kernel stage is `stage`, and the sup
     norm of its local error estimate.
 
-    (I - gamma dt J) k1 = F(phi), (I - gamma dt J) k2 = F(phi + dt k1) - 2 k1,
-    phi' = phi + dt (3 k1 + k2) / 2.  The estimate is phi' minus the
-    embedded first-order solution phi + dt k1.  F is invariant under
-    constant shifts, so J 1 = 0 and a constant drift passes through k1
-    and k2 with no estimated error.
+    In U-form, with S the solve by I - (dt/2) J and f(psi) = (dt/2) F(psi):
+    U1 = S f(phi), U2 = S (f(phi) + 2 U1),
+    U3 = S (f(phi + 2 U1) + (U1 - U2) / 2),
+    U4 = S (f(phi + 2 U1 + U3) + (U1 - U2) / 2 - 4 U3 / 3), and
+    phi' = phi + 2 U1 + U3 + U4.  The estimate is U4, phi' minus the
+    embedded second-order solution.  F is invariant under constant shifts,
+    so J 1 = 0, and a constant F gives U3 = U4 = 0: the drift passes with
+    no estimated error.
     """
-    solver = kernel.implicit_solver(stage, ROS2_GAMMA * dt)
-    k1 = solver.solve(kernel.rhs(stage))
-    k2 = solver.solve(kernel.rhs(kernel._stage(phi + dt * k1)) - 2.0 * k1)
-    error = 0.5 * dt * float(np.abs(k1 + k2).max())
-    return phi + 1.5 * dt * k1 + 0.5 * dt * k2, error
+    gamma_dt = ROSENBROCK_GAMMA * dt
+    solver = kernel.implicit_solver(stage, gamma_dt)
+    f0 = gamma_dt * kernel.rhs(stage)
+    u1 = solver.solve(f0)
+    u2 = solver.solve(f0 + 2.0 * u1)
+    carry = 0.5 * (u1 - u2)
+    phi2 = phi + 2.0 * u1
+    u3 = solver.solve(gamma_dt * kernel.rhs(kernel._stage(phi2)) + carry)
+    phi3 = phi2 + u3
+    u4 = solver.solve(gamma_dt * kernel.rhs(kernel._stage(phi3)) + carry
+                      - (4.0 / 3.0) * u3)
+    return phi3 + u4, float(np.abs(u4).max())
 
 
 def _error_factor(error: float) -> float:
-    """Step-size factor from a first-order local error estimate: 0.9
-    (tol / error)^(1/2), clamped to [0.2, 5]."""
+    """Step-size factor from a second-order local error estimate: 0.9
+    (tol / error)^(1/3), clamped to [0.2, 5]."""
     if error == 0.0:
         return 5.0
-    return min(5.0, max(0.2, 0.9 * np.sqrt(ROSENBROCK_TOL / error)))
+    return min(5.0, max(0.2, 0.9 * np.cbrt(ROSENBROCK_TOL / error)))
 
 
 def _explicit_cap(problem: FlowProblem, kernel, stage) -> float:

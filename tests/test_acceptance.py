@@ -367,7 +367,7 @@ def _tree_bytes(outdir, names):
             for name in names}
 
 
-def test_criterion_12_outputs_deterministic_across_threads(tmp_path):
+def test_criterion_12_outputs_deterministic_across_reruns(tmp_path):
     # fixed seed: a repeated probe and a repeated simulation each
     # reproduce their files exactly
     probe_cfg = tmp_path / "probe.cfg"

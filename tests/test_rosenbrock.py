@@ -1,10 +1,11 @@
-"""The linearly implicit ROS2 method (flow.method = rosenbrock).
+"""The linearly implicit RODAS3 method (flow.method = rosenbrock).
 
 Criteria 2-4 of the acceptance gate run here for rosenbrock at RK4's
 bounds; the gate itself stays on RK4.  Criterion 1's secant-against-
 tangent comparison measures the time step once steps are large, so the
-dissipation check below compares each secant slope with the trapezoid
-mean of the two end points' predicted dissipation instead.
+dissipation check below compares each secant slope with the mean, over
+its interval, of a quadratic through the predicted dissipation of three
+neighbouring rows instead.
 """
 
 from unittest import mock
@@ -26,7 +27,7 @@ from jflow import (
 )
 from jflow.flow import (
     FLOW_METHODS,
-    ROS2_GAMMA,
+    ROSENBROCK_GAMMA,
     _advance,
     _attempt_step,
     _Kernel,
@@ -107,25 +108,42 @@ def test_limit_uniqueness(limits):
         assert gap < 1e-5, kind
 
 
-def test_dissipation_matches_trapezoid_of_predictions():
-    # each row's secant slope against the mean of the predicted dE/dt at
-    # its two ends, within 1 %
+def _interval_mean(times, values, lo, hi):
+    """The mean over [lo, hi] of the quadratic through (times, values)."""
+    antiderivative = np.polyint(np.polyfit(np.asarray(times) - lo, values, 2))
+    return np.polyval(antiderivative, hi - lo) / (hi - lo)
+
+
+def test_dissipation_matches_quadratic_of_predictions():
+    # each row's secant slope against the mean, over its interval, of the
+    # quadratic through the predicted dE/dt at the interval's two rows and
+    # the nearer neighbouring row, within 1 %.  The trapezoid rule's own
+    # O(dt^2) error reaches 1.2 % at RODAS3's step sizes
     for kind in ("torus", "sphere"):
         for size in (256, 512):
             b = make_backend(kind, size=size)
             res = run_flow(FlowProblem(backend=b, omega=_reference(b),
                                        t_max=0.05, log_every=1,
                                        method="rosenbrock"))
+            rows = res.records
             assert res.state.t == 0.05 and res.suspect_steps == 0
-            for prev, row in zip(res.records[:-1], res.records[1:]):
-                trapezoid = 0.5 * (prev.dE_dt_predicted + row.dE_dt_predicted)
-                assert abs(row.dE_dt_measured - trapezoid) \
-                    <= 0.01 * abs(trapezoid), (kind, size, row.t)
+            assert len(rows) >= 3
+            t = [r.t for r in rows]
+            for i in range(1, len(rows)):
+                before = t[i - 1] - t[i - 2] if i >= 2 else np.inf
+                after = t[i + 1] - t[i] if i + 1 < len(rows) else np.inf
+                third = i - 2 if before < after else i + 1
+                picked = [rows[j] for j in (i - 1, i, third)]
+                mean = _interval_mean([r.t for r in picked],
+                                      [r.dE_dt_predicted for r in picked],
+                                      t[i - 1], t[i])
+                assert abs(rows[i].dE_dt_measured - mean) \
+                    <= 0.01 * abs(mean), (kind, size, t[i])
 
 
 def test_single_step_has_local_order_three(torus64):
-    # one ROS2 step against RK4 with 1000 substeps: each halving of dt
-    # cuts the gap by at least 6 (8 in the limit)
+    # one RODAS3 step against RK4 with 1000 substeps: each halving of dt
+    # cuts the gap by at least 6
     kernel = _make_kernel(FlowProblem(backend=torus64,
                                       omega=torus_target_form(torus64),
                                       method="rosenbrock"))
@@ -140,6 +158,61 @@ def test_single_step_has_local_order_three(torus64):
         gaps.append(float(np.abs(ros - phi).max()))
     ratios = [a / b for a, b in zip(gaps[:-1], gaps[1:])]
     assert min(ratios) >= 6.0, ratios
+
+
+def test_single_step_local_error_is_fourth_order(torus64):
+    # RODAS3 has order three, so its local error is O(dt^4): against RK4
+    # with 1000 substeps each halving of dt cuts the gap by at least 10
+    # (16 in the limit)
+    kernel = _make_kernel(FlowProblem(backend=torus64,
+                                      omega=torus_target_form(torus64),
+                                      method="rosenbrock"))
+    phi0 = np.zeros(torus64.grid_shape)
+    stage = kernel._stage(phi0)
+    gaps = []
+    for dt in (4e-3, 2e-3, 1e-3, 5e-4):
+        ros, _ = _rosenbrock(kernel, phi0, stage, dt)
+        phi = phi0
+        for _ in range(1000):
+            phi = _advance(kernel, phi, kernel._stage(phi), dt / 1000)
+        gaps.append(float(np.abs(ros - phi).max()))
+    ratios = [a / b for a, b in zip(gaps[:-1], gaps[1:])]
+    assert min(ratios) >= 10.0, ratios
+
+
+def test_error_estimate_is_third_order(torus64):
+    # the estimate U4 is the gap to the embedded second-order solution,
+    # O(dt^3): each halving of dt cuts it by at least 6 (8 in the limit)
+    kernel = _make_kernel(FlowProblem(backend=torus64,
+                                      omega=torus_target_form(torus64),
+                                      method="rosenbrock"))
+    phi0 = np.zeros(torus64.grid_shape)
+    stage = kernel._stage(phi0)
+    errors = [_rosenbrock(kernel, phi0, stage, dt)[1]
+              for dt in (4e-3, 2e-3, 1e-3, 5e-4)]
+    ratios = [a / b for a, b in zip(errors[:-1], errors[1:])]
+    assert min(ratios) >= 6.0, ratios
+
+
+def test_large_steps_damp_the_nyquist_mode():
+    # L-stability: from a converged state at N = 64, one step at dt = 1e2
+    # or 1e4 shrinks a 1e-9 sawtooth perturbation, mean removed, below
+    # 1e-2 of its size
+    bump = 1e-9 * (-1.0) ** np.arange(64)
+    for kind, target in (("torus", 1e-8), ("sphere", 7e-5)):
+        b = make_backend(kind, size=64)
+        problem = FlowProblem(backend=b, omega=_reference(b), t_max=500.0,
+                              residual_target=target, method="rosenbrock")
+        result = run_flow(problem)
+        assert result.converged
+        kernel, phi = _make_kernel(problem), result.state.phi
+        for dt in (1e2, 1e4):
+            base, _ = _rosenbrock(kernel, phi, kernel._stage(phi), dt)
+            moved, _ = _rosenbrock(kernel, phi + bump,
+                                   kernel._stage(phi + bump), dt)
+            left = moved - base
+            left -= left.mean()
+            assert np.abs(left).max() < 1e-2 * 1e-9, (kind, dt)
 
 
 @st.composite
@@ -168,7 +241,7 @@ def test_implicit_bands_equal_the_probed_matrix(case):
     # no entry outside them
     b, kernel, phi, dt = case
     stage = kernel._stage(phi)
-    gamma_dt = ROS2_GAMMA * dt
+    gamma_dt = ROSENBROCK_GAMMA * dt
     want, jac = _probed_implicit_matrix(b, kernel, stage, gamma_dt)
     assert np.array_equal(kernel.jacobian(stage), jac)
     lower, diagonal, upper, fill = kernel.implicit_bands(stage, gamma_dt)
@@ -185,24 +258,19 @@ def test_implicit_bands_equal_the_probed_matrix(case):
 @settings(max_examples=60, deadline=None, database=None)
 @given(_implicit_case())
 def test_banded_stages_match_the_dense_solve(case):
-    # k1 and k2 of one ROS2 step against np.linalg.solve on the probed
-    # matrix A, to 1e-12 of |A| |k|: at dt = 100, A's condition number
+    # U1 and U2 of one RODAS3 step against np.linalg.solve on the probed
+    # matrix A, to 1e-12 of |A| |U|: at dt = 100, A's condition number
     # reaches 1e7, and the dense solve itself then errs by about 1e-11
-    # of |k| against a solution refined in extended precision
+    # of |U| against a solution refined in extended precision
     b, kernel, phi, dt = case
     stage = kernel._stage(phi)
-    matrix, _ = _probed_implicit_matrix(b, kernel, stage, ROS2_GAMMA * dt)
+    gamma_dt = ROSENBROCK_GAMMA * dt
+    matrix, _ = _probed_implicit_matrix(b, kernel, stage, gamma_dt)
     scale = float(np.abs(matrix).sum(axis=1).max())
-    solver = kernel.implicit_solver(stage, ROS2_GAMMA * dt)
-    rhs = kernel.rhs(stage)
-    k1 = solver.solve(rhs)
-    checks = [(rhs, k1)]
-    try:
-        rhs = kernel.rhs(kernel._stage(phi + dt * k1)) - 2.0 * k1
-    except NotKahlerError:
-        pass  # the step loses positivity: there is no k2
-    else:
-        checks.append((rhs, solver.solve(rhs)))
+    solver = kernel.implicit_solver(stage, gamma_dt)
+    f0 = gamma_dt * kernel.rhs(stage)
+    u1 = solver.solve(f0)
+    checks = [(f0, u1), (f0 + 2.0 * u1, solver.solve(f0 + 2.0 * u1))]
     for rhs, k in checks:
         dense = np.linalg.solve(matrix, rhs)
         assert np.abs(k - dense).max() <= 1e-12 * scale * np.abs(dense).max()
@@ -248,7 +316,7 @@ def test_dominance_failure_is_rejected_and_halved(sphere64):
 
 def test_error_estimate_sets_the_step(sphere64):
     # an oversized first step is rejected on its error estimate, not
-    # capped; accepted steps cost two stage builds and two right-hand
+    # capped; every attempt costs three stage builds and three right-hand
     # sides, and no step is at the stiffness cap
     problem = FlowProblem(backend=sphere64, omega=sphere64.base_form(),
                           method="rosenbrock", dt_init=10.0, t_max=1.0)
@@ -258,7 +326,7 @@ def test_error_estimate_sets_the_step(sphere64):
     assert stats.rejected_positivity == stats.rejected_energy == 0
     assert stats.steps_at_cap == 0
     attempts = steps + stats.rejected_error
-    assert stats.metric_builds == stats.rhs_evaluations == 2 * attempts + 1
+    assert stats.metric_builds == stats.rhs_evaluations == 3 * attempts + 1
     assert result.suspect_steps == 0
     # the controller grows the step well past the explicit cap
     cap = problem.cfl_safety * sphere64.spacing ** 2 / 0.25
@@ -266,8 +334,8 @@ def test_error_estimate_sets_the_step(sphere64):
 
 
 def test_error_estimate_ignores_the_drift_mode(sphere64):
-    # F = const: J 1 = 0 gives k1 = F and k2 = -F, so the estimate is
-    # zero up to the rounding of the two solves
+    # F = const: J 1 = 0 gives U1 = dt F / 2 and U2 = 3 dt F / 2, so U3 and
+    # the estimate U4 are zero up to the rounding of the solves
     kernel = _make_kernel(FlowProblem(backend=sphere64,
                                       omega=sphere64.base_form(),
                                       method="rosenbrock"))
@@ -314,7 +382,7 @@ def test_positivity_loss_becomes_a_halving(method, geometry, seed, margin):
 
 
 def test_rosenbrock_positivity_loss_is_retried():
-    # ROS2 keeps random smooth starts positive even at dt = 10; a density
+    # RODAS3 keeps random smooth starts positive even at dt = 10; a density
     # peaked to 3.7 times its mean makes the linearized step overshoot
     b = make_backend("torus", size=64)
     raw = random_kahler_potential(b, np.random.default_rng(1), 1.0)
