@@ -66,9 +66,7 @@ class ConfigKey:
 CONFIG_KEYS: dict[str, ConfigKey] = {
     "geometry.kind": ConfigKey(str, "torus", "backend geometry",
                                choices=("torus", "sphere")),
-    "geometry.dim": ConfigKey(int, 1, "torus complex dimension",
-                              bound=(">=", 1)),
-    "geometry.size": ConfigKey(int, 128, "grid points per axis"),
+    "geometry.size": ConfigKey(int, 128, "grid points"),
     "geometry.s_max": ConfigKey(float, 12.0,
                                 "sphere chart truncation in the s variable",
                                 bound=(">", 1)),
@@ -77,7 +75,7 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
                                  bound=(">", 0)),
     "reference.offset_family": ConfigKey(
         str, "zero", "density offset added to the reference form, realized "
-        "exactly as a Hessian (torus n=1 only)", choices=_OFFSET_FAMILIES),
+        "exactly as a Hessian (torus only)", choices=_OFFSET_FAMILIES),
     "reference.offset_amplitude": ConfigKey(float, 0.0,
                                             "amplitude of the density offset"),
     "reference.offset_wavenumber": ConfigKey(int, 1,
@@ -222,12 +220,7 @@ def reference_page() -> str:
 def build_backend(cfg: ScenarioConfig) -> GeometryBackend:
     """The configured backend; a grid it calls too coarse is a config error."""
     kind = cfg.get("geometry.kind")
-    dim = cfg.get("geometry.dim")
-    if kind == "sphere" and dim != 1:
-        raise ConfigError("the sphere reduction is one-dimensional",
-                          line=cfg.line("geometry.dim"))
-    params = {"s_max": cfg.get("geometry.s_max")} if kind == "sphere" \
-        else {"dim": dim}
+    params = {"s_max": cfg.get("geometry.s_max")} if kind == "sphere" else {}
     try:
         return make_backend(kind, size=cfg.get("geometry.size"), **params)
     except GeometryError as exc:
@@ -242,10 +235,10 @@ def build_reference(cfg: ScenarioConfig, backend: GeometryBackend):
     amplitude = cfg.get("reference.offset_amplitude")
     if family == "zero" or amplitude == 0.0:
         return backend.form(scale * base.matrices)
-    if not isinstance(backend, TorusBackend) or backend.n != 1:
+    if not isinstance(backend, TorusBackend):
         raise ConfigError(
-            "reference.offset_family needs the torus n=1 backend; other "
-            "geometries take plain chi0 multiples",
+            "reference.offset_family needs the torus backend; the sphere "
+            "takes plain chi0 multiples",
             line=cfg.line("reference.offset_family"))
     offset = named_potential(backend, family, 1.0,
                              cfg.get("reference.offset_wavenumber"))
@@ -263,17 +256,13 @@ def build_reference(cfg: ScenarioConfig, backend: GeometryBackend):
 
 def build_problem(cfg: ScenarioConfig, backend: GeometryBackend,
                   omega) -> FlowProblem:
-    method = cfg.get("flow.method")
-    try:
-        return FlowProblem(
-            backend=backend, omega=omega, c=cfg.get("flow.c"),
-            t_max=cfg.get("flow.t_max"),
-            residual_target=cfg.get("flow.residual_target"),
-            cfl_safety=cfg.get("flow.cfl_safety"),
-            dt_min=cfg.get("flow.dt_min"), method=method,
-            log_every=cfg.get("flow.log_every"))
-    except ConfigError as exc:
-        raise ConfigError(str(exc), line=cfg.line("flow.method")) from exc
+    return FlowProblem(
+        backend=backend, omega=omega, c=cfg.get("flow.c"),
+        t_max=cfg.get("flow.t_max"),
+        residual_target=cfg.get("flow.residual_target"),
+        cfl_safety=cfg.get("flow.cfl_safety"),
+        dt_min=cfg.get("flow.dt_min"), method=cfg.get("flow.method"),
+        log_every=cfg.get("flow.log_every"))
 
 
 def initial_potential(cfg: ScenarioConfig, backend: GeometryBackend):

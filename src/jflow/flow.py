@@ -1,6 +1,8 @@
 """Time integration of the trace flow with a-priori monitors.
 
-The flow is phi_t = (1/n)(n c + theta(chi_phi) - tr(chi_phi^{-1} omega)).
+The flow is phi_t = c + theta(chi_phi) - omega / chi_phi, on the
+one-dimensional geometries where a form is its density and the trace of
+omega against chi_phi is their ratio.
 `run_flow` is the one driver: it starts from a potential, steps, records
 the trajectory and returns a `FlowResult`.  Estimates that hold for the
 continuous flow are checked at every accepted step: the initial range of
@@ -14,9 +16,9 @@ construction, since a step that raises it is rejected.
 Explicit RK4 stepping (the default) caps the step by
 cfl_safety * spacing^2 / (chart stiffness bound).  The linearly implicit
 method `rosenbrock` (RODAS3 of Sandu et al., Atmos. Environ. 31, 1997:
-order three, L-stable, with the exact Jacobian, on the one-dimensional
-geometries) has no such cap: its embedded second-order solution gives a
-local error estimate, and a standard controller sets the step from it.
+order three, L-stable, with the exact Jacobian) has no such cap: its
+embedded second-order solution gives a local error estimate, and a
+standard controller sets the step from it.
 J is tridiagonal (periodic on the torus line, with two one-sided end
 fills on the sphere), so each step forms the bands of I - (dt/2) J from
 the backend's constant stencil bands and factorises them once, in O(N),
@@ -26,9 +28,9 @@ rejected, and the step size halved, when positivity fails anywhere or E
 increases beyond round-off tolerance.
 
 One kernel serves every geometry.  The backend builds each stage from
-its own stencils: the checked raw metric of `GeometryBackend.metric`
-(the density when n = 1, the matrix stack otherwise), which the
-functionals and the geodesics build through the same call, and theta;
+its own stencils: the checked raw metric density of
+`GeometryBackend.metric`, which the functionals and the geodesics build
+through the same call, and theta;
 `rhs`, `stiffness`, `jacobian_bands` and `diagnostics` take that stage and
 the backend's raw `trace` and `integral`, and so do `flow_rhs` and
 `linearized_operator`.  The stage of an accepted state, built for its
@@ -53,7 +55,7 @@ from .fields import (
     ScalarField,
     StepStalled,
 )
-from .cone import relative_spectrum, subsolution_margin
+from .cone import subsolution_margin
 from .functionals import level_constant
 from .geometry import GeometryBackend, theta_of
 
@@ -93,10 +95,6 @@ class FlowProblem:
     def __post_init__(self):
         if self.method not in FLOW_METHODS:
             raise ConfigError(f"unknown flow method {self.method!r}")
-        if self.method == "rosenbrock" and self.backend.n != 1:
-            raise ConfigError(
-                "flow.method = rosenbrock needs a one-dimensional geometry "
-                "(the torus line or the sphere)")
         if self.log_every < 1:
             raise ConfigError("log_every must be at least 1")
         if not self.cfl_safety > 0:
@@ -291,10 +289,8 @@ class _Kernel:
     def __init__(self, backend: GeometryBackend, omega: HermitianFormField,
                  c: float):
         self.backend = backend
-        self.omega = omega
         self.om = backend.raw_form(omega)
-        self.n = backend.n
-        self.nc = backend.n * c
+        self.c = c
         self.stats = FlowStats()
 
     def _stage(self, phi: np.ndarray):
@@ -304,8 +300,7 @@ class _Kernel:
     def rhs(self, stage) -> np.ndarray:
         self.stats.rhs_evaluations += 1
         chi, theta = stage
-        rhs = self.nc + theta - self.backend.trace(chi, self.om)
-        return rhs if self.n == 1 else rhs / self.n
+        return self.c + theta - self.backend.trace(chi, self.om)
 
     def stiffness(self, stage) -> float:
         return self.backend.stiffness(stage[0], self.om)
@@ -315,7 +310,7 @@ class _Kernel:
         return self.backend.jacobian_bands()
 
     def jacobian_bands(self, stage) -> np.ndarray:
-        """d rhs/d phi (n == 1), d theta/d phi + diag(omega/rho^2) d rho/d phi,
+        """d rhs/d phi, d theta/d phi + diag(omega/rho^2) d rho/d phi,
         as the backend's rows (lower, diagonal, upper, fill)."""
         d_rho, d_theta = self._bands
         return d_rho * (self.om / stage[0]**2) + d_theta
@@ -350,23 +345,20 @@ class _Kernel:
         chi, theta = stage
         lam = self.backend.trace(chi, self.om)
         sigma = theta - lam
-        rhs = self.nc + sigma if self.n == 1 else (self.nc + sigma) / self.n
+        rhs = self.c + sigma
         energy = self.backend.integral(sigma * sigma, chi)
-        dissipation = -(2.0 / self.n) * self.backend.dissipation(sigma, chi, self.om)
-        if self.n == 1:
-            floor = float((chi / self.om).min())
-        else:
-            floor = float(relative_spectrum(chi, self.omega).smallest().min())
+        dissipation = -2.0 * self.backend.dissipation(sigma, chi, self.om)
         return _Diagnostics(
             rhs=rhs, sigma=sigma, E=energy, dissipation=dissipation,
-            residual=float(np.abs(lam - self.nc - theta).max()),
-            lambda_max=float(lam.max()), floor_constant=floor,
+            residual=float(np.abs(lam - self.c - theta).max()),
+            lambda_max=float(lam.max()),
+            floor_constant=float((chi / self.om).min()),
             rhs_min=float(rhs.min()), rhs_max=float(rhs.max()),
             theta_max=float(np.max(theta)))
 
 
 def flow_rhs(backend: GeometryBackend, phi, omega, c: float) -> ScalarField:
-    """(1/n)(n c + theta(chi_phi) - tr(chi_phi^{-1} omega))."""
+    """c + theta(chi_phi) - omega / chi_phi."""
     values = backend.check_field(phi, "potential")
     return _Kernel(backend, omega, c).rhs(backend.stage(values))
 
@@ -375,10 +367,10 @@ def flow_rhs(backend: GeometryBackend, phi, omega, c: float) -> ScalarField:
 class LinearizedOperator:
     """Coefficients of the flow linearization around a state.
 
-    apply(psi) = (1/n)(<coefficients, complex_hessian(psi)> + X(psi)).
-    max_coefficient is the chart-level stiffness bound used for step
-    control (it absorbs the chart factors relating the stored Hessian to
-    grid second differences).
+    apply(psi) = coefficients * complex_hessian(psi) + X(psi), with the
+    densities omega / chi^2 as coefficients.  max_coefficient is the
+    chart-level stiffness bound used for step control (it absorbs the
+    chart factors relating the stored Hessian to grid second differences).
     """
 
     backend: GeometryBackend
@@ -387,9 +379,8 @@ class LinearizedOperator:
 
     def apply(self, psi) -> ScalarField:
         values = self.backend.check_field(psi, "test field")
-        hess = self.backend.complex_hessian(values)
-        second = np.einsum("...ij,...ij->...", self.coefficients, hess)
-        return (second + self.backend.vector_field_action(values)) / self.backend.n
+        return (self.coefficients * self.backend._complex_hessian(values)
+                + self.backend.vector_field_action(values))
 
 
 def linearized_operator(backend: GeometryBackend, phi,
@@ -397,12 +388,7 @@ def linearized_operator(backend: GeometryBackend, phi,
     values = backend.check_field(phi, "potential")
     chi = backend.metric(values, "linearized operator")
     om = backend.raw_form(omega)
-    if backend.n == 1:
-        coeff = (om / chi**2)[:, None, None]
-    else:
-        inv = np.linalg.inv(chi)
-        coeff = inv @ om @ inv
-    return LinearizedOperator(backend=backend, coefficients=coeff,
+    return LinearizedOperator(backend=backend, coefficients=om / chi**2,
                               max_coefficient=backend.stiffness(chi, om))
 
 
@@ -481,10 +467,14 @@ def _attempt_step(problem: FlowProblem, kernel, state: FlowState, stage,
     lands_on_end = state.t + dt >= problem.t_max
     if lands_on_end:
         dt = problem.t_max - state.t
-    error = 0.0
     try:
         if implicit:
             trial, error = _rosenbrock(kernel, state.phi, stage, dt)
+            # an estimate over tolerance rejects the attempt before its
+            # stage and diagnostics are built
+            if error > ROSENBROCK_TOL:
+                stats.rejected_error += 1
+                return _retry(problem, state, stage, dt * _error_factor(error))
         else:
             trial = _advance(kernel, state.phi, stage, dt)
         trial_stage = kernel._stage(trial)
@@ -495,9 +485,6 @@ def _attempt_step(problem: FlowProblem, kernel, state: FlowState, stage,
     except _NotDominant:
         stats.rejected_dominance += 1
         return _retry(problem, state, stage, 0.5 * dt)
-    if error > ROSENBROCK_TOL:
-        stats.rejected_error += 1
-        return _retry(problem, state, stage, dt * _error_factor(error))
     if not (diag.E <= energy + problem.energy_budget(energy)):
         stats.rejected_energy += 1
         return _retry(problem, state, stage, 0.5 * dt)
@@ -632,7 +619,7 @@ def run_flow(problem: FlowProblem, phi0=None) -> FlowResult:
     return FlowResult(
         problem=problem, state=state, records=records, converged=converged,
         reason=reason, subsolution_margin=margin, sigma_mean=sigma_mean,
-        minus_nc=-backend.n * level,
+        minus_nc=-level,
         kappa=float(np.sum(diag.rhs * dens)) / volume,
         rhs_spread=diag.rhs_max - diag.rhs_min, stats=kernel.stats,
         snapshots=snapshots)

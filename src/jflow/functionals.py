@@ -23,22 +23,20 @@ functional is a fixed combination (c(A) is the level constant):
     j_tilde, j_flow   = j_hat + M_theta, j_hat - M_theta
     mu, mu_tilde      = entropy + j_hat(-Ric chi_0), mu + M_theta
 
-The walk uses one Gauss-Lobatto rule per segment.  Along a linear
-segment every integrand is a polynomial in t of degree at most n + 1,
-and the k = ceil((n + 4) / 2) node rule is exact to degree
-2k - 3 >= n + 1, so the quadrature is exact in every dimension and the
-only discretization error is spatial.  For n <= 2 the rule is Simpson's
-3-node rule.  The rule keeps both segment ends, and chi_t is affine in
-t, so checking each node through ``backend.metric`` (finite and
-positive) covers the whole path.  Every functional here works on the
-backend's raw metric, as the flow kernel does; each form's shape is
-checked against the grid once, by ``backend.raw_form``.
+The walk uses Simpson's rule on each segment.  On the one-dimensional
+geometries chi_t is affine in t along a linear segment, so every
+integrand is a polynomial in t of degree at most 2, Simpson's rule
+integrates it exactly, and the only discretization error is spatial.
+The rule keeps both segment ends, so checking each node through
+``backend.metric`` (finite and positive) covers the whole path.  Every
+functional here works on the backend's raw metric, as the flow kernel
+does; each form's shape is checked against the grid once, by
+``backend.raw_form``.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -56,31 +54,9 @@ from .geometry import (
 # Discrete Jensen guard: entropy of equal-mass measures cannot go below
 # zero by more than round-off.
 ENTROPY_FLOOR = -1e-8
-
-
-@lru_cache(maxsize=None)
-def _lobatto_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Lobatto nodes and weights on [0, 1], exact to degree n + 1.
-
-    The k-node rule's interior nodes are the roots of P_{k-1}', that is
-    of the Jacobi polynomial P^(1,1)_{k-2}: the eigenvalues of its Jacobi
-    matrix, whose off-diagonal entries are sqrt(j (j + 2) / ((2 j + 1)
-    (2 j + 3))).  The weights are 2 / (k (k - 1) P_{k-1}(x)^2), with
-    P_{k-1} from Bonnet's recurrence.
-    """
-    k = -(-(n + 4) // 2)
-    j = np.arange(1.0, k - 2)
-    off = np.sqrt(j * (j + 2.0) / ((2.0 * j + 1.0) * (2.0 * j + 3.0)))
-    interior = np.linalg.eigvalsh(np.diag(off, 1), UPLO="U")
-    x = np.concatenate([[-1.0], interior, [1.0]])
-    p_prev, p = np.ones_like(x), x
-    for d in range(1, k - 1):
-        p_prev, p = p, ((2 * d + 1) * x * p - d * p_prev) / (d + 1)
-    w = 2.0 / (k * (k - 1) * p ** 2)
-    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
-    # Cached and shared between callers, so frozen.
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+# Simpson's rule on [0, 1]: the nodes of each path segment and their weights.
+SIMPSON_NODES = (0.0, 0.5, 1.0)
+SIMPSON_WEIGHTS = (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0)
 
 
 def _stack(backend: GeometryBackend, phi) -> np.ndarray:
@@ -88,9 +64,9 @@ def _stack(backend: GeometryBackend, phi) -> np.ndarray:
     return backend.check_field(phi, "potential")[None]
 
 
-def _grid_sum(backend: GeometryBackend, values: np.ndarray) -> np.ndarray:
-    """The sum over the trailing grid axes: one value per leading index."""
-    return np.sum(values, axis=tuple(range(-len(backend.grid_shape), 0)))
+def _grid_sum(values: np.ndarray) -> np.ndarray:
+    """The sum over the trailing grid axis: one value per leading index."""
+    return np.sum(values, axis=-1)
 
 
 def _one_row(rows, backend: GeometryBackend, phi, *args) -> float:
@@ -106,7 +82,7 @@ def _path_moments(backend: GeometryBackend, phis: np.ndarray, forms=(),
     moment holds one value per row.
 
     A path is walked in one stacked pass: each segment is sampled at the
-    Gauss-Lobatto nodes, one checked raw metric of the whole stack per
+    Simpson nodes, one checked raw metric of the whole stack per
     node serves every moment of every row, and nodes are accumulated in
     a fixed order.  Each row gets the bits it would get alone, so the
     results are deterministic and do not depend on the stack.  The
@@ -119,18 +95,17 @@ def _path_moments(backend: GeometryBackend, phis: np.ndarray, forms=(),
               for w in (() if waypoints is None else waypoints)]
     route.append(phis)
     oms = [backend.raw_form(form) for form in forms]
-    t_nodes, coeff = _lobatto_rule(backend.n)
     total = np.zeros((1 + theta + len(oms), len(phis)))
     for phi_a, phi_b in zip(route[:-1], route[1:]):
         rate = phi_b - phi_a
-        for t, ck in zip(t_nodes, coeff):
+        for t, ck in zip(SIMPSON_NODES, SIMPSON_WEIGHTS):
             phi_t = phi_a + t * rate
             chi_t = backend.metric(phi_t, "path quadrature node")
             vol = backend.det(chi_t)
             rows = [vol, backend.theta(phi_t) * vol] if theta else [vol]
             dens = np.stack(rows + [backend.trace(chi_t, om) * vol
                                     for om in oms])
-            total += ck * _grid_sum(backend, rate * dens * backend.weights)
+            total += ck * _grid_sum(rate * dens * backend.weights)
     return total[0], total[1] if theta else None, list(total[1 + theta:])
 
 
@@ -140,7 +115,7 @@ def _j_hat_of(backend: GeometryBackend, omega, m_vol, m_mixed):
 
 def _j_of(backend: GeometryBackend, phis: np.ndarray, m_vol) -> np.ndarray:
     vol0 = backend.base_form().det()
-    return _grid_sum(backend, phis * vol0 * backend.weights) - m_vol
+    return _grid_sum(phis * vol0 * backend.weights) - m_vol
 
 
 def level_constant(backend: GeometryBackend, omega,
@@ -179,7 +154,7 @@ class AubinEnergies:
 def _aubin_i_rows(backend: GeometryBackend, phis: np.ndarray) -> np.ndarray:
     chi = backend.metric(phis, "aubin energies")
     diff = backend.base_form().det() - backend.det(chi)
-    return _grid_sum(backend, phis * diff * backend.weights)
+    return _grid_sum(phis * diff * backend.weights)
 
 
 def aubin_i(backend: GeometryBackend, phi) -> float:
@@ -256,7 +231,7 @@ def j_flow(backend: GeometryBackend, omega, phi, waypoints=None) -> float:
 def _entropy_rows(backend: GeometryBackend, phis: np.ndarray) -> np.ndarray:
     vol = backend.det(backend.metric(phis, "entropy"))
     ratio = vol / backend.base_form().det()
-    val = _grid_sum(backend, np.log(ratio) * vol * backend.weights)
+    val = _grid_sum(np.log(ratio) * vol * backend.weights)
     if val.min() < ENTROPY_FLOOR:
         # Total volumes agree exactly on both backends, so Jensen bounds
         # the discrete value below by zero up to round-off.

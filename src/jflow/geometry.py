@@ -2,13 +2,13 @@
 
 Two backends are provided.
 
-``TorusBackend`` works on a periodic grid over ``[0, 1)^n``.  Potentials
-depend on the real parts of the complex coordinates only, so the complex
-Hessian is one quarter of the real Hessian, built from central
-differences.  Central differences commute and are exactly self-adjoint
-against the uniform cell weights, which makes the discrete cohomology
-statements (total Hessian mass zero, symmetry of the induced bilinear
-forms) identities rather than approximations.
+``TorusBackend`` works on a periodic grid over the line ``[0, 1)``.
+Potentials depend on the real part of the complex coordinate only, so
+the complex Hessian is one quarter of the second derivative, built from
+central differences.  These are exactly self-adjoint against the
+uniform cell weights, which makes the discrete cohomology statements
+(total Hessian mass zero, symmetry of the induced bilinear forms)
+identities rather than approximations.
 
 ``SphereBackend`` works on the circle-invariant reduction of the round
 sphere.  Fields live on a grid that is uniform in the moment coordinate
@@ -35,39 +35,38 @@ from .fields import (
 )
 
 
-def _periodic_neighbours(values: np.ndarray, axis: int = -1):
-    """The periodic neighbours of every node along `axis`: np.roll(values,
-    -1, axis) and np.roll(values, 1, axis), as views of one copy padded
-    with a wrapped node at each end."""
-    axis %= values.ndim
-    if axis:
-        up, down = _periodic_neighbours(values.swapaxes(0, axis), 0)
-        return up.swapaxes(0, axis), down.swapaxes(0, axis)
-    padded = np.concatenate((values[-1:], values, values[:1]))
-    return padded[2:], padded[:-2]
+def _periodic_neighbours(values: np.ndarray):
+    """The periodic neighbours of every node along the trailing axis:
+    np.roll(values, -1, -1) and np.roll(values, 1, -1), as views of one
+    copy padded with a wrapped node at each end."""
+    padded = np.concatenate((values[..., -1:], values, values[..., :1]),
+                            axis=-1)
+    return padded[..., 2:], padded[..., :-2]
 
 
-def _periodic_central(values: np.ndarray, axis: int, delta: float) -> np.ndarray:
-    up, down = _periodic_neighbours(values, axis)
+def _periodic_central(values: np.ndarray, delta: float) -> np.ndarray:
+    up, down = _periodic_neighbours(values)
     return (up - down) / (2.0 * delta)
 
 
-def _periodic_second(values: np.ndarray, axis: int, delta: float) -> np.ndarray:
-    up, down = _periodic_neighbours(values, axis)
+def _periodic_second(values: np.ndarray, delta: float) -> np.ndarray:
+    up, down = _periodic_neighbours(values)
     return (up - 2.0 * values + down) / delta**2
 
 
 class GeometryBackend:
     """Common interface; concrete backends fill in the chart-level ops.
 
-    Internal consumers (the flow kernel, the functionals, the geodesics)
-    work on raw arrays: a form is its density when ``n == 1``, else its
-    matrix stack, and ``raw_form`` unwraps one, checking its shape
-    against the grid.  ``_complex_hessian`` is the raw body of
-    ``complex_hessian``.  metric, theta, stage, det and trace act on the
-    trailing grid (and matrix) axes, so each also takes a stack of
-    fields on leading axes and gives each row the bits it would get
-    alone; the reductions take one field.  The raw operations:
+    Both geometries are one-dimensional (``n``, the complex dimension, is
+    the constant 1), so a form is a (*grid, 1, 1) matrix stack and its raw
+    array is its density.  Internal consumers (the flow kernel, the
+    functionals, the geodesics) work on raw arrays, and ``raw_form``
+    unwraps a form, checking its shape against the grid.
+    ``_complex_hessian`` is the raw body of ``complex_hessian``.  metric,
+    theta, stage, det and trace act on the trailing grid axis, so each
+    also takes a stack of fields on leading axes and gives each row the
+    bits it would get alone; the reductions take one field.  The raw
+    operations:
 
         metric(phi, context)   chi0 + complex_hessian(phi), checked finite
                                and positive at every node of every row
@@ -75,17 +74,16 @@ class GeometryBackend:
         theta(phi)             theta0 + X(phi); the scalar 0 on the torus
         stage(phi)             (metric(phi, "flow stage"), theta(phi))
         det(chi), trace(chi, om)
-                               det chi and tr(chi^{-1} om) at every node
+                               chi itself and om / chi at every node
         integral(values, chi)  the integral of values against vol(chi)
         stiffness(chi, om)     the explicit step's stiffness bound
         dissipation(sigma, chi, om)
-                               the integral of |d sigma|^2, contracted
-                               through chi^{-1} omega chi^{-1}, against
-                               vol(chi)
+                               the integral of |d sigma|^2 om / chi^2
+                               against vol(chi)
     """
 
     name: str
-    n: int
+    n = 1
     grid_shape: tuple[int, ...]
     spacing: float
     weights: np.ndarray | float
@@ -97,7 +95,7 @@ class GeometryBackend:
 
     def complex_hessian(self, phi: ScalarField) -> np.ndarray:
         hess = self._complex_hessian(self.check_field(phi, "potential"))
-        return hess[..., None, None] if self.n == 1 else hess
+        return hess[..., None, None]
 
     def theta_base(self) -> ScalarField:
         raise NotImplementedError
@@ -112,7 +110,7 @@ class GeometryBackend:
         chi = self._base_raw + self._complex_hessian(phi)
         if not np.isfinite(chi).all():
             raise NotKahlerError(f"{context} requires a finite form")
-        least = chi.min() if self.n == 1 else np.linalg.eigvalsh(chi)[..., 0].min()
+        least = chi.min()
         if not least > DEFAULT_POSITIVITY_FLOOR:
             raise NotKahlerError(f"{context} requires a positive form "
                                  f"(least eigenvalue {least:.3e})")
@@ -125,18 +123,16 @@ class GeometryBackend:
         return self.metric(phi, "flow stage"), self.theta(phi)
 
     def det(self, chi: np.ndarray) -> np.ndarray:
-        return chi if self.n == 1 else np.linalg.det(chi)
+        return chi
 
     def trace(self, chi: np.ndarray, om: np.ndarray) -> np.ndarray:
-        if self.n == 1:
-            return om / chi
-        return np.einsum("...ii->...", np.linalg.solve(chi, om))
+        return om / chi
 
     def stiffness(self, chi: np.ndarray, om: np.ndarray) -> float:
         raise NotImplementedError
 
     def jacobian_bands(self) -> tuple[np.ndarray, np.ndarray]:
-        """d(Hessian density)/d phi and d theta/d phi (n == 1), each as
+        """d(Hessian density)/d phi and d theta/d phi, each as
         rows (lower, diagonal, upper, fill) of length N: row i's entries
         in columns i - 1, i and i + 1 (mod N on the torus line, zero past
         the ends on the sphere), and the one-sided fills at (0, 2) in
@@ -151,11 +147,11 @@ class GeometryBackend:
     def raw_form(self, form: HermitianFormField | np.ndarray) -> np.ndarray:
         mats = (form.matrices if isinstance(form, HermitianFormField)
                 else np.asarray(form, dtype=float))
-        want = self.grid_shape + (self.n, self.n)
+        want = self.grid_shape + (1, 1)
         if mats.shape != want:
             raise ShapeMismatchError(
                 f"form has shape {mats.shape}, expected {want}")
-        return mats[..., 0, 0] if self.n == 1 else mats
+        return mats[..., 0, 0]
 
     def check_field(self, values: np.ndarray, label: str = "field") -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -181,75 +177,39 @@ class GeometryBackend:
 
 
 class TorusBackend(GeometryBackend):
-    """Flat periodic geometry on ``[0, 1)^n``.
+    """Flat periodic geometry on the line ``[0, 1)``.
 
-    The background form is a constant positive matrix ``base_matrix``
-    (identity by default).  The first Chern class vanishes, there is no
-    symmetry vector field, and the moment function is identically zero.
+    The background form is the constant density 1.  The first Chern class
+    vanishes, there is no symmetry vector field, and the moment function
+    is identically zero.
     """
 
     name = "torus"
     tail_bound = 0.0
+    volume = 1.0
 
-    def __init__(self, shape: tuple[int, ...] | int,
-                 base_matrix: np.ndarray | None = None):
-        if isinstance(shape, int):
-            shape = (shape,)
-        shape = tuple(int(k) for k in shape)
-        if any(k < 8 for k in shape):
-            raise GeometryError(f"torus grid too coarse: {shape}")
-        self.grid_shape = shape
-        self.n = len(shape)
-        self.deltas = tuple(1.0 / k for k in shape)
-        self.spacing = max(self.deltas)
-        self.weights = float(np.prod(self.deltas))
-        self.axes = [np.arange(k) / k for k in shape]
-        if base_matrix is None:
-            base_matrix = np.eye(self.n)
-        base_matrix = np.asarray(base_matrix, dtype=float)
-        if base_matrix.shape != (self.n, self.n):
-            raise ShapeMismatchError(
-                f"base matrix has shape {base_matrix.shape}, "
-                f"expected {(self.n, self.n)}")
-        base_matrix = 0.5 * (base_matrix + base_matrix.T)
-        if np.linalg.eigvalsh(base_matrix)[0] <= 0:
-            raise GeometryError("base matrix must be positive definite")
-        self.base_matrix = base_matrix
-        self._base_det = float(np.linalg.det(base_matrix))
-        # total reference volume: the cell is the unit cube
-        self.volume = self._base_det
-        self._base = HermitianFormField.from_matrices(
-            np.broadcast_to(base_matrix, shape + (self.n, self.n)).copy())
+    def __init__(self, size: int):
+        size = int(size)
+        if size < 8:
+            raise GeometryError(f"torus grid too coarse: {size}")
+        self.size = size
+        self.grid_shape = (size,)
+        self.delta = self.spacing = self.weights = 1.0 / size
+        self.x = np.arange(size) / size
+        self._base = HermitianFormField.from_matrices(np.ones((size, 1, 1)))
         self._base_raw = self.raw_form(self._base)
-
-    def coords(self) -> list[np.ndarray]:
-        return list(np.meshgrid(*self.axes, indexing="ij"))
 
     def base_form(self) -> HermitianFormField:
         return self._base
 
     def _complex_hessian(self, phi: np.ndarray) -> np.ndarray:
-        """A quarter of the real Hessian, raw: a density when n == 1.
-        Grid axis k is axis k - n of phi, so stacks lead."""
-        if self.n == 1:
-            return 0.25 * _periodic_second(phi, -1, self.deltas[0])
-        hess = np.empty(phi.shape + (self.n, self.n))
-        for k in range(self.n):
-            hess[..., k, k] = _periodic_second(phi, k - self.n, self.deltas[k])
-            for l in range(k + 1, self.n):
-                mixed = _periodic_central(
-                    _periodic_central(phi, k - self.n, self.deltas[k]),
-                    l - self.n, self.deltas[l])
-                hess[..., k, l] = mixed
-                hess[..., l, k] = mixed
-        return 0.25 * hess
+        """A quarter of the second difference, along the trailing axis."""
+        return 0.25 * _periodic_second(phi, self.delta)
 
     def jacobian_bands(self) -> tuple[np.ndarray, np.ndarray]:
         # _periodic_second on a unit column: up - 2 values + down is 1, -2, 1
-        if self.n != 1:
-            raise UnsupportedBackend("Jacobian bands need the torus line")
-        stencil = np.array([1.0, -2.0, 1.0, 0.0]) / self.deltas[0]**2
-        hessian = np.repeat((0.25 * stencil)[:, None], self.grid_shape[0], axis=1)
+        stencil = np.array([1.0, -2.0, 1.0, 0.0]) / self.delta**2
+        hessian = np.repeat((0.25 * stencil)[:, None], self.size, axis=1)
         return hessian, np.zeros_like(hessian)
 
     def theta_base(self) -> ScalarField:
@@ -259,36 +219,20 @@ class TorusBackend(GeometryBackend):
         self.check_field(phi, "potential")
         return np.zeros(self.grid_shape)
 
-    def _gradient(self, phi: np.ndarray) -> np.ndarray:
-        return np.stack([_periodic_central(phi, k - self.n, delta)
-                         for k, delta in enumerate(self.deltas)], axis=-1)
-
-    def gradient(self, phi: ScalarField) -> np.ndarray:
-        return self._gradient(self.check_field(phi, "potential"))
-
     def ricci_form(self, chi: HermitianFormField) -> np.ndarray:
         chi.require_kahler("ricci form")
-        log_ratio = np.log(chi.det() / self._base_det)
-        return -self.complex_hessian(log_ratio)
+        return -self.complex_hessian(np.log(chi.density))
 
     def theta(self, phi) -> float:
         # theta vanishes identically
         return 0.0
 
     def stiffness(self, chi, om) -> float:
-        if self.n == 1:
-            return float((0.25 * om / chi**2).max())
-        inv = np.linalg.inv(chi)
-        coeff = np.einsum("...ii->...", inv @ om @ inv) / (4.0 * self.n)
-        return float(coeff.max())
+        return float((0.25 * om / chi**2).max())
 
     def dissipation(self, sigma, chi, om) -> float:
-        if self.n == 1:
-            dsig = _periodic_central(sigma, -1, self.deltas[0])
-            return 0.25 * float(np.sum(dsig * dsig * om / chi) * self.weights)
-        v = np.linalg.solve(chi, self._gradient(sigma)[..., None])[..., 0]
-        return self.integral(
-            0.25 * np.einsum("...i,...ij,...j->...", v, om, v), chi)
+        dsig = _periodic_central(sigma, self.delta)
+        return 0.25 * float(np.sum(dsig * dsig * om / chi) * self.weights)
 
 
 class SphereBackend(GeometryBackend):
@@ -307,7 +251,6 @@ class SphereBackend(GeometryBackend):
     """
 
     name = "sphere"
-    n = 1
 
     def __init__(self, size: int, s_max: float = 12.0):
         size = int(size)
@@ -414,7 +357,7 @@ def complex_hessian(backend: GeometryBackend, phi: ScalarField) -> np.ndarray:
 def build_metric(backend: GeometryBackend, base: HermitianFormField,
                  phi: ScalarField) -> HermitianFormField:
     """The deformed form ``base + complex_hessian(phi)``, positivity-checked."""
-    if base.grid_shape != backend.grid_shape or base.n != backend.n:
+    if base.matrices.shape != backend.grid_shape + (1, 1):
         raise ShapeMismatchError("base form does not match backend grid")
     matrices = base.matrices + backend.complex_hessian(phi)
     return HermitianFormField.from_matrices(matrices)
@@ -428,10 +371,7 @@ def trace_with(chi: HermitianFormField,
     if mats.shape != chi.matrices.shape:
         raise ShapeMismatchError(
             f"cannot trace shape {mats.shape} against {chi.matrices.shape}")
-    if chi.n == 1:
-        return mats[..., 0, 0] / chi.matrices[..., 0, 0]
-    solved = np.linalg.solve(chi.matrices, mats)
-    return np.einsum("...ii->...", solved)
+    return mats[..., 0, 0] / chi.density
 
 
 def theta_of(backend: GeometryBackend, phi: ScalarField) -> ScalarField:
@@ -457,19 +397,10 @@ def volume(backend: GeometryBackend, chi: HermitianFormField | None = None) -> f
 def make_backend(kind: str, **params) -> GeometryBackend:
     kind = kind.strip().lower()
     if kind == "torus":
-        dim = int(params.pop("dim", 1))
-        size = params.pop("size", 256)
-        base_matrix = params.pop("base_matrix", None)
+        size = int(params.pop("size", 256))
         if params:
             raise GeometryError(f"unknown torus parameters: {sorted(params)}")
-        if isinstance(size, int):
-            shape = (size,) * dim
-        else:
-            shape = tuple(size)
-            if len(shape) != dim:
-                raise GeometryError(
-                    f"size {shape} does not match dim {dim}")
-        return TorusBackend(shape, base_matrix=base_matrix)
+        return TorusBackend(size)
     if kind == "sphere":
         size = int(params.pop("size", 256))
         s_max = float(params.pop("s_max", 12.0))

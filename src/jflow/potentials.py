@@ -68,17 +68,17 @@ def random_kahler_potential(backend: GeometryBackend,
             raw += rng.standard_normal() * np.sin(np.pi * k * m)
             raw += rng.standard_normal() * np.cos(np.pi * k * m)
     else:
-        raw = np.zeros(backend.grid_shape)
-        for coord in backend.coords():
-            for k in range(1, modes + 1):
-                raw += rng.standard_normal() * np.sin(2.0 * np.pi * k * coord)
-                raw += rng.standard_normal() * np.cos(2.0 * np.pi * k * coord)
+        x = backend.x
+        raw = np.zeros_like(x)
+        for k in range(1, modes + 1):
+            raw += rng.standard_normal() * np.sin(2.0 * np.pi * k * x)
+            raw += rng.standard_normal() * np.cos(2.0 * np.pi * k * x)
     return scale_to_kahler(backend, raw, amplitude, margin)
 
 
 def _torus_family(backend: TorusBackend, name: str, amplitude: float,
                   wavenumber: int) -> ScalarField:
-    x = backend.coords()[0]
+    x = backend.x
     if name == "zero":
         return np.zeros(backend.grid_shape)
     if name == "sine":
@@ -135,26 +135,26 @@ def hessian_offset_potential(backend: GeometryBackend,
                              density_offset: np.ndarray) -> ScalarField:
     """Potential whose complex Hessian reproduces a mean-zero density offset.
 
-    Torus n=1 only: solves 0.25 D^2 psi = offset in Fourier space against
+    Torus only: solves 0.25 D^2 psi = offset in Fourier space against
     the discrete second-difference symbol, so the reconstruction is exact
     at grid level, not merely to truncation order.
     """
-    if not isinstance(backend, TorusBackend) or backend.n != 1:
+    if not isinstance(backend, TorusBackend):
         raise GeometryError(
-            "exact Hessian-offset construction is a periodic one-dimensional "
-            "device; other backends take reference forms as multiples")
+            "exact Hessian-offset construction is a periodic device; the "
+            "sphere takes reference forms as multiples")
     offset = np.asarray(density_offset, dtype=float)
     if offset.shape != backend.grid_shape:
         raise GeometryError(
             f"offset shape {offset.shape} does not match grid "
             f"{backend.grid_shape}")
-    size = backend.grid_shape[0]
+    size = backend.size
     mean = offset.mean()
     if abs(mean) > 1e-13 * max(1.0, np.abs(offset).max()):
         raise GeometryError(
             "density offset must have zero mean to be a Hessian; got mean "
             f"{mean:.3e}")
-    delta = backend.deltas[0]
+    delta = backend.delta
     freq = np.fft.rfftfreq(size, d=delta)
     # Symbol of the central second difference: -(2 - 2 cos(2 pi f dx))/dx^2.
     symbol = -(2.0 - 2.0 * np.cos(2.0 * np.pi * freq * delta)) / delta**2

@@ -20,11 +20,6 @@ def torus128():
 
 
 @pytest.fixture(scope="session")
-def torus2d():
-    return make_backend("torus", dim=2, size=24)
-
-
-@pytest.fixture(scope="session")
 def sphere64():
     return make_backend("sphere", size=64)
 

@@ -5,10 +5,10 @@ the collocation solver replaces time integration with a direct Newton
 solve, the cone oracle replaces the eigenvalue reduction with Sylvester
 minors on the wedge-coefficient matrix, the quadrature oracles go
 through scipy.integrate on closed-form continuum expressions, and the
-path oracle integrates with 33-node composite Simpson and adjugate
-minors where the library uses its smallest exact rule, and the flow
-oracle rebuilds the flow kernel's outputs from wrapped metrics and the
-public geometry operations.
+path oracle integrates with 33-node composite Simpson where the library
+uses one Simpson panel per segment, and the flow oracle rebuilds the
+flow kernel's outputs from wrapped metrics and the public geometry
+operations.
 """
 
 from __future__ import annotations
@@ -83,15 +83,15 @@ def flow_kernel_outputs(backend, omega, c: float, phi: np.ndarray) -> dict:
 
     Built from the checked metric, ``trace_with``, ``volume_density`` and
     ``relative_spectrum``, with the dissipation integrand in the
-    continuum's own terms: |d sigma|^2 = <v, omega v> with v = chi^{-1}
-    d sigma, where d is a quarter of the real gradient on the torus, and
-    (X sigma)^2 omega / rho^2 on the sphere.  On the sphere X f = m (1 - m)
-    df/dm comes from numpy's gradient with second-order one-sided ends,
-    not from the backend's stencil.  Returns the stiffness and every field
-    of the kernel's diagnostics by name.
+    continuum's own terms: |d sigma|^2 = (d sigma)^2 omega / rho^2, where
+    d is half the derivative on the torus, taken here with np.roll, and X
+    on the sphere.  On the sphere X f = m (1 - m) df/dm comes from numpy's
+    gradient with second-order one-sided ends, not from the backend's
+    stencil.  Returns the stiffness and every field of the kernel's
+    diagnostics by name.
     """
     chi = build_metric(backend, backend.base_form(), phi).require_kahler("oracle")
-    n, om = backend.n, omega.matrices
+    rho, om = chi.density, omega.density
     if isinstance(backend, SphereBackend):
         def action(f):
             return backend.mprime * np.gradient(f, backend.delta, edge_order=2)
@@ -101,22 +101,21 @@ def flow_kernel_outputs(backend, omega, c: float, phi: np.ndarray) -> dict:
         theta = theta_of(backend, phi)
     lam = trace_with(chi, omega)
     sigma = theta - lam
-    rhs = (n * c + sigma) / n
+    rhs = c + sigma
     dens = backend.volume_density(chi)
     if isinstance(backend, SphereBackend):
-        grad_sq = action(sigma) ** 2 * om[:, 0, 0] / chi.matrices[:, 0, 0] ** 2
-        stiffness = om[:, 0, 0] * backend.mprime**2 / chi.matrices[:, 0, 0] ** 2
+        grad_sq = action(sigma) ** 2 * om / rho**2
+        stiffness = om * backend.mprime**2 / rho**2
     else:
-        inv = np.linalg.inv(chi.matrices)
-        v = np.einsum("...ij,...j->...i", inv, backend.gradient(sigma))
-        grad_sq = 0.25 * np.einsum("...i,...ij,...j->...", v, om, v)
-        stiffness = np.trace(inv @ om @ inv, axis1=-2, axis2=-1) / (4.0 * n)
+        half = (np.roll(sigma, -1) - np.roll(sigma, 1)) / (4.0 * backend.delta)
+        grad_sq = half**2 * om / rho**2
+        stiffness = 0.25 * om / rho**2
     return {
         "rhs": rhs, "sigma": sigma,
         "stiffness": float(stiffness.max()),
         "E": float(np.sum(sigma * sigma * dens)),
-        "dissipation": -(2.0 / n) * float(np.sum(grad_sq * dens)),
-        "residual": float(np.abs(n * c + theta - lam).max()),
+        "dissipation": -2.0 * float(np.sum(grad_sq * dens)),
+        "residual": float(np.abs(c + theta - lam).max()),
         "lambda_max": float(lam.max()),
         "floor_constant": float(
             relative_spectrum(chi.matrices, omega).smallest().min()),
@@ -174,9 +173,9 @@ def simpson_path_functionals(backend, omega_matrices: np.ndarray,
     Returns j_hat, j_tilde, j_flow, theta_path_term, aubin_j and the path
     formula for I - J, each integrated with its own density.
 
-    Composite Simpson in t with 33 samples.  Volume and mixed densities
-    come from explicit 2x2 adjugate formulas, so this covers n <= 2:
-    det(chi) and tr(adj(chi) omega) = tr(chi^{-1} omega) det(chi).
+    Composite Simpson in t with 33 samples.  The volume density of a
+    one-dimensional metric is the metric itself and the mixed density of
+    a form is the form: tr(chi^{-1} omega) det(chi) = omega.
     """
     nodes = 33
     t = np.linspace(0.0, 1.0, nodes)
@@ -185,33 +184,21 @@ def simpson_path_functionals(backend, omega_matrices: np.ndarray,
     coeff[2:-1:2] = 2.0
     coeff *= t[1] / 3.0
 
-    def det_and_mixed(m, om):
-        if m.shape[-1] == 1:
-            return m[..., 0, 0], om[..., 0, 0]
-        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-        mixed = (m[..., 1, 1] * om[..., 0, 0] + m[..., 0, 0] * om[..., 1, 1]
-                 - m[..., 0, 1] * om[..., 1, 0] - m[..., 1, 0] * om[..., 0, 1])
-        return det, mixed
-
-    base = backend.base_form().matrices
-    om = np.asarray(omega_matrices, dtype=float)
-    base_det, base_mixed = det_and_mixed(base, om)
-    level = float(np.sum(base_mixed * backend.weights)) / (
-        backend.n * float(np.sum(base_det * backend.weights)))
+    base = backend.base_form().density
+    om = np.asarray(omega_matrices, dtype=float)[..., 0, 0]
+    level = float(np.sum(om * backend.weights)) / float(
+        np.sum(base * backend.weights))
     totals = dict.fromkeys(("j_hat", "j_tilde", "j_flow", "theta_path_term",
                             "aubin_j", "i_minus_j_path"), 0.0)
     for tk, ck in zip(t, coeff):
-        chi = base + complex_hessian(backend, tk * phi)
-        det, mixed = det_and_mixed(chi, om)
-        _, mixed_base = det_and_mixed(chi, base)
-        j_dens = mixed - backend.n * level * det
+        det = base + complex_hessian(backend, tk * phi)[..., 0, 0]
+        j_dens = om - level * det
         coupling = theta_of(backend, tk * phi) * det
         pair = phi * backend.weights
         totals["j_hat"] += ck * float(np.sum(pair * j_dens))
         totals["j_tilde"] += ck * float(np.sum(pair * (j_dens + coupling)))
         totals["j_flow"] += ck * float(np.sum(pair * (j_dens - coupling)))
         totals["theta_path_term"] += ck * float(np.sum(pair * coupling))
-        totals["aubin_j"] += ck * float(np.sum(pair * (base_det - det)))
-        totals["i_minus_j_path"] += ck * float(
-            np.sum(pair * (mixed_base - backend.n * det)))
+        totals["aubin_j"] += ck * float(np.sum(pair * (base - det)))
+        totals["i_minus_j_path"] += ck * float(np.sum(pair * (base - det)))
     return totals

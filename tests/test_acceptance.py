@@ -40,7 +40,7 @@ from jflow.potentials import named_potential, random_kahler_potential
 def torus_reference(backend, scale=2.0, amplitude=0.3):
     # density scale * (1 + amplitude sin 2 pi x); mean is exactly scale on
     # the uniform grid, so the class level constant is scale
-    x = backend.axes[0]
+    x = backend.x
     density = scale * (1.0 + amplitude * np.sin(2.0 * np.pi * x))
     return backend.form(density[:, None, None])
 
@@ -204,7 +204,7 @@ def test_criterion_06_aubin_inequalities_and_closed_form():
 
     b = make_backend("torus", size=128)
     a = 0.02
-    phi = a * np.sin(2.0 * np.pi * b.axes[0])
+    phi = a * np.sin(2.0 * np.pi * b.x)
     e = aubin_ij(b, phi)
     # fourth-order stencil truncation sets the quadrature tolerance
     tol_i = 20.0 * b.spacing ** 2 * a ** 2

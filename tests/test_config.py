@@ -81,7 +81,7 @@ def _first_outside(spec):
 
 def test_bounded_keys_are_the_range_rules():
     assert {key: CONFIG_KEYS[key].bound for key in _BOUNDED} == {
-        "geometry.dim": (">=", 1), "geometry.s_max": (">", 1),
+        "geometry.s_max": (">", 1),
         "reference.scale": (">", 0), "flow.cfl_safety": (">", 0),
         "flow.log_every": (">=", 1), "geodesic.nodes": (">=", 3),
         "geodesic.pairs": (">=", 1), "hypotheses.epsilon": (">=", 0),
@@ -153,9 +153,11 @@ def test_comments_and_blanks_ignored():
 
 
 def test_unknown_key_carries_offending_line():
-    # functionals.path_steps is the key configs written before the path
-    # quadrature became exact still carry
-    for line in ("geometry.sise = 12", "functionals.path_steps = 32"):
+    # functionals.path_steps and geometry.dim are keys that configs written
+    # before the path quadrature became exact, or while the torus took any
+    # dimension, still carry
+    for line in ("geometry.sise = 12", "functionals.path_steps = 32",
+                 "geometry.dim = 1"):
         with pytest.raises(ConfigError) as err:
             parse_config(f"seed = 3\n{line}")
         assert "unknown configuration key" in str(err.value)
@@ -220,18 +222,16 @@ def test_build_backend_kinds():
         "geometry.kind = sphere\ngeometry.size = 64\ngeometry.s_max = 8.0"))
     assert isinstance(sphere, SphereBackend)
     assert sphere.grid_shape == (64,)
-    torus = build_backend(parse_config("geometry.dim = 2\ngeometry.size = 16"))
+    torus = build_backend(parse_config("geometry.size = 16"))
     assert isinstance(torus, TorusBackend)
-    assert torus.grid_shape == (16, 16)
+    assert torus.grid_shape == (16,)
 
 
 def test_build_backend_validation():
     with pytest.raises(ConfigError):
         build_backend(parse_config("geometry.size = 2"))
     with pytest.raises(ConfigError):
-        build_backend(parse_config("geometry.kind = sphere\ngeometry.dim = 2"))
-    with pytest.raises(ConfigError):
-        build_backend(parse_config("geometry.dim = 0"))
+        build_backend(parse_config("geometry.kind = sphere\ngeometry.size = 8"))
 
 
 def test_build_reference_scaled_with_exact_offset():
@@ -241,7 +241,7 @@ def test_build_reference_scaled_with_exact_offset():
         "reference.offset_amplitude = 0.6\n")
     backend = build_backend(cfg)
     omega = build_reference(cfg, backend)
-    x = backend.axes[0]
+    x = backend.x
     want = 2.0 + 0.6 * np.sin(2 * np.pi * x)
     assert np.abs(omega.matrices[..., 0, 0] - want).max() < 1e-12
     from jflow import level_constant
@@ -274,17 +274,6 @@ def test_build_reference_offset_keeps_positivity():
     backend = build_backend(cfg)
     with pytest.raises(ConfigError):
         build_reference(cfg, backend)
-
-
-def test_build_problem_maps_method_error_to_config():
-    # rosenbrock needs a one-dimensional geometry; the 2-D torus is not one
-    cfg = parse_config("geometry.dim = 2\ngeometry.size = 16\n"
-                       "flow.method = rosenbrock")
-    backend = build_backend(cfg)
-    omega = build_reference(cfg, backend)
-    with pytest.raises(ConfigError) as err:
-        build_problem(cfg, backend, omega)
-    assert err.value.line == "flow.method = rosenbrock"
 
 
 def test_build_problem_rejects_log_every_below_one():

@@ -23,12 +23,12 @@ from jflow import (
 import oracles
 from jflow.flow import _Diagnostics, _Kernel, _start
 from jflow.geometry import SphereBackend, _periodic_neighbours
-from jflow.potentials import hessian_offset_potential, named_potential
+from jflow.potentials import hessian_offset_potential
 
 
 def torus_target_form(backend, amplitude=0.3, scale=2.0):
     # density scale * (1 + amplitude sin(2 pi x)): an exact-class form
-    x = backend.axes[0]
+    x = backend.x
     offset = scale * amplitude * np.sin(2.0 * np.pi * x)
     psi = hessian_offset_potential(backend, offset)
     from jflow import complex_hessian
@@ -69,8 +69,8 @@ def test_rhs_closed_form_torus(torus128, rng):
 
 
 def test_rhs_and_linearization_refuse_non_finite_potentials(
-        torus64, sphere64, torus2d):
-    for b in (torus64, sphere64, torus2d):
+        torus64, sphere64):
+    for b in (torus64, sphere64):
         phi = np.zeros(b.grid_shape)
         phi.flat[5] = np.nan
         with pytest.raises(GeometryError):
@@ -106,7 +106,7 @@ def test_linearized_stiffness_bound_matches_backend(torus64, sphere64, rng):
 
 def test_linearized_sign_is_dissipative(torus64):
     # Rayleigh quotient on the lowest mode at the reference state
-    x = torus64.axes[0]
+    x = torus64.x
     psi = np.sin(2 * np.pi * x)
     op = linearized_operator(torus64, np.zeros(64), torus64.base_form())
     pairing = np.sum(psi * op.apply(psi) * torus64.weights)
@@ -114,15 +114,6 @@ def test_linearized_sign_is_dissipative(torus64):
 
 
 # --- problem validation ------------------------------------------------------
-
-def test_rosenbrock_needs_a_one_dimensional_kernel(torus64, sphere64, torus2d):
-    for b in (torus64, sphere64):
-        assert FlowProblem(backend=b, omega=b.base_form(),
-                           method="rosenbrock").method == "rosenbrock"
-    with pytest.raises(ConfigError):
-        FlowProblem(backend=torus2d, omega=torus2d.base_form(),
-                    method="rosenbrock")
-
 
 @pytest.mark.parametrize("cfl_safety", [0.0, -0.2])
 def test_cfl_safety_must_be_positive(torus64, cfl_safety):
@@ -300,39 +291,6 @@ def test_flow_snapshot_budget(torus64):
     assert result.snapshots[-1][0] == result.state.t
 
 
-def _torus2d_problem(**settings):
-    b = make_backend("torus", dim=2, size=16)
-    omega = b.form(2.0 * b.base_form().matrices)
-    return FlowProblem(backend=b, omega=omega, **settings)
-
-
-def test_torus2d_flow_reaches_target_metric():
-    problem = _torus2d_problem(t_max=10.0, residual_target=1e-6,
-                               cfl_safety=0.45)
-    b = problem.backend
-    result = run_flow(problem, named_potential(b, "sine", 0.05))
-    assert result.converged and result.reason == "residual"
-    assert result.suspect_steps == 0
-    chi = build_metric(b, b.base_form(), result.state.phi)
-    target = problem.omega.matrices / problem.level
-    assert np.abs(chi.matrices - target).max() <= 1e-6
-
-
-def test_torus2d_flow_dissipation_identity():
-    # E falls on every step; each secant slope is within 15 % of the
-    # trapezoid of its two rows' predicted dissipation (an O(spacing^2)
-    # gap: 8.7 % at 16 x 16, 14.9 % at 12 x 12)
-    problem = _torus2d_problem(t_max=0.05, log_every=1)
-    result = run_flow(problem, named_potential(problem.backend, "sine", 0.05))
-    rows = result.records
-    assert result.state.t == 0.05 and len(rows) > 10
-    assert result.suspect_steps == 0
-    for prev, row in zip(rows[:-1], rows[1:]):
-        assert row.E < prev.E
-        trapezoid = 0.5 * (prev.dE_dt_predicted + row.dE_dt_predicted)
-        assert abs(row.dE_dt_measured - trapezoid) <= 0.15 * abs(trapezoid)
-
-
 def test_sphere_flow_short_run_clean(sphere64):
     problem = FlowProblem(backend=sphere64, omega=sphere64.base_form(),
                           t_max=0.5, cfl_safety=0.4)
@@ -359,11 +317,11 @@ def test_periodic_neighbours_match_roll(phi):
     up, down = _periodic_neighbours(phi)
     assert np.array_equal(up, np.roll(phi, -1))
     assert np.array_equal(down, np.roll(phi, 1))
+    # a stack of rows: neighbours along the trailing axis only
     grid = np.stack([phi, 2.0 * phi, phi[::-1]])
-    for axis in (0, 1):
-        up, down = _periodic_neighbours(grid, axis)
-        assert np.array_equal(up, np.roll(grid, -1, axis))
-        assert np.array_equal(down, np.roll(grid, 1, axis))
+    up, down = _periodic_neighbours(grid)
+    assert np.array_equal(up, np.roll(grid, -1, -1))
+    assert np.array_equal(down, np.roll(grid, 1, -1))
 
 
 # Distinct entries give every flux a nonzero value, the end fluxes of the
@@ -403,19 +361,13 @@ def _relative_gap(got, want):
                                                  1e-300)
 
 
-@pytest.mark.parametrize("geometry", ["torus", "sphere", "torus2d"])
+@pytest.mark.parametrize("geometry", ["torus", "sphere"])
 def test_kernel_matches_oracle(geometry, torus128, sphere128):
     rng = np.random.default_rng(7)
     if geometry == "torus":
         b, omega = torus128, torus_target_form(torus128)
-    elif geometry == "sphere":
-        b, omega = sphere128, sphere128.base_form()
     else:
-        # an anisotropic base and a target with off-diagonal entries
-        b = make_backend("torus", dim=2, size=[12, 16],
-                         base_matrix=[[1.0, 0.3], [0.3, 0.8]])
-        psi = random_kahler_potential(b, rng, 0.5)
-        omega = b.form(1.5 * build_metric(b, b.base_form(), psi).matrices)
+        b, omega = sphere128, sphere128.base_form()
     c = FlowProblem(backend=b, omega=omega).level
     for _ in range(3):
         phi = random_kahler_potential(b, rng, 0.5)

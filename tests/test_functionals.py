@@ -32,8 +32,8 @@ from jflow.potentials import hessian_offset_potential
 
 # --- level constant ---------------------------------------------------------
 
-def test_level_constant_reference_is_one(torus64, sphere128, torus2d):
-    for b in (torus64, sphere128, torus2d):
+def test_level_constant_reference_is_one(torus64, sphere128):
+    for b in (torus64, sphere128):
         assert level_constant(b, b.base_form()) == 1.0
 
 
@@ -44,7 +44,7 @@ def test_level_constant_scales_linearly(torus64):
 
 def test_level_constant_exact_for_offset_density(torus128):
     # adding an exact Hessian to the form moves mass around but not the class
-    x = torus128.axes[0]
+    x = torus128.x
     psi = hessian_offset_potential(torus128, 0.6 * np.sin(2 * np.pi * x))
     density = 2.0 + complex_hessian_density(torus128, psi)
     omega = torus128.form(density[:, None, None])
@@ -75,7 +75,7 @@ def test_aubin_zero_potential(torus64, sphere64):
 def test_aubin_sine_closed_form(torus128):
     # I = a^2 pi^2 / 2 and J = I / 2 for phi = a sin(2 pi x) on the line
     a = 0.02
-    phi = a * np.sin(2 * np.pi * torus128.axes[0])
+    phi = a * np.sin(2 * np.pi * torus128.x)
     i_val = aubin_i(torus128, phi)
     j_val = aubin_j(torus128, phi)
     # stencil symbol error: (2 pi)^4 / 96 * spacing^2 per unit a^2
@@ -93,8 +93,8 @@ def test_aubin_path_formula_cross_check(torus128, sphere128, rng):
         assert energies.i_minus_j == energies.I - energies.J
 
 
-def test_aubin_inequalities_random(torus64, sphere64, torus2d, rng):
-    for b in (torus64, sphere64, torus2d):
+def test_aubin_inequalities_random(torus64, sphere64, rng):
+    for b in (torus64, sphere64):
         for _ in range(10):
             phi = random_kahler_potential(b, rng, 0.6)
             energies = aubin_ij(b, phi)
@@ -106,7 +106,7 @@ def test_aubin_inequalities_random(torus64, sphere64, torus2d, rng):
 
 
 def test_aubin_rejects_degenerate_endpoint(torus64):
-    x = torus64.axes[0]
+    x = torus64.x
     with pytest.raises(NotKahlerError):
         aubin_i(torus64, np.sin(2 * np.pi * x))
     with pytest.raises(NotKahlerError):
@@ -114,38 +114,30 @@ def test_aubin_rejects_degenerate_endpoint(torus64):
 
 
 def test_path_rule_exact_to_degree_n_plus_one():
-    from jflow.functionals import _lobatto_rule
-    for n in (1, 2, 3, 4):
-        t, w = _lobatto_rule(n)
-        assert t[0] == 0.0 and t[-1] == 1.0
-        for degree in range(n + 2):
-            assert abs(np.dot(w, t**degree) - 1.0 / (degree + 1)) < 1e-15
+    # the path integrands have degree at most n + 1 = 2 in t; Simpson's
+    # rule is exact to degree 3
+    from jflow.functionals import SIMPSON_NODES, SIMPSON_WEIGHTS
+    t, w = np.array(SIMPSON_NODES), np.array(SIMPSON_WEIGHTS)
+    assert t[0] == 0.0 and t[-1] == 1.0
+    for degree in range(4):
+        assert abs(np.dot(w, t**degree) - 1.0 / (degree + 1)) < 1e-15
 
 
 def test_path_rule_matches_numpy_polynomial_rule():
-    # the rule numpy.polynomial gives (roots of P_{k-1}', weights from
-    # P_{k-1}): bit for bit at k = 3, the rule of every n <= 2, and to
-    # 1e-15 for k = 3 to 8 (n = 1 to 12)
-    from jflow.functionals import _lobatto_rule
-    for n in range(1, 13):
-        k = -(-(n + 4) // 2)
-        p = np.polynomial.legendre.Legendre.basis(k - 1)
-        x = np.concatenate([[-1.0], np.sort(p.deriv().roots().real), [1.0]])
-        w = 2.0 / (k * (k - 1) * p(x) ** 2)
-        t, c = _lobatto_rule(n)
-        assert t.size == k
-        assert not t.flags.writeable and not c.flags.writeable
-        if k == 3:
-            assert np.array_equal(t, 0.5 * (x + 1.0))
-            assert np.array_equal(c, 0.5 * w)
-        assert np.abs(t - 0.5 * (x + 1.0)).max() <= 1e-15
-        assert np.abs(c - 0.5 * w).max() <= 1e-15
+    # the 3-node Gauss-Lobatto rule numpy.polynomial gives (roots of P_2',
+    # weights from P_2), bit for bit
+    from jflow.functionals import SIMPSON_NODES, SIMPSON_WEIGHTS
+    p = np.polynomial.legendre.Legendre.basis(2)
+    x = np.concatenate([[-1.0], np.sort(p.deriv().roots().real), [1.0]])
+    w = 2.0 / (3 * 2 * p(x) ** 2)
+    assert np.array_equal(SIMPSON_NODES, 0.5 * (x + 1.0))
+    assert np.array_equal(SIMPSON_WEIGHTS, 0.5 * w)
 
 
-def test_path_functionals_match_simpson_oracle(sphere128, torus2d, rng):
-    # the 3-node rule is exact for n <= 2, so 33-node composite Simpson
-    # agrees with it to round-off on both dimensions
-    for b in (sphere128, torus2d):
+def test_path_functionals_match_simpson_oracle(sphere128, torus128, rng):
+    # one Simpson panel is exact on each segment, so 33-node composite
+    # Simpson agrees with it to round-off on both geometries
+    for b in (sphere128, torus128):
         for _ in range(3):
             phi = random_kahler_potential(b, rng, 0.5)
             psi = random_kahler_potential(b, rng, 0.3)
@@ -220,7 +212,7 @@ def test_entropy_matches_line_quadrature(torus128):
     # periodic trapezoid quadrature of a smooth density converges spectrally,
     # so grid 128 already agrees with the adaptive oracle to near round-off
     b_amp = 0.3
-    x = torus128.axes[0]
+    x = torus128.x
     psi = hessian_offset_potential(torus128, b_amp * np.sin(2 * np.pi * x))
     got = entropy(torus128, psi)
     want = oracles.entropy_line_density(b_amp)
@@ -228,7 +220,7 @@ def test_entropy_matches_line_quadrature(torus128):
 
 
 def test_entropy_quadratic_scaling(torus128):
-    x = torus128.axes[0]
+    x = torus128.x
     psi = hessian_offset_potential(torus128, 0.2 * np.sin(2 * np.pi * x))
     vals = [entropy(torus128, a * psi) for a in (1e-3, 5e-4)]
     order = np.log2(vals[0] / vals[1])
@@ -280,11 +272,11 @@ def test_extremal_residual_reference_is_minus_moment(sphere128):
 
 # --- sigma energy -----------------------------------------------------------
 
-def test_sigma_energy_reference_values(torus64, torus2d):
-    for b in (torus64, torus2d):
-        sigma, e_val = sigma_energy(b, np.zeros(b.grid_shape), b.base_form())
-        assert np.array_equal(sigma, -float(b.n) * np.ones(b.grid_shape))
-        assert abs(e_val - b.n**2 * volume(b)) < 1e-12
+def test_sigma_energy_reference_values(torus64):
+    b = torus64
+    sigma, e_val = sigma_energy(b, np.zeros(b.grid_shape), b.base_form())
+    assert np.array_equal(sigma, -np.ones(b.grid_shape))
+    assert abs(e_val - volume(b)) < 1e-12
 
 
 def test_sigma_energy_sphere_reference(sphere128):
@@ -340,19 +332,19 @@ def _count_calls(monkeypatch, backend, name):
     return calls
 
 
-@pytest.mark.parametrize("name", ["sphere128", "torus128", "torus2d"])
+@pytest.mark.parametrize("name", ["sphere128", "torus128"])
 def test_functional_report_builds_one_metric_per_node(name, request, rng,
                                                       monkeypatch):
-    # one walk of 3 Lobatto nodes, plus I, the entropy and E at phi itself
+    # one walk of 3 Simpson nodes, plus I, the entropy and E at phi itself
     b = request.getfixturevalue(name)
     phi = random_kahler_potential(b, rng, 0.4)
     omega = _random_target(b, rng)
     calls = _count_calls(monkeypatch, b, "metric")
     functional_report(b, phi, omega)
-    assert functionals._lobatto_rule(b.n)[0].size <= len(calls) <= 6
+    assert len(functionals.SIMPSON_NODES) <= len(calls) <= 6
 
 
-@pytest.mark.parametrize("name", ["sphere128", "torus128", "torus2d"])
+@pytest.mark.parametrize("name", ["sphere128", "torus128"])
 def test_theta_taken_only_by_functionals_that_read_it(name, request, rng,
                                                       monkeypatch):
     # aubin_j, aubin_ij and j_hat never read M_theta, so their walks take
@@ -362,7 +354,7 @@ def test_theta_taken_only_by_functionals_that_read_it(name, request, rng,
     phi = random_kahler_potential(b, rng, 0.4)
     waypoint = random_kahler_potential(b, rng, 0.3)
     omega = _random_target(b, rng)
-    nodes = functionals._lobatto_rule(b.n)[0].size
+    nodes = len(functionals.SIMPSON_NODES)
     calls = _count_calls(monkeypatch, b, "theta")
     for call, want in (
             (lambda: aubin_j(b, phi), 0),
@@ -378,7 +370,7 @@ def test_theta_taken_only_by_functionals_that_read_it(name, request, rng,
         assert len(calls) == want
 
 
-@pytest.mark.parametrize("name", ["sphere128", "torus128", "torus2d"])
+@pytest.mark.parametrize("name", ["sphere128", "torus128"])
 def test_functional_report_matches_standalone_and_oracle(name, request, rng):
     b = request.getfixturevalue(name)
     for _ in range(2):
@@ -430,8 +422,8 @@ def test_forms_off_the_grid_are_rejected(shape):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_potentials_raise(torus64, torus2d, sphere64, bad):
-    for b in (torus64, torus2d, sphere64):
+def test_non_finite_potentials_raise(torus64, sphere64, bad):
+    for b in (torus64, sphere64):
         phi = np.zeros(b.grid_shape)
         phi.flat[5] = bad
         omega = b.base_form()
@@ -455,10 +447,9 @@ def test_overflowing_metric_is_refused(torus64):
             call()
 
 
-def test_non_kahler_potentials_name_their_context(torus64, torus2d, sphere64,
-                                                  rng):
+def test_non_kahler_potentials_name_their_context(torus64, sphere64, rng):
     # grid-scale noise: its Hessian dwarfs the reference form, both signs
-    for b in (torus64, torus2d, sphere64):
+    for b in (torus64, sphere64):
         phi = rng.normal(size=b.grid_shape)
         omega = b.base_form()
         for call, context in (

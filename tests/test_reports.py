@@ -39,7 +39,7 @@ def torus_result(request):
     from jflow.potentials import hessian_offset_potential
     from jflow import complex_hessian
     b = make_backend("torus", size=64)
-    x = b.axes[0]
+    x = b.x
     psi = hessian_offset_potential(b, 0.6 * np.sin(2 * np.pi * x))
     density = 2.0 + complex_hessian(b, psi)[..., 0, 0]
     omega = b.form(density[:, None, None])

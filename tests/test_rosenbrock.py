@@ -316,8 +316,9 @@ def test_dominance_failure_is_rejected_and_halved(sphere64):
 
 def test_error_estimate_sets_the_step(sphere64):
     # an oversized first step is rejected on its error estimate, not
-    # capped; every attempt costs three stage builds and three right-hand
-    # sides, and no step is at the stiffness cap
+    # capped; every attempt costs three right-hand sides, an accepted step
+    # three stage builds and an error-rejected attempt two (its trial's
+    # stage is never built), and no step is at the stiffness cap
     problem = FlowProblem(backend=sphere64, omega=sphere64.base_form(),
                           method="rosenbrock", dt_init=10.0, t_max=1.0)
     result = run_flow(problem)
@@ -326,7 +327,8 @@ def test_error_estimate_sets_the_step(sphere64):
     assert stats.rejected_positivity == stats.rejected_energy == 0
     assert stats.steps_at_cap == 0
     attempts = steps + stats.rejected_error
-    assert stats.metric_builds == stats.rhs_evaluations == 3 * attempts + 1
+    assert stats.metric_builds == 3 * steps + 2 * stats.rejected_error + 1
+    assert stats.rhs_evaluations == 3 * attempts + 1
     assert result.suspect_steps == 0
     # the controller grows the step well past the explicit cap
     cap = problem.cfl_safety * sphere64.spacing ** 2 / 0.25
