@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .fields import GeometryError, HermitianFormField, NotKahlerError
+from .fields import GeometryError, HermitianFormField
 from .functionals import level_constant
 from .geometry import GeometryBackend, ricci_form, theta_of
 
@@ -59,7 +59,7 @@ def relative_spectrum(omega, chi_prime: HermitianFormField) -> RelativeSpectrum:
         raise GeometryError(
             f"cannot relate shape {mats.shape} to {chi_prime.matrices.shape}")
     if chi_prime.n == 1:
-        eig = mats[..., 0, 0] / chi_prime.matrices[..., 0, 0]
+        eig = GeometryBackend.trace(chi_prime.density, mats[..., 0, 0])
         return RelativeSpectrum(eigenvalues=eig[..., None],
                                 reconstruction_error=0.0)
 
@@ -145,24 +145,25 @@ def properness_hypotheses(backend: GeometryBackend, epsilon: float,
     alpha_lower_bound = float(alpha_lower_bound)
     n = backend.n
     chi_prime = backend.base_form() if chi_prime is None else chi_prime
-    chi_prime.require_kahler("properness hypotheses")
+    chi = backend.raw_form(chi_prime.require_kahler("properness hypotheses"))
 
     theta0 = theta_of(backend, np.zeros(backend.grid_shape))
     min_theta = float(theta0.min())
     ric0 = ricci_form(backend, backend.base_form())
     r = level_constant(backend, ric0)
+    ric = backend.raw_form(ric0)
     c_theorem = epsilon - r
 
+    # A form is its density, so its least eigenvalue is its least entry.
     margins = {
         "alpha_bound": (n + 1) / n * alpha_lower_bound - epsilon,
-        "class_positivity": HermitianFormField.from_matrices(
-            (epsilon + min_theta) * chi_prime.matrices - ric0).min_eigenvalue,
-        "combined_positivity": HermitianFormField.from_matrices(
-            (-n * r + min_theta + epsilon) * chi_prime.matrices
-            + (n - 1) * ric0).min_eigenvalue,
+        "class_positivity": float(((epsilon + min_theta) * chi - ric).min()),
+        "combined_positivity": float(
+            ((-n * r + min_theta + epsilon) * chi + (n - 1) * ric).min()),
         "level_claim": n * c_theorem + min_theta,
     }
     if omega is not None:
+        backend.raw_form(omega)  # checks the shape against the grid
         margins["subsolution_with_omega"] = subsolution_margin(
             chi_prime, omega, c_theorem, theta0)
     passes = {name: margin > 0.0 for name, margin in margins.items()}

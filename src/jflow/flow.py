@@ -27,18 +27,18 @@ diagonally dominant is rejected and halved.  With every method a step is
 rejected, and the step size halved, when positivity fails anywhere or E
 increases beyond round-off tolerance.
 
-One kernel serves every geometry.  The backend builds each stage from
-its own stencils: the checked raw metric density of
-`GeometryBackend.metric`, which the functionals and the geodesics build
-through the same call, and theta;
-`rhs`, `stiffness`, `jacobian_bands` and `diagnostics` take that stage and
-the backend's raw `trace` and `integral`, and so do `flow_rhs` and
-`linearized_operator`.  The stage of an accepted state, built for its
-diagnostics, serves the next step's stiffness cap and first stage, and a
-rejected attempt reuses it as well, so an accepted RK4 step builds four
-stages and a RODAS3 step three.  `FlowResult.stats`
-counts the builds, the right-hand-side evaluations, the rejections by
-cause and the steps whose size the stiffness cap set.
+One kernel serves every geometry.  A stage is the backend's checked raw
+metric density (`GeometryBackend.metric`) and its raw theta; `rhs`,
+`stiffness`, `jacobian_bands` and `diagnostics` take that stage and the
+backend's raw `trace` and `integral`, and so do `flow_rhs` and
+`linearized_operator`.  These raw operations are the geometry's only
+bodies: the functionals and geodesics call them too, and the public
+`theta_of`, `trace_with` and `integrate` wrap them.  The stage of an
+accepted state, built for its diagnostics, serves the next step's
+stiffness cap and first stage, and a rejected attempt reuses it as well,
+so an accepted RK4 step builds four stages and a RODAS3 step three.
+`FlowResult.stats` counts the builds, the right-hand-side evaluations,
+the rejections by cause and the steps whose size the stiffness cap set.
 """
 
 from __future__ import annotations

@@ -4,8 +4,13 @@ Measure conventions, used consistently by every functional here (this is
 the single constants table; nothing else in the package converts
 measures):
 
-    volume density    chi^n / n!            ->  det(chi) * weights
-    mixed density     A ^ chi^(n-1) / (n-1)! ->  tr(chi^{-1} A) det(chi) * weights
+    volume density    chi^n / n!             ->  chi * weights
+    mixed density     A ^ chi^(n-1) / (n-1)! ->  trace(chi, A) chi * weights
+
+On the one-dimensional geometries (n = 1) a form is its density, so
+det(chi) is chi itself and tr(chi^{-1} A) is ``backend.trace(chi, A)``,
+A / chi; ``backend.raw_volume_density`` and ``backend.integral`` apply
+the weights.
 
 Every path functional integrates phi_dot against a density along the
 same piecewise-linear route from 0 to phi, so one walk gives the path
@@ -29,8 +34,9 @@ integrand is a polynomial in t of degree at most 2, Simpson's rule
 integrates it exactly, and the only discretization error is spatial.
 The rule keeps both segment ends, so checking each node through
 ``backend.metric`` (finite and positive) covers the whole path.  Every
-functional here works on the backend's raw metric, as the flow kernel
-does; each form's shape is checked against the grid once, by
+functional here, ``extremal_residual`` and ``scalar_curvature``
+included, works on the backend's raw metric, as the flow kernel does;
+each form's shape is checked against the grid once, by
 ``backend.raw_form``.
 """
 
@@ -41,15 +47,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .fields import GeometryError, HermitianFormField, ScalarField
-from .geometry import (
-    GeometryBackend,
-    build_metric,
-    integrate,
-    ricci_form,
-    theta_of,
-    trace_with,
-    volume,
-)
+from .geometry import GeometryBackend, ricci_form
 
 # Discrete Jensen guard: entropy of equal-mass measures cannot go below
 # zero by more than round-off.
@@ -100,10 +98,10 @@ def _path_moments(backend: GeometryBackend, phis: np.ndarray, forms=(),
         rate = phi_b - phi_a
         for t, ck in zip(SIMPSON_NODES, SIMPSON_WEIGHTS):
             phi_t = phi_a + t * rate
+            # a one-dimensional metric is its own volume density
             chi_t = backend.metric(phi_t, "path quadrature node")
-            vol = backend.det(chi_t)
-            rows = [vol, backend.theta(phi_t) * vol] if theta else [vol]
-            dens = np.stack(rows + [backend.trace(chi_t, om) * vol
+            rows = [chi_t, backend.theta(phi_t) * chi_t] if theta else [chi_t]
+            dens = np.stack(rows + [backend.trace(chi_t, om) * chi_t
                                     for om in oms])
             total += ck * _grid_sum(rate * dens * backend.weights)
     return total[0], total[1] if theta else None, list(total[1 + theta:])
@@ -114,8 +112,7 @@ def _j_hat_of(backend: GeometryBackend, omega, m_vol, m_mixed):
 
 
 def _j_of(backend: GeometryBackend, phis: np.ndarray, m_vol) -> np.ndarray:
-    vol0 = backend.base_form().det()
-    return _grid_sum(phis * vol0 * backend.weights) - m_vol
+    return _grid_sum(phis * backend._base_raw * backend.weights) - m_vol
 
 
 def level_constant(backend: GeometryBackend, omega,
@@ -128,10 +125,8 @@ def level_constant(backend: GeometryBackend, omega,
     """
     chi = backend.raw_form(backend.base_form() if chi is None
                            else chi.require_kahler("level constant"))
-    density = backend.raw_volume_density(chi)
-    numerator = float(np.sum(backend.trace(chi, backend.raw_form(omega))
-                             * density))
-    return numerator / (backend.n * float(np.sum(density)))
+    numerator = backend.integral(backend.trace(chi, backend.raw_form(omega)), chi)
+    return numerator / (backend.n * backend.integral(1.0, chi))
 
 
 @dataclass(frozen=True)
@@ -152,8 +147,7 @@ class AubinEnergies:
 # (``_*_rows``); the public function is its one-row case.
 
 def _aubin_i_rows(backend: GeometryBackend, phis: np.ndarray) -> np.ndarray:
-    chi = backend.metric(phis, "aubin energies")
-    diff = backend.base_form().det() - backend.det(chi)
+    diff = backend._base_raw - backend.metric(phis, "aubin energies")
     return _grid_sum(phis * diff * backend.weights)
 
 
@@ -229,8 +223,8 @@ def j_flow(backend: GeometryBackend, omega, phi, waypoints=None) -> float:
 
 
 def _entropy_rows(backend: GeometryBackend, phis: np.ndarray) -> np.ndarray:
-    vol = backend.det(backend.metric(phis, "entropy"))
-    ratio = vol / backend.base_form().det()
+    vol = backend.metric(phis, "entropy")
+    ratio = vol / backend._base_raw
     val = _grid_sum(np.log(ratio) * vol * backend.weights)
     if val.min() < ENTROPY_FLOOR:
         # Total volumes agree exactly on both backends, so Jensen bounds
@@ -281,16 +275,16 @@ def extremal_residual(backend: GeometryBackend, phi) -> ScalarField:
     pairing with this residual.
     """
     values = backend.check_field(phi, "potential")
-    chi = build_metric(backend, backend.base_form(), values)
-    chi.require_kahler("extremal residual")
-    curv = trace_with(chi, ricci_form(backend, chi))
-    mean = integrate(backend, curv, chi) / volume(backend, chi)
-    return curv - mean - theta_of(backend, values)
+    chi = backend.metric(values, "extremal residual")
+    curv = backend.trace(chi, backend._ricci(chi))
+    mean = backend.integral(curv, chi) / backend.integral(1.0, chi)
+    return curv - mean - backend.theta(values)
 
 
 def scalar_curvature(backend: GeometryBackend, chi: HermitianFormField) -> ScalarField:
     """Riemannian scalar curvature, twice the complex curvature trace."""
-    return 2.0 * trace_with(chi, ricci_form(backend, chi))
+    rho = backend.raw_form(chi.require_kahler("scalar curvature"))
+    return 2.0 * backend.trace(rho, backend._ricci(rho))
 
 
 @dataclass(frozen=True)

@@ -361,7 +361,8 @@ def geodesic_residual(backend: GeometryBackend,
 
 
 def _mean_rows(backend, phis):
-    return np.sum(phis * backend.volume_density(), axis=-1) / backend.volume
+    vol0 = backend.raw_volume_density(backend._base_raw)
+    return np.sum(phis * vol0, axis=-1) / backend.volume
 
 
 # The probed functionals, each on a stack of potentials (one per row).

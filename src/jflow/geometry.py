@@ -61,20 +61,24 @@ class GeometryBackend:
     the constant 1), so a form is a (*grid, 1, 1) matrix stack and its raw
     array is its density.  Internal consumers (the flow kernel, the
     functionals, the geodesics) work on raw arrays, and ``raw_form``
-    unwraps a form, checking its shape against the grid.
-    ``_complex_hessian`` is the raw body of ``complex_hessian``.  metric,
-    theta, stage, det and trace act on the trailing grid axis, so each
-    also takes a stack of fields on leading axes and gives each row the
-    bits it would get alone; the reductions take one field.  The raw
-    operations:
+    unwraps a form, checking its shape against the grid.  Each geometric
+    operation has one body, a raw one; the public helpers (``complex_hessian``,
+    ``ricci_form`` here, and ``theta_of``, ``trace_with``, ``integrate`` and
+    ``volume`` below) check their arguments and wrap it.  metric, theta,
+    stage and trace act on the trailing grid axis, so each also takes a
+    stack of fields on leading axes and gives each row the bits it would
+    get alone; the reductions take one field.  The raw operations:
 
-        metric(phi, context)   chi0 + complex_hessian(phi), checked finite
+        metric(phi, context)   chi0 + _complex_hessian(phi), checked finite
                                and positive at every node of every row
                                (NotKahlerError names context)
         theta(phi)             theta0 + X(phi); the scalar 0 on the torus
         stage(phi)             (metric(phi, "flow stage"), theta(phi))
-        det(chi), trace(chi, om)
-                               chi itself and om / chi at every node
+        trace(chi, om)         om / chi at every node; a staticmethod
+        _ricci(chi)            the Ricci density of chi
+        raw_volume_density(chi)
+                               chi * weights: a density is its own
+                               determinant
         integral(values, chi)  the integral of values against vol(chi)
         stiffness(chi, om)     the explicit step's stiffness bound
         dissipation(sigma, chi, om)
@@ -97,14 +101,12 @@ class GeometryBackend:
         hess = self._complex_hessian(self.check_field(phi, "potential"))
         return hess[..., None, None]
 
-    def theta_base(self) -> ScalarField:
-        raise NotImplementedError
-
     def vector_field_action(self, phi: ScalarField) -> ScalarField:
         raise NotImplementedError
 
     def ricci_form(self, chi: HermitianFormField) -> np.ndarray:
-        raise NotImplementedError
+        rho = self.raw_form(chi.require_kahler("ricci form"))
+        return self._ricci(rho)[..., None, None]
 
     def metric(self, phi: np.ndarray, context: str) -> np.ndarray:
         chi = self._base_raw + self._complex_hessian(phi)
@@ -122,10 +124,8 @@ class GeometryBackend:
     def stage(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
         return self.metric(phi, "flow stage"), self.theta(phi)
 
-    def det(self, chi: np.ndarray) -> np.ndarray:
-        return chi
-
-    def trace(self, chi: np.ndarray, om: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def trace(chi: np.ndarray, om: np.ndarray) -> np.ndarray:
         return om / chi
 
     def stiffness(self, chi: np.ndarray, om: np.ndarray) -> float:
@@ -165,15 +165,12 @@ class GeometryBackend:
         return HermitianFormField.from_matrices(matrices)
 
     def raw_volume_density(self, chi: np.ndarray) -> np.ndarray:
-        return self.det(chi) * self.weights
+        return chi * self.weights
 
-    def integral(self, values: np.ndarray, chi: np.ndarray) -> float:
-        """The integral of values against the volume of the raw metric chi."""
+    def integral(self, values: np.ndarray | float, chi: np.ndarray) -> float:
+        """The integral of values against the volume of the raw metric chi;
+        values = 1.0 gives the volume."""
         return float(np.sum(values * self.raw_volume_density(chi)))
-
-    def volume_density(self, chi: HermitianFormField | None = None) -> np.ndarray:
-        chi = self.base_form() if chi is None else chi
-        return self.raw_volume_density(self.raw_form(chi))
 
 
 class TorusBackend(GeometryBackend):
@@ -212,16 +209,11 @@ class TorusBackend(GeometryBackend):
         hessian = np.repeat((0.25 * stencil)[:, None], self.size, axis=1)
         return hessian, np.zeros_like(hessian)
 
-    def theta_base(self) -> ScalarField:
-        return np.zeros(self.grid_shape)
-
     def vector_field_action(self, phi: ScalarField) -> ScalarField:
-        self.check_field(phi, "potential")
-        return np.zeros(self.grid_shape)
+        return np.zeros_like(self.check_field(phi, "potential"))
 
-    def ricci_form(self, chi: HermitianFormField) -> np.ndarray:
-        chi.require_kahler("ricci form")
-        return -self.complex_hessian(np.log(chi.density))
+    def _ricci(self, rho: np.ndarray) -> np.ndarray:
+        return -self._complex_hessian(np.log(rho))
 
     def theta(self, phi) -> float:
         # theta vanishes identically
@@ -283,6 +275,7 @@ class SphereBackend(GeometryBackend):
         return self._base
 
     def _moment_derivative(self, phi: np.ndarray) -> np.ndarray:
+        """d(phi)/dm: central inside, one-sided three-point at the ends."""
         # Along the trailing axis, indexed through the transposes, where
         # it leads: the end nodes of one field stay scalars.
         out = np.empty_like(phi)
@@ -291,10 +284,6 @@ class SphereBackend(GeometryBackend):
         o[0] = (-3.0 * p[0] + 4.0 * p[1] - p[2]) / (2.0 * self.delta)
         o[-1] = (3.0 * p[-1] - 4.0 * p[-2] + p[-3]) / (2.0 * self.delta)
         return out
-
-    def moment_derivative(self, phi: ScalarField) -> ScalarField:
-        """d(phi)/dm: central inside, one-sided three-point at the ends."""
-        return self._moment_derivative(self.check_field(phi, "potential"))
 
     def _complex_hessian(self, phi: np.ndarray) -> np.ndarray:
         """The flux-form Hessian density, zero flux through both ends,
@@ -324,20 +313,16 @@ class SphereBackend(GeometryBackend):
         return (self.mprime * div / self.delta,
                 self.mprime * (numer / (2.0 * self.delta)))
 
-    def theta_base(self) -> ScalarField:
-        return self._theta0.copy()
-
     def vector_field_action(self, phi: ScalarField) -> ScalarField:
-        return self.mprime * self.moment_derivative(phi)
+        """X(phi) = m (1 - m) d(phi)/dm, d/dm as in _moment_derivative."""
+        return self.mprime * self._moment_derivative(
+            self.check_field(phi, "potential"))
 
-    def ricci_form(self, chi: HermitianFormField) -> np.ndarray:
+    def _ricci(self, rho: np.ndarray) -> np.ndarray:
         # Curvature of the background is known in closed form, so only the
         # relative density log(rho / rho0) passes through the Hessian; it
         # is smooth up to the truncation boundary where the flux vanishes.
-        chi.require_kahler("ricci form")
-        log_ratio = np.log(chi.density / self.rho0)
-        ric = 2.0 * self.rho0 - self._complex_hessian(log_ratio)
-        return ric[:, None, None]
+        return 2.0 * self.rho0 - self._complex_hessian(np.log(rho / self.rho0))
 
     def theta(self, phi) -> np.ndarray:
         return self._theta0 + self.mprime * self._moment_derivative(phi)
@@ -356,11 +341,11 @@ def complex_hessian(backend: GeometryBackend, phi: ScalarField) -> np.ndarray:
 
 def build_metric(backend: GeometryBackend, base: HermitianFormField,
                  phi: ScalarField) -> HermitianFormField:
-    """The deformed form ``base + complex_hessian(phi)``, positivity-checked."""
-    if base.matrices.shape != backend.grid_shape + (1, 1):
-        raise ShapeMismatchError("base form does not match backend grid")
-    matrices = base.matrices + backend.complex_hessian(phi)
-    return HermitianFormField.from_matrices(matrices)
+    """The deformed form ``base + complex_hessian(phi)``, flagged (not
+    refused, as by ``backend.metric``) where it is not positive."""
+    hess = backend._complex_hessian(backend.check_field(phi, "potential"))
+    rho = backend.raw_form(base) + hess
+    return HermitianFormField.from_matrices(rho[..., None, None])
 
 
 def trace_with(chi: HermitianFormField,
@@ -371,12 +356,13 @@ def trace_with(chi: HermitianFormField,
     if mats.shape != chi.matrices.shape:
         raise ShapeMismatchError(
             f"cannot trace shape {mats.shape} against {chi.matrices.shape}")
-    return mats[..., 0, 0] / chi.density
+    return GeometryBackend.trace(chi.density, mats[..., 0, 0])
 
 
 def theta_of(backend: GeometryBackend, phi: ScalarField) -> ScalarField:
-    """Moment function along the deformation: theta0 + X(phi)."""
-    return backend.theta_base() + backend.vector_field_action(phi)
+    """Moment function along the deformation: theta0 + X(phi), on the grid."""
+    theta = backend.theta(backend.check_field(phi, "potential"))
+    return np.broadcast_to(theta, backend.grid_shape).copy()
 
 
 def ricci_form(backend: GeometryBackend, chi: HermitianFormField) -> np.ndarray:
@@ -386,12 +372,12 @@ def ricci_form(backend: GeometryBackend, chi: HermitianFormField) -> np.ndarray:
 def integrate(backend: GeometryBackend, values: ScalarField,
               chi: HermitianFormField | None = None) -> float:
     """Integral of ``values`` against the volume of ``chi`` (base if omitted)."""
-    values = backend.check_field(values, "integrand")
-    return float(np.sum(values * backend.volume_density(chi)))
+    rho = backend._base_raw if chi is None else backend.raw_form(chi)
+    return backend.integral(backend.check_field(values, "integrand"), rho)
 
 
 def volume(backend: GeometryBackend, chi: HermitianFormField | None = None) -> float:
-    return float(np.sum(backend.volume_density(chi)))
+    return integrate(backend, np.ones(backend.grid_shape), chi)
 
 
 def make_backend(kind: str, **params) -> GeometryBackend:

@@ -11,10 +11,8 @@ import math
 
 import numpy as np
 
-from .cone import relative_spectrum
 from .fields import GeometryError, Normalization, ScalarField
-from .geometry import (GeometryBackend, SphereBackend, TorusBackend,
-                       complex_hessian, integrate)
+from .geometry import GeometryBackend, SphereBackend, TorusBackend, integrate
 
 
 def normalize(backend: GeometryBackend, phi,
@@ -33,8 +31,8 @@ def kahler_margin(backend: GeometryBackend, phi) -> float:
     Values above -1 mean chi0 + hessian(phi) is still positive; the
     margin is what amplitude scaling has to respect.
     """
-    hess = complex_hessian(backend, np.asarray(phi, dtype=float))
-    return float(relative_spectrum(hess, backend.base_form()).smallest().min())
+    hess = backend._complex_hessian(backend.check_field(phi, "potential"))
+    return float(backend.trace(backend._base_raw, hess).min())
 
 
 def scale_to_kahler(backend: GeometryBackend, phi, amplitude: float,

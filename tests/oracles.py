@@ -7,8 +7,7 @@ minors on the wedge-coefficient matrix, the quadrature oracles go
 through scipy.integrate on closed-form continuum expressions, and the
 path oracle integrates with 33-node composite Simpson where the library
 uses one Simpson panel per segment, and the flow oracle rebuilds the
-flow kernel's outputs from wrapped metrics and the public geometry
-operations.
+flow kernel's outputs from a wrapped metric and closed forms.
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import quad
 
-from jflow import build_metric, complex_hessian, theta_of, trace_with
-from jflow.cone import relative_spectrum
+from jflow import build_metric, complex_hessian, theta_of
 from jflow.geometry import SphereBackend
 
 
@@ -81,14 +79,17 @@ def sphere_collocation(backend: SphereBackend, omega_density, c: float,
 def flow_kernel_outputs(backend, omega, c: float, phi: np.ndarray) -> dict:
     """The flow's right-hand side, stiffness and monitor diagnostics at phi.
 
-    Built from the checked metric, ``trace_with``, ``volume_density`` and
-    ``relative_spectrum``, with the dissipation integrand in the
-    continuum's own terms: |d sigma|^2 = (d sigma)^2 omega / rho^2, where
-    d is half the derivative on the torus, taken here with np.roll, and X
-    on the sphere.  On the sphere X f = m (1 - m) df/dm comes from numpy's
-    gradient with second-order one-sided ends, not from the backend's
-    stencil.  Returns the stiffness and every field of the kernel's
-    diagnostics by name.
+    Built from the metric density rho of ``build_metric`` alone; nothing
+    after it calls the library.  A one-dimensional form is its density,
+    so the trace is omega / rho, the volume density rho * weights and the
+    floor constant the least rho / omega.  theta is 0 on the torus and,
+    on the sphere, m - mean(m) plus X phi.  The dissipation integrand is
+    in the continuum's own terms: |d sigma|^2 = (d sigma)^2 omega / rho^2,
+    where d is half the derivative on the torus, taken here with np.roll,
+    and X on the sphere.  On the sphere X f = m (1 - m) df/dm comes from
+    numpy's gradient with second-order one-sided ends, not from the
+    backend's stencil.  Returns the stiffness and every field of the
+    kernel's diagnostics by name.
     """
     chi = build_metric(backend, backend.base_form(), phi).require_kahler("oracle")
     rho, om = chi.density, omega.density
@@ -96,13 +97,13 @@ def flow_kernel_outputs(backend, omega, c: float, phi: np.ndarray) -> dict:
         def action(f):
             return backend.mprime * np.gradient(f, backend.delta, edge_order=2)
 
-        theta = backend.theta_base() + action(phi)
+        theta = (backend.m - np.mean(backend.m)) + action(phi)
     else:
-        theta = theta_of(backend, phi)
-    lam = trace_with(chi, omega)
+        theta = np.zeros_like(phi)
+    lam = om / rho
     sigma = theta - lam
     rhs = c + sigma
-    dens = backend.volume_density(chi)
+    dens = rho * backend.weights
     if isinstance(backend, SphereBackend):
         grad_sq = action(sigma) ** 2 * om / rho**2
         stiffness = om * backend.mprime**2 / rho**2
@@ -117,8 +118,7 @@ def flow_kernel_outputs(backend, omega, c: float, phi: np.ndarray) -> dict:
         "dissipation": -2.0 * float(np.sum(grad_sq * dens)),
         "residual": float(np.abs(c + theta - lam).max()),
         "lambda_max": float(lam.max()),
-        "floor_constant": float(
-            relative_spectrum(chi.matrices, omega).smallest().min()),
+        "floor_constant": float((rho / om).min()),
         "rhs_min": float(rhs.min()), "rhs_max": float(rhs.max()),
         "theta_max": float(theta.max()),
     }

@@ -206,3 +206,14 @@ def test_hypotheses_report_round_trip(torus64):
     assert sorted(d) == ["alpha_lower_bound", "c", "condition_margins",
                          "epsilon", "min_theta", "n", "passes"]
     assert d["passes"]["level_claim"] is True
+
+
+def test_hypotheses_refuse_forms_on_another_grid():
+    # a one-node form must not broadcast against the 64-node Ricci form
+    from jflow import ShapeMismatchError, make_backend
+    sphere = make_backend("sphere", size=64)
+    stray = HermitianFormField.from_matrices(np.full((1, 1, 1), 0.25))
+    with pytest.raises(ShapeMismatchError):
+        properness_hypotheses(sphere, 0.5, 1.0, chi_prime=stray)
+    with pytest.raises(ShapeMismatchError):
+        properness_hypotheses(sphere, 0.5, 1.0, omega=stray)

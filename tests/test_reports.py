@@ -129,7 +129,7 @@ def test_final_state_payload(torus_result):
     b, omega, _ = torus_result
     rhs = flow_rhs(b, result.state.phi, omega, result.problem.level)
     chi = build_metric(b, b.base_form(), result.state.phi)
-    dens = b.volume_density(chi)
+    dens = chi.density * b.weights
     assert abs(payload["kappa"] - np.sum(rhs * dens) / np.sum(dens)) <= 1e-14
     assert abs(payload["rhs_spread"] - (rhs.max() - rhs.min())) <= 1e-14
     assert payload["rhs_spread"] == result.records[-1].rhs_max \
