@@ -73,76 +73,122 @@ class SymplecticPotential:
         return np.diff(self.values, 2)
 
 
-def _bspline_basis(t: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
-    """Dense Cox-de Boor table B[i, j] = B_j(x_i) of the degree-k B-splines
-    on knots t.  Points left of t[k] or right of t[-k-1] take the
-    polynomial of the end piece, so the end pieces extrapolate."""
-    n = t.size - k - 1
-    cell = np.clip(np.searchsorted(t, x, side="right") - 1, k, n - 1)
-    basis = (np.arange(t.size - 1) == cell[:, None]).astype(float)
-    for d in range(1, k + 1):
-        j = np.arange(t.size - d - 1)
-        # A zero-width support only ever meets a zero basis function.
-        spans = (t[j + d] - t[j], t[j + d + 1] - t[j + 1])
-        inv = [np.divide(1.0, s, out=np.zeros_like(s), where=s > 0.0)
-               for s in spans]
-        basis = ((x[:, None] - t[j]) * inv[0] * basis[:, :-1]
-                 + (t[j + d + 1] - x[:, None]) * inv[1] * basis[:, 1:])
-    return basis
+def _local_taylor(t: np.ndarray, cell: np.ndarray, x: np.ndarray,
+                  k: int) -> np.ndarray:
+    """Taylor coefficients at each x[i] of the k + 1 degree-k B-splines on
+    knots t that are nonzero on the knot cell [t[cell[i]], t[cell[i] + 1]].
+
+    out[d, i, l] is the degree-d coefficient at x[i] of B_{cell[i]-k+l}.
+    The Cox-de Boor recurrence runs on polynomials in x' - x[i], so a
+    point outside its cell takes the polynomial of that cell, and every
+    knot difference it divides by spans the cell, which must have
+    positive width.
+    """
+    poly = np.zeros((1, x.size, k + 1))  # (B-spline, point, degree)
+    poly[0, :, 0] = 1.0
+    for p in range(1, k + 1):
+        # Degree p - 1 B-spline l spans knots lo[l] to hi[l] and, at degree
+        # p, feeds B-splines l (through hi - x') and l + 1 (through x' - lo).
+        knot = cell + np.arange(p)[:, None]
+        lo, hi = t[knot - p + 1], t[knot + 1]
+        term = poly / (hi - lo)[..., None]
+        # term times x' - x[i]
+        shifted = np.zeros_like(term)
+        shifted[..., 1:] = term[..., :-1]
+        poly = np.zeros((p + 1,) + term.shape[1:])
+        poly[1:] += (x - lo)[..., None] * term + shifted
+        poly[:-1] += (hi - x)[..., None] * term - shifted
+    return np.ascontiguousarray(poly.transpose(2, 1, 0))
+
+
+def _banded_inverse(a: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of a, with no entry more than width off the diagonal.
+
+    Gauss-Jordan elimination without pivoting, on rows: for a totally
+    positive matrix, such as a B-spline collocation matrix, every pivot
+    is positive and the elimination is stable (de Boor and Pinkus 1977),
+    and it fills in nothing outside the band.
+    """
+    n = a.shape[0]
+    work = np.concatenate([a, np.eye(n)], axis=1)
+    for p in range(n):
+        row = work[p]
+        row /= row[p]
+        below = work[p + 1:p + 1 + width]
+        below -= below[:, p, None] * row
+    for p in range(n - 1, 0, -1):
+        above = work[max(p - width, 0):p]
+        above -= above[:, p, None] * work[p]
+    return work[:, n:].copy()
 
 
 @lru_cache(maxsize=4)
-def _quintic_fit(grid: bytes) -> np.ndarray:
-    """Map from values on the grid m to the Taylor coefficients, at every
-    node, of their quintic not-a-knot interpolating spline.
+def _quintic_fit(grid: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What fitting a quintic not-a-knot interpolating spline on the grid
+    m takes: (support, local, inverse).
 
     The knots are m[0] and m[-1] six times each with m[3:-3] between, the
     spline interpolates at every node, and the end pieces extend past the
-    grid as polynomials.  Row 6 i + d of the map gives the d-th derivative
-    over d! at m[i], of the piece right of m[i] (left of it at the last
-    node).  Read-only, since every fit on this grid shares it.
+    grid as polynomials.  At node i, B-splines support[i, 0..5] are the
+    ones nonzero on the piece right of m[i] (left of it at the last
+    node), and local[d, i, l] is the degree-d Taylor coefficient at m[i]
+    of B-spline support[i, l].  inverse is the inverse of the collocation
+    matrix, whose row i holds local[0, i] in the columns support[i]: it
+    maps values at the nodes to B-spline coefficients.  inverse holds
+    N^2 entries and the rest 42 N, so the cache is O(N^2) per grid.  No
+    BLAS or LAPACK call builds it.  Read-only, since every fit on this
+    grid shares it.
     """
     m = np.frombuffer(grid)
     k = 5
     t = np.r_[(m[0],) * (k + 1), m[3:-3], (m[-1],) * (k + 1)]
-    # Derivative nu of the spline with B-spline coefficients c is
-    # _bspline_basis(t[nu:-nu], k - nu, x) @ diff @ c.
-    diff = np.eye(m.size)
-    taylor = []
-    for nu in range(k + 1):
-        if nu:
-            deg, prev = k - nu + 1, t[nu - 1:t.size - nu + 1]
-            width = prev[deg + 1:-1] - prev[1:-deg - 1]
-            diff = deg * np.diff(diff, axis=0) / width[:, None]
-        taylor.append(_bspline_basis(t[nu:t.size - nu], k - nu, m) @ diff
-                      / factorial(nu))
-    # c solves the collocation system _bspline_basis(t, k, m) @ c = values.
-    taylor = np.stack(taylor, axis=1).reshape(-1, m.size)
-    fit = np.linalg.solve(_bspline_basis(t, k, m).T, taylor.T).T
-    fit.flags.writeable = False
-    return fit
+    cell = np.clip(np.searchsorted(t, m, side="right") - 1, k, m.size - 1)
+    support = cell[:, None] - k + np.arange(k + 1)
+    local = _local_taylor(t, cell, m, k)
+    collocation = np.zeros((m.size, m.size))
+    np.put_along_axis(collocation, support, local[0], axis=1)
+    # Row i's nonzeros start at column cell[i] - 5, between i - 5 and i.
+    inverse = _banded_inverse(collocation, k)
+    for arr in (support, local, inverse):
+        arr.flags.writeable = False
+    return support, local, inverse
+
+
+def _horner(coef: np.ndarray, dx: np.ndarray, orders) -> list[np.ndarray]:
+    """The derivatives of the given orders of sum_d coef[d] dx^d at dx."""
+    out = []
+    for nu in orders:
+        acc = coef[5] * (factorial(5) // factorial(5 - nu))
+        for d in range(4, nu - 1, -1):
+            acc = acc * dx + coef[d] * (factorial(d) // factorial(d - nu))
+        out.append(acc)
+    return out
 
 
 class _Quintic:
-    """Quintic not-a-knot interpolating spline of values on the grid m.
+    """Quintic not-a-knot interpolating splines of values on the grid m.
 
     The spline of _quintic_fit, extrapolation into the boundary gaps
-    included, kept as its Taylor polynomial at every node: expanding at
-    the nodes rather than only at the knots keeps |x - node| within a
-    cell, and with it the round-off of the high-order terms.  ``values``
-    holds one column per trailing index, and evaluation at x returns
-    arrays of shape x.shape + values.shape[1:].  ``coef[d]`` holds the
-    degree-d coefficients at every node, so each Horner term is one
-    contiguous slice.
+    included, one per trailing index of ``values``, kept as its Taylor
+    polynomial at every node: expanding at the nodes rather than only at
+    the knots keeps |x - node| within a cell, and with it the round-off
+    of the high-order terms.  Fitting takes the cached inverse times the
+    values (O(N^2) per column) and then, node by node, the local Taylor
+    coefficients against the six B-spline coefficients there (O(N)), as
+    einsum and elementwise products: no BLAS call and no dense map.
+    ``coef[d]`` holds the degree-d coefficients, node by node.
+
+    Called at x, it evaluates every column there, as arrays of shape
+    x.shape + values.shape[1:]; ``rows`` gives weighted sums of the
+    columns, each evaluated at its own points.
     """
 
     def __init__(self, m: np.ndarray, values: np.ndarray):
         self.nodes = np.asarray(m, dtype=float)
-        fit = _quintic_fit(self.nodes.tobytes())
-        values = np.asarray(values, dtype=float)
-        taylor = (fit @ values.reshape(m.size, -1)).reshape(m.size, 6, -1)
-        self.coef = np.ascontiguousarray(np.moveaxis(taylor, 1, 0)).reshape(
-            6, m.size, *values.shape[1:])
+        support, local, inverse = _quintic_fit(self.nodes.tobytes())
+        bspline = np.einsum("ij,j...->i...", inverse,
+                            np.asarray(values, dtype=float))
+        self.coef = np.einsum("dil,il...->di...", local, bspline[support])
 
     def __call__(self, x: np.ndarray, *orders: int) -> list[np.ndarray]:
         """The derivatives of the given orders (0 is the value) at x."""
@@ -152,14 +198,30 @@ class _Quintic:
         coef = np.take(self.coef, node, axis=1)
         dx = (x - self.nodes[node]).reshape(
             node.shape + (1,) * (coef.ndim - node.ndim - 1))
-        out = []
-        for nu in orders:
-            # Horner on the nu-th derivative of sum_d coef[d] dx^d.
-            acc = coef[5] * (factorial(5) // factorial(5 - nu))
-            for d in range(4, nu - 1, -1):
-                acc = acc * dx + coef[d] * (factorial(d) // factorial(d - nu))
-            out.append(acc)
-        return out
+        return _horner(coef, dx, orders)
+
+    def rows(self, weights: np.ndarray) -> "_SplineRows":
+        """The splines sum_j weights[r, j] column_j, one per row r."""
+        return _SplineRows(self.nodes, np.einsum(
+            "dij,rj->dri", self.coef.reshape(6, self.nodes.size, -1), weights))
+
+
+class _SplineRows:
+    """Splines, one per row, with Taylor coefficients laid out (degree,
+    row, node); called at x of shape (rows, points), row r of x is
+    evaluated on spline r, so each Horner term is one gathered array."""
+
+    def __init__(self, nodes: np.ndarray, coef: np.ndarray):
+        self.nodes = nodes
+        self.coef = coef.reshape(6, -1)
+        self.offset = nodes.size * np.arange(coef.shape[1])[:, None]
+
+    def __call__(self, x: np.ndarray, *orders: int) -> list[np.ndarray]:
+        """The derivatives of the given orders (0 is the value) at x."""
+        node = np.searchsorted(self.nodes[1:], x, side="right")
+        # Row r's node i sits at r N + i of the flattened (row, node) axis.
+        coef = np.take(self.coef, node + self.offset, axis=1)
+        return _horner(coef, x - self.nodes[node], orders)
 
 
 def _solve_monotone(func: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
@@ -201,6 +263,42 @@ def _base_symplectic(backend: SphereBackend) -> np.ndarray:
     return m * np.log(m) + (1.0 - m) * np.log1p(-m)
 
 
+def _transform_rows(sphere: SphereBackend, phis: np.ndarray) -> np.ndarray:
+    """The legendre_transform values of each row of phis, in one solve.
+
+    Each row is a potential on the grid, already shape-checked; all of
+    them are positivity-checked in one stacked metric check, fitted in
+    one spline fit and solved in one monotone solve.
+    """
+    sphere.metric(phis, "legendre transform")
+    m = sphere.m
+    # Quintic interpolation keeps the end-derivative error well under the
+    # round-trip tolerance.
+    spline = _Quintic(m, phis.T).rows(np.eye(len(phis)))
+
+    def moment(x):
+        rho0 = x * (1.0 - x)
+        first, second = spline(x, 1, 2)
+        return (x + rho0 * first,
+                1.0 + (1.0 - 2.0 * x) * first + rho0 * second)
+
+    lo = TAIL_SLIVER * sphere.m_lo
+    hi = 1.0 - lo
+    image_lo = moment(np.full((len(phis), 1), lo))[0][:, 0]
+    image_hi = moment(np.full((len(phis), 1), hi))[0][:, 0]
+    short = (image_lo > m[0]) | (image_hi < m[-1])
+    if short.any():
+        r = int(np.argmax(short))
+        raise ConvexityLost(
+            "legendre sup attained at the s-truncation boundary: moment image "
+            f"[{image_lo[r]:.8f}, {image_hi[r]:.8f}] does not cover the grid")
+    # The round chart's sup sits at the grid node itself.
+    m_star = _solve_monotone(moment, lo, hi, m, np.broadcast_to(m, phis.shape),
+                             LEGENDRE_TOL)
+    s_star = np.log(m_star) - np.log1p(-m_star)
+    return m * s_star + np.log1p(-m_star) - spline(m_star, 0)[0]
+
+
 def legendre_transform(backend: GeometryBackend, phi) -> SymplecticPotential:
     """u(m) = sup_s (m s - f(s)) for the total chart potential f = f0 + phi.
 
@@ -213,56 +311,23 @@ def legendre_transform(backend: GeometryBackend, phi) -> SymplecticPotential:
     """
     sphere = _require_sphere(backend)
     values = sphere.check_field(phi, "potential")
-    sphere.metric(values, "legendre transform")
-    m = sphere.m
-    # Quintic interpolation keeps the end-derivative error well under the
-    # round-trip tolerance.
-    spline = _Quintic(m, values)
-
-    def moment(x):
-        rho0 = x * (1.0 - x)
-        first, second = spline(x, 1, 2)
-        return (x + rho0 * first,
-                1.0 + (1.0 - 2.0 * x) * first + rho0 * second)
-
-    lo = TAIL_SLIVER * sphere.m_lo
-    hi = 1.0 - lo
-    image_lo = moment(np.array([lo]))[0][0]
-    image_hi = moment(np.array([hi]))[0][0]
-    if image_lo > m[0] or image_hi < m[-1]:
-        raise ConvexityLost(
-            "legendre sup attained at the s-truncation boundary: moment image "
-            f"[{image_lo:.8f}, {image_hi:.8f}] does not cover the grid")
-    # The round chart's sup sits at the grid node itself.
-    m_star = _solve_monotone(moment, lo, hi, m, m, LEGENDRE_TOL)
-    s_star = np.log(m_star) - np.log1p(-m_star)
-    u = m * s_star + np.log1p(-m_star) - spline(m_star, 0)[0]
-    return SymplecticPotential.from_values(u)
+    return SymplecticPotential.from_values(_transform_rows(sphere, values[None])[0])
 
 
 def _inverse_rows(sphere: SphereBackend, deviations: np.ndarray,
                   weights: np.ndarray) -> np.ndarray:
-    """Chart potentials of u0 + deviations @ w for each row w of weights.
+    """Chart potentials of u0 + sum_j w[j] deviations[:, j] for each row w
+    of weights.
 
     ``deviations`` holds one column per symplectic potential, as its
     deviation from the round-chart dual u0 on the grid.  A spline fit is
-    linear in its data, so the columns share one fit and each row's
-    spline is the weighted sum of the column splines.  Every row solves
-    u'(m) = s in one monotone solve; rows come back in weight order.
+    linear in its data, so the columns share one fit, and each row's
+    spline, the weighted sum of the column splines, is formed once,
+    before the solve.  Every row solves u'(m) = s in one monotone solve;
+    rows come back in weight order.
     """
     m = sphere.m
-    columns = _Quintic(m, deviations)
-
-    def deviation(x, *orders):
-        # The weighted columns added in column order: the same sums as
-        # np.sum over the column axis, without a reduction per call.
-        out = []
-        for d in columns(x, *orders):
-            acc = d[..., 0] * weights[:, None, 0]
-            for j in range(1, weights.shape[1]):
-                acc = acc + d[..., j] * weights[:, None, j]
-            out.append(acc)
-        return out
+    deviation = _Quintic(m, deviations).rows(weights)
 
     def slope(x):
         rho0 = x * (1.0 - x)
@@ -329,11 +394,11 @@ def geodesic_path(backend: GeometryBackend, phi_a, phi_b,
     sphere = _require_sphere(backend)
     if steps < 2:
         raise GeometryError("a geodesic path needs at least its two endpoints")
-    u0 = _base_symplectic(sphere)
-    ends = np.stack([legendre_transform(sphere, phi_a).values - u0,
-                     legendre_transform(sphere, phi_b).values - u0], axis=1)
+    ends = _transform_rows(sphere, np.stack([
+        sphere.check_field(phi_a, "potential"),
+        sphere.check_field(phi_b, "potential")])) - _base_symplectic(sphere)
     ts = np.linspace(0.0, 1.0, steps)
-    rows = _inverse_rows(sphere, ends, np.stack([1.0 - ts, ts], axis=1))
+    rows = _inverse_rows(sphere, ends.T, np.stack([1.0 - ts, ts], axis=1))
     sphere.metric(rows, "geodesic sample")
     return list(rows)
 

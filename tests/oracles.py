@@ -175,7 +175,11 @@ def simpson_path_functionals(backend, omega_matrices: np.ndarray,
 
     Composite Simpson in t with 33 samples.  The volume density of a
     one-dimensional metric is the metric itself and the mixed density of
-    a form is the form: tr(chi^{-1} omega) det(chi) = omega.
+    a form is the form: tr(chi^{-1} omega) det(chi) = omega.  theta is
+    in closed form, as in flow_kernel_outputs and not from the library:
+    0 on the torus and, on the sphere, m - mean(m) plus X phi, with
+    X f = m (1 - m) df/dm from numpy's gradient with second-order
+    one-sided ends.
     """
     nodes = 33
     t = np.linspace(0.0, 1.0, nodes)
@@ -188,12 +192,19 @@ def simpson_path_functionals(backend, omega_matrices: np.ndarray,
     om = np.asarray(omega_matrices, dtype=float)[..., 0, 0]
     level = float(np.sum(om * backend.weights)) / float(
         np.sum(base * backend.weights))
+    if isinstance(backend, SphereBackend):
+        def theta(f):
+            return (backend.m - np.mean(backend.m)) + backend.mprime * np.gradient(
+                f, backend.delta, edge_order=2)
+    else:
+        def theta(f):
+            return np.zeros_like(f)
     totals = dict.fromkeys(("j_hat", "j_tilde", "j_flow", "theta_path_term",
                             "aubin_j", "i_minus_j_path"), 0.0)
     for tk, ck in zip(t, coeff):
         det = base + complex_hessian(backend, tk * phi)[..., 0, 0]
         j_dens = om - level * det
-        coupling = theta_of(backend, tk * phi) * det
+        coupling = theta(tk * phi) * det
         pair = phi * backend.weights
         totals["j_hat"] += ck * float(np.sum(pair * j_dens))
         totals["j_tilde"] += ck * float(np.sum(pair * (j_dens + coupling)))

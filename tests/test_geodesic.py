@@ -70,6 +70,79 @@ def test_quintic_matches_scipy_spline(size, two_columns, seed):
         assert np.abs(got - want).max() <= 1e-12 * scale
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(size=st.integers(16, 257), rows=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_spline_rows_match_weighted_columns(size, rows, seed):
+    # each row's spline, with the weights folded into its coefficients
+    # once, evaluated at that row's own points, is the weighted sum of the
+    # two column splines evaluated there
+    m = SphereBackend(size).m
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((size, 2)) + np.sin(rng.uniform(1.0, 9.0) * m)[:, None]
+    weights = rng.uniform(-2.0, 2.0, (rows, 2))
+    x = rng.uniform(TAIL_SLIVER * m[0], 1.0 - TAIL_SLIVER * m[0], (rows, 2 * size))
+    x[:, :size] = m
+    columns = _Quintic(m, y)
+    h = m[1] - m[0]
+    data = np.abs(np.einsum("ij,rj->ri", y, weights)).max()
+    for nu, (got, col) in enumerate(zip(columns.rows(weights)(x, 0, 1, 2),
+                                        columns(x, 0, 1, 2))):
+        want = np.einsum("rkj,rj->rk", col, weights)
+        assert got.shape == want.shape == x.shape
+        scale = max(np.abs(want).max(), data / h**nu)
+        assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+def test_paired_endpoint_transform_matches_legendre_transform(sphere128, rng,
+                                                              monkeypatch):
+    # geodesic_path transforms both endpoints in one two-row solve; each
+    # row is the public one-row transform of that endpoint up to round-off
+    import jflow.geodesic as geodesic
+    paired = []
+    transform_rows = geodesic._transform_rows
+
+    def spy(sphere, phis):
+        paired.append(transform_rows(sphere, phis))
+        return paired[-1]
+
+    monkeypatch.setattr(geodesic, "_transform_rows", spy)
+    for _ in range(3):
+        pa = random_kahler_potential(sphere128, rng, 0.5)
+        pb = random_kahler_potential(sphere128, rng, 0.5)
+        paired.clear()
+        geodesic_path(sphere128, pa, pb, 5)
+        ends = paired[0]
+        assert ends.shape == (2, 128)
+        for row, phi in zip(ends, (pa, pb)):
+            want = legendre_transform(sphere128, phi).values
+            assert np.abs(row - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_probe_path_is_blas_free_with_a_small_cache(monkeypatch):
+    # the spline fit and the solves call no dense solver, and what the fit
+    # caches per grid is the N x N inverse and O(N) local tables, not the
+    # 6N x N values-to-Taylor map
+    import jflow.geodesic as geodesic
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense linear algebra on the probe path")
+
+    for name in ("solve", "inv", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    geodesic._quintic_fit.cache_clear()
+    b = SphereBackend(80)
+    rng = np.random.default_rng(80)
+    path = geodesic_path(b, random_kahler_potential(b, rng, 0.5),
+                         random_kahler_potential(b, rng, 0.5), 9)
+    assert convexity_probe(b, "j_tilde", path).values.shape == (9,)
+    assert geodesic._quintic_fit.cache_info().currsize == 1
+    # the buffers behind the arrays count, not only their views
+    cached = geodesic._quintic_fit(b.m.tobytes())
+    assert max((arr if arr.base is None else arr.base).size
+               for arr in cached) <= b.size**2
+
+
 # --- transform ---------------------------------------------------------------
 
 def test_reference_dual_closed_form(sphere128):
