@@ -14,8 +14,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from .config import (ScenarioConfig, build_backend, build_problem,
                      build_reference, check_bound, initial_potential,
                      load_config, reference_page)
@@ -24,7 +22,8 @@ from .fields import ConfigError, GeometryError, NonConvergence, StepStalled
 from .flow import run_flow
 from .functionals import functional_report
 from .geodesic import convexity_probe, geodesic_path
-from .potentials import named_potential, random_kahler_potential
+from .potentials import (NormalStream, named_potential,
+                         random_kahler_potential)
 from . import reports
 
 log = logging.getLogger("jflow")
@@ -64,7 +63,15 @@ def _simulate(cfg: ScenarioConfig, args, backend, omega) -> int:
     problem = build_problem(cfg, backend, omega)
     phi0 = initial_potential(cfg, backend)
     outdir = _outdir(cfg)
-    result = run_flow(problem, phi0=phi0)
+    try:
+        result = run_flow(problem, phi0=phi0)
+    except StepStalled as exc:
+        # the run so far, counters included, before main exits 3
+        _write(outdir, "trajectory.csv",
+               reports.trajectory_csv(exc.result.records))
+        _write(outdir, "final_state.json",
+               reports.final_state_json(exc.result))
+        raise
     log.info("flow: converged=%s reason=%s steps=%d residual=%.3e",
              result.converged, result.reason, result.state.step_count,
              result.residual)
@@ -116,7 +123,7 @@ def _geodesic_probe(cfg: ScenarioConfig, args, backend, omega) -> int:
     nodes = cfg.get("geodesic.nodes")
     amplitude = cfg.get("geodesic.amplitude")
     functional_id = cfg.get("geodesic.functional")
-    rng = np.random.default_rng(cfg.get("seed"))
+    rng = NormalStream(cfg.get("seed"))
     endpoints = [(random_kahler_potential(backend, rng, amplitude),
                   random_kahler_potential(backend, rng, amplitude))
                  for _ in range(pairs)]

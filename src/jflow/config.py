@@ -133,7 +133,9 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
     "hypotheses.alpha_lower_bound": ConfigKey(
         float, 0.2, "lower bound fed to the invariant-based condition"),
     "output.directory": ConfigKey(str, "out", "where reports are written"),
-    "seed": ConfigKey(int, 0, "random seed for generated potentials",
+    "seed": ConfigKey(int, 0, "random seed for generated potentials, drawn "
+                      "from the standard library's Mersenne Twister, so the "
+                      "draws do not depend on the numpy version",
                       bound=(">=", 0)),
 }
 

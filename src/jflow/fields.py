@@ -41,7 +41,13 @@ class ConvexityLost(GeometryError):
 
 
 class StepStalled(RuntimeError):
-    """Time stepping could not make progress above the minimum step size."""
+    """Time stepping could not make progress above the minimum step size.
+
+    run_flow attaches the run up to the stall as ``result``: a FlowResult
+    with ``converged`` false and reason ``"stalled"``.
+    """
+
+    result = None
 
 
 class ConfigError(ValueError):

@@ -543,7 +543,9 @@ def run_flow(problem: FlowProblem, phi0=None) -> FlowResult:
     the trace bound; energy monotonicity and positivity are enforced by
     rejecting the step.  A row outside tolerance is flagged suspect; the
     run continues.  Every log_every-th accepted step is recorded, and so
-    is the final state, whether or not log_every thins it out.
+    is the final state, whether or not log_every thins it out.  A step
+    size that falls below dt_min raises StepStalled carrying the run up
+    to its last accepted state as its `result`, with reason "stalled".
     """
     backend = problem.backend
     level = problem.level
@@ -571,12 +573,17 @@ def run_flow(problem: FlowProblem, phi0=None) -> FlowResult:
     reason = "residual" if converged else "t_max"
     theta_max_running = diag.theta_max
 
+    stalled = None
     while not converged and state.t < problem.t_max:
         if problem.max_steps is not None and state.step_count >= problem.max_steps:
             reason = "max_steps"
             break
-        state, stage, trial = _attempt_step(problem, kernel, state, stage,
-                                            energy)
+        try:
+            state, stage, trial = _attempt_step(problem, kernel, state, stage,
+                                                energy)
+        except StepStalled as exc:
+            stalled, reason = exc, "stalled"
+            break
         if trial is None:
             continue
         diag = trial
@@ -616,10 +623,14 @@ def run_flow(problem: FlowProblem, phi0=None) -> FlowResult:
     volume = float(np.sum(dens))
     sigma_mean = float(np.sum(diag.sigma * dens)) / volume
 
-    return FlowResult(
+    result = FlowResult(
         problem=problem, state=state, records=records, converged=converged,
         reason=reason, subsolution_margin=margin, sigma_mean=sigma_mean,
         minus_nc=-level,
         kappa=float(np.sum(diag.rhs * dens)) / volume,
         rhs_spread=diag.rhs_max - diag.rhs_min, stats=kernel.stats,
         snapshots=snapshots)
+    if stalled is not None:
+        stalled.result = result
+        raise stalled
+    return result

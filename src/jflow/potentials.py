@@ -8,6 +8,8 @@ what makes grid-refinement measurements meaningful.
 from __future__ import annotations
 
 import math
+import random
+from typing import Protocol
 
 import numpy as np
 
@@ -53,8 +55,27 @@ def scale_to_kahler(backend: GeometryBackend, phi, amplitude: float,
     return scale * values
 
 
+class NormalSource(Protocol):
+    """What random_kahler_potential draws from: one standard normal per
+    call, as NormalStream and numpy's Generator both give."""
+
+    def standard_normal(self) -> float: ...
+
+
+class NormalStream(random.Random):
+    """Seeded standard normals from the standard library's Mersenne Twister.
+
+    jflow draws every seeded potential it makes from this stream, so the
+    draws do not depend on the numpy version and no command loads
+    numpy.random.
+    """
+
+    def standard_normal(self) -> float:
+        return self.gauss(0.0, 1.0)
+
+
 def random_kahler_potential(backend: GeometryBackend,
-                            rng: np.random.Generator,
+                            rng: NormalSource,
                             amplitude: float = 0.5,
                             modes: int = 4,
                             margin: float = 0.5) -> ScalarField:
@@ -117,7 +138,7 @@ def named_potential(backend: GeometryBackend, name: str,
     """Evaluate a named closed-form family on the backend grid."""
     if name == "random":
         return random_kahler_potential(
-            backend, np.random.default_rng(seed), amplitude)
+            backend, NormalStream(seed), amplitude)
     if isinstance(backend, SphereBackend):
         return _sphere_family(backend, name, amplitude, wavenumber)
     if isinstance(backend, TorusBackend):

@@ -176,11 +176,16 @@ def test_non_finite_float_is_config_error(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+def run_fresh(code):
+    """Run python code in a fresh interpreter that imports jflow from src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    subprocess.run([sys.executable, "-c", code],
+                   env=dict(os.environ, PYTHONPATH=src), check=True)
+
+
 def test_cli_import_leaves_scipy_interpolate_unloaded(tmp_path):
     # scipy is a test dependency only: neither the import nor a whole
     # geodesic-probe run may load any part of it
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src)
     cfg = write_cfg(tmp_path, FAST_SPHERE)
     code = (
         "import sys\n"
@@ -192,8 +197,28 @@ def test_cli_import_leaves_scipy_interpolate_unloaded(tmp_path):
         f"assert jflow.cli.main(['geodesic-probe', '--config', {cfg!r}, "
         f"'--out', {str(tmp_path / 'run')!r}]) == 0\n"
         "assert not scipy_loaded(), scipy_loaded()\n")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    run_fresh(code)
     assert (tmp_path / "run" / "probe_summary.json").exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("geodesic-probe", ""),
+    ("report", "geodesic.enabled = true\n"),
+    ("functionals", "functionals.family = random\n"),
+], ids=("geodesic-probe", "report", "functionals"))
+def test_no_command_loads_numpy_random(tmp_path, command, extra):
+    # seeded potentials come from the standard library's generator, and
+    # importing numpy.random alone costs several MB of resident memory
+    cfg = write_cfg(tmp_path, FAST_SPHERE + extra)
+    code = (
+        "import sys\n"
+        "import jflow.cli\n"
+        "assert 'numpy.random' not in sys.modules\n"
+        f"assert jflow.cli.main([{command!r}, '--config', {cfg!r}, "
+        f"'--out', {str(tmp_path / 'run')!r}]) == 0\n"
+        "assert 'numpy.random' not in sys.modules\n")
+    run_fresh(code)
+    assert any((tmp_path / "run").iterdir())
 
 
 def test_geodesic_probe_on_torus_is_config_error(tmp_path, capsys):
@@ -246,9 +271,17 @@ def test_step_stalled_exit_3(tmp_path, capsys):
     text = FAST_TORUS + "flow.method = rk4\nflow.cfl_safety = 5.0\n" \
         "flow.dt_min = 1.0\nflow.t_max = 10.0\n"
     cfg = write_cfg(tmp_path, text)
-    assert main(["simulate", "--config", cfg,
-                 "--out", str(tmp_path / "run")]) == 3
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 3
     assert "step stalled" in capsys.readouterr().err
+    # the run up to the stall leaves its trajectory and counters behind
+    state = json.loads(read(out, "final_state.json"))
+    assert state["converged"] is False and state["reason"] == "stalled"
+    assert state["stats"]["rejected_positivity"] \
+        + state["stats"]["rejected_energy"] > 0
+    rows = read(out, "trajectory.csv").decode().splitlines()
+    assert len(rows) >= 2
+    assert float(rows[-1].split(",")[0]) == state["t"]
 
 
 def test_nonconvergence_exit_4_still_writes(tmp_path, capsys):

@@ -167,8 +167,15 @@ def test_stalled_step_raises(torus64):
     omega = torus_target_form(torus64)
     problem = FlowProblem(backend=torus64, omega=omega, method="rk4",
                           cfl_safety=5.0, dt_min=1.0, t_max=10.0)
-    with pytest.raises(StepStalled):
+    with pytest.raises(StepStalled) as info:
         run_flow(problem)
+    # the exception carries the run up to its last accepted state
+    result = info.value.result
+    assert not result.converged and result.reason == "stalled"
+    assert result.state.step_count == len(result.records) - 1
+    assert result.records[-1].t == result.state.t
+    assert result.stats.rejected_positivity \
+        + result.stats.rejected_energy > 0
 
 
 # --- monitored runs ----------------------------------------------------------

@@ -8,6 +8,7 @@ from jflow import (
     FAMILY_NAMES,
     GeometryError,
     HermitianFormField,
+    NormalStream,
     Normalization,
     build_metric,
     complex_hessian,
@@ -121,6 +122,27 @@ def test_random_potentials_deterministic_per_seed(sphere64):
     c = random_kahler_potential(sphere64, np.random.default_rng(12), 0.5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_normal_stream_is_pinned():
+    # every seeded potential jflow draws, and so every probe artifact,
+    # comes from this stream: a Python release that changes random.gauss
+    # fails here instead of moving the artifacts silently
+    stream = NormalStream(0)
+    assert [stream.standard_normal() for _ in range(4)] == [
+        0.9417154046806644, -1.3965781047011498, -0.6797144480784211,
+        0.3705035674606598]
+
+
+def test_named_random_family_repeats_per_seed(torus64, sphere64):
+    for b in (torus64, sphere64):
+        a = named_potential(b, "random", amplitude=0.3, seed=5)
+        assert np.array_equal(
+            a, random_kahler_potential(b, NormalStream(5), 0.3))
+        assert np.array_equal(
+            a, named_potential(b, "random", amplitude=0.3, seed=5))
+        assert not np.array_equal(
+            a, named_potential(b, "random", amplitude=0.3, seed=6))
 
 
 def test_family_roster():
