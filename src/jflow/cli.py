@@ -3,14 +3,15 @@
 Subcommands cover the library surface one module at a time (simulate,
 functionals, check-cone, geodesic-probe) plus an all-in-one report.
 `main` builds the backend and the reference form once and hands both to
-the command, so `report`'s sections share one geometry.  Every run echoes its effective configuration into the output directory;
-re-running from that echo reproduces the outputs byte for byte.
+the command, so `report`'s sections share one geometry.  Every run
+echoes its effective configuration into the output directory; re-running
+from that echo reproduces the outputs byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
+import gc
 import os
 import sys
 
@@ -26,13 +27,10 @@ from .potentials import (NormalStream, named_potential,
                          random_kahler_potential)
 from . import reports
 
-log = logging.getLogger("jflow")
 
-
-def _configure_logging() -> None:
-    level = {"debug": logging.DEBUG, "info": logging.INFO}.get(
-        os.environ.get("JFLOW_LOG", "").lower(), logging.WARNING)
-    logging.basicConfig(level=level, format="%(levelname)s %(message)s")
+def _info(message: str) -> None:
+    if os.environ.get("JFLOW_LOG", "").lower() in ("info", "debug"):
+        print(f"INFO {message}", file=sys.stderr)
 
 
 def _load(args) -> ScenarioConfig:
@@ -56,7 +54,7 @@ def _outdir(cfg: ScenarioConfig) -> str:
 
 def _write(outdir: str, name: str, text: str) -> None:
     reports.write_text(os.path.join(outdir, name), text)
-    log.info("wrote %s", os.path.join(outdir, name))
+    _info(f"wrote {os.path.join(outdir, name)}")
 
 
 def _simulate(cfg: ScenarioConfig, args, backend, omega) -> int:
@@ -72,9 +70,8 @@ def _simulate(cfg: ScenarioConfig, args, backend, omega) -> int:
         _write(outdir, "final_state.json",
                reports.final_state_json(exc.result))
         raise
-    log.info("flow: converged=%s reason=%s steps=%d residual=%.3e",
-             result.converged, result.reason, result.state.step_count,
-             result.residual)
+    _info(f"flow: converged={result.converged} reason={result.reason} "
+          f"steps={result.state.step_count} residual={result.residual:.3e}")
     _write(outdir, "trajectory.csv", reports.trajectory_csv(result.records))
     _write(outdir, "final_state.json", reports.final_state_json(result))
     if cfg.get("functionals.enabled"):
@@ -133,13 +130,11 @@ def _geodesic_probe(cfg: ScenarioConfig, args, backend, omega) -> int:
                for a, b in endpoints]
 
     outdir = _outdir(cfg)
-    summary = []
     for k, rep in enumerate(results):
         _write(outdir, f"probe_{k}.csv", reports.probe_csv(rep))
-        summary.append(rep)
-        log.info("pair %d: min second difference %.3e at t=%.3f",
-                 k, rep.min_second_difference, rep.t_at_min)
-    lines = [reports.probe_report_json(rep).rstrip() for rep in summary]
+        _info(f"pair {k}: min second difference "
+              f"{rep.min_second_difference:.3e} at t={rep.t_at_min:.3f}")
+    lines = [reports.probe_report_json(rep).rstrip() for rep in results]
     _write(outdir, "probe_summary.json", "[\n" + ",\n".join(lines) + "\n]\n")
     if args.plot == "svg":
         series = [(f"pair {k}", rep.ts, rep.values)
@@ -193,7 +188,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
+    """Run one command; exit 0, or 1 on a geometry or write error, 2 on a
+    config error or bad arguments, 3 on a stalled step, 4 on no convergence.
+    argv None: the command owns the process, so freezing the imports' objects
+    out of every collection costs no caller anything and speeds the exit."""
+    if argv is None:
+        gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load(args)

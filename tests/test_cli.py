@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -176,6 +177,27 @@ def test_non_finite_float_is_config_error(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("level", [None, "info", "DEBUG"])
+def test_jflow_log_prints_info_lines_to_stderr(tmp_path, capsys,
+                                               monkeypatch, level):
+    cfg = write_cfg(tmp_path, FAST_TORUS)
+    out = str(tmp_path / "run")
+    if level is None:
+        monkeypatch.delenv("JFLOW_LOG", raising=False)
+    else:
+        monkeypatch.setenv("JFLOW_LOG", level)
+    assert main(["simulate", "--config", cfg, "--out", out]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    if level is None:
+        assert lines == []
+        return
+    assert lines[0].startswith("INFO flow: converged=False reason=t_max ")
+    assert lines[1:] == [
+        f"INFO wrote {os.path.join(out, name)}"
+        for name in ("trajectory.csv", "final_state.json",
+                     "functional_report.json")]
+
+
 def run_fresh(code):
     """Run python code in a fresh interpreter that imports jflow from src."""
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -208,17 +230,39 @@ def test_cli_import_leaves_scipy_interpolate_unloaded(tmp_path):
 ], ids=("geodesic-probe", "report", "functionals"))
 def test_no_command_loads_numpy_random(tmp_path, command, extra):
     # seeded potentials come from the standard library's generator, and
-    # importing numpy.random alone costs several MB of resident memory
+    # importing numpy.random alone costs several MB of resident memory;
+    # JFLOW_LOG lines are plain prints, so logging stays unloaded too
     cfg = write_cfg(tmp_path, FAST_SPHERE + extra)
+    unloaded = ("assert 'numpy.random' not in sys.modules, 'numpy.random'\n"
+                "assert 'logging' not in sys.modules, 'logging'\n")
     code = (
         "import sys\n"
         "import jflow.cli\n"
-        "assert 'numpy.random' not in sys.modules\n"
-        f"assert jflow.cli.main([{command!r}, '--config', {cfg!r}, "
+        + unloaded
+        + f"assert jflow.cli.main([{command!r}, '--config', {cfg!r}, "
         f"'--out', {str(tmp_path / 'run')!r}]) == 0\n"
-        "assert 'numpy.random' not in sys.modules\n")
+        + unloaded)
     run_fresh(code)
     assert any((tmp_path / "run").iterdir())
+
+
+def test_main_freezes_the_collector_only_when_it_owns_the_process(tmp_path):
+    cfg = write_cfg(tmp_path, FAST_TORUS)
+    frozen = gc.get_freeze_count()
+    assert main(["simulate", "--config", cfg,
+                 "--out", str(tmp_path / "in-process")]) == 0
+    assert gc.get_freeze_count() == frozen
+    # argv None: the command owns its interpreter, as the jflow script does
+    code = (
+        "import gc, sys\n"
+        "from jflow.cli import main\n"
+        f"sys.argv = ['jflow', 'simulate', '--config', {cfg!r}, "
+        f"'--out', {str(tmp_path / 'script')!r}]\n"
+        "assert gc.get_freeze_count() == 0\n"
+        "assert main() == 0\n"
+        "assert gc.get_freeze_count() > 0, gc.get_freeze_count()\n")
+    run_fresh(code)
+    assert (tmp_path / "script" / "final_state.json").exists()
 
 
 def test_geodesic_probe_on_torus_is_config_error(tmp_path, capsys):
