@@ -19,13 +19,13 @@ method `rosenbrock` (RODAS3 of Sandu et al., Atmos. Environ. 31, 1997:
 order three, L-stable, with the exact Jacobian) has no such cap: its
 embedded second-order solution gives a local error estimate, and a
 standard controller sets the step from it.
-J is tridiagonal (periodic on the torus line, with two one-sided end
-fills on the sphere), so each step forms the bands of I - (dt/2) J from
-the backend's constant stencil bands and factorises them once, in O(N),
-for all four stages; a step whose banded matrix is not strictly row
-diagonally dominant is rejected and halved.  With every method a step is
-rejected, and the step size halved, when positivity fails anywhere or E
-increases beyond round-off tolerance.
+J is tridiagonal, periodic on the torus line, since both backends are
+the same flux line (`GeometryBackend`), so each step forms the bands of
+I - (dt/2) J from the backend's constant stencil bands and factorises
+them once, in O(N), for all four stages; a step whose banded matrix is
+not strictly row diagonally dominant is rejected and halved.  With every
+method a step is rejected, and the step size halved, when positivity
+fails anywhere or E increases beyond round-off tolerance.
 
 One kernel serves every geometry.  A stage is the backend's checked raw
 metric density (`GeometryBackend.metric`) and its raw theta; `rhs`,
@@ -168,9 +168,10 @@ class FlowResult:
     """A finished run.
 
     kappa is the volume-weighted mean of the final right-hand side: the
-    rate at which a limit potential drifts while its metric stays put
-    (O(spacing^2) on the sphere).  rhs_spread is rhs_max - rhs_min there,
-    the residual with that drift taken out.
+    rate at which a limit potential would drift while its metric stays
+    put.  theta integrates to zero against every metric's volume, so at
+    a limit kappa is round-off on both geometries, and it checks that
+    conservation.  rhs_spread is rhs_max - rhs_min there.
     """
 
     problem: FlowProblem
@@ -215,31 +216,20 @@ class _NotDominant(Exception):
 
 
 class _ImplicitSolver:
-    """I - gamma dt J, given as bands (lower, diagonal, upper, fill),
+    """I - gamma dt J, given as bands (lower, diagonal, upper),
     factorised once in O(N) for all four RODAS3 stages.
 
-    On the sphere rows 1 and N - 2 first remove the fills at (0, 2) and
-    (N - 1, N - 3), leaving a tridiagonal matrix for Thomas's algorithm.
-    On the torus line lower[0] and upper[-1] are the periodic corners;
+    On the sphere the matrix is tridiagonal, for Thomas's algorithm.  On
+    the torus line lower[0] and upper[-1] are the periodic corners;
     Sherman-Morrison folds them into a rank-one correction of Thomas.
-    Thomas does not pivot, so the reduced matrix must be strictly row
-    diagonally dominant, corners included; that is checked before any
-    division by a pivot.  It holds for every dt small enough, as the
-    matrix tends to I.
+    Thomas does not pivot, so the matrix must be strictly row diagonally
+    dominant, corners included; that is checked before any division by a
+    pivot.  It holds for every dt small enough, as the matrix tends to I.
     """
 
     def __init__(self, bands: np.ndarray, periodic: bool):
-        lower, diagonal, upper, fill = bands
+        lower, diagonal, upper = bands
         self.periodic = periodic
-        if not periodic:
-            # row 0 -= head * row 1 and row N - 1 -= tail * row N - 2; a
-            # zero divisor leaves a non-finite row, which fails the check
-            self.head = float(fill[0] / upper[1])
-            self.tail = float(fill[-1] / lower[-2])
-            diagonal[0] -= self.head * lower[1]
-            upper[0] -= self.head * diagonal[1]
-            lower[-1] -= self.tail * diagonal[-2]
-            diagonal[-1] -= self.tail * upper[-2]
         if not np.all(np.abs(diagonal) > np.abs(lower) + np.abs(upper)):
             raise _NotDominant
         lower, diagonal, upper = lower.tolist(), diagonal.tolist(), upper.tolist()
@@ -274,12 +264,10 @@ class _ImplicitSolver:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         x = rhs.tolist()
+        y = np.array(self._thomas(x))
         if self.periodic:
-            y = np.array(self._thomas(x))
             return y - ((y[0] + self.corner * y[-1]) / self.denominator) * self.z
-        x[0] -= self.head * x[1]
-        x[-1] -= self.tail * x[-2]
-        return np.array(self._thomas(x))
+        return y
 
 
 class _Kernel:
@@ -311,20 +299,19 @@ class _Kernel:
 
     def jacobian_bands(self, stage) -> np.ndarray:
         """d rhs/d phi, d theta/d phi + diag(omega/rho^2) d rho/d phi,
-        as the backend's rows (lower, diagonal, upper, fill)."""
+        as the backend's rows (lower, diagonal, upper)."""
         d_rho, d_theta = self._bands
         return d_rho * (self.om / stage[0]**2) + d_theta
 
     def jacobian(self, stage) -> np.ndarray:
         """jacobian_bands(stage) as a dense matrix."""
-        lower, diagonal, upper, fill = self.jacobian_bands(stage)
+        lower, diagonal, upper = self.jacobian_bands(stage)
         size = diagonal.size
         rows = np.arange(size)
         jac = np.zeros((size, size))
         jac[rows, rows - 1] = lower
         jac[rows, rows] = diagonal
         jac[rows, (rows + 1) % size] = upper
-        jac[0, 2], jac[-1, -3] = fill[0], fill[-1]
         return jac
 
     def implicit_bands(self, stage, gamma_dt: float) -> np.ndarray:
@@ -339,7 +326,7 @@ class _Kernel:
         """I - gamma_dt J factorised in O(N); raises _NotDominant when the
         banded system is not strictly row diagonally dominant."""
         return _ImplicitSolver(self.implicit_bands(stage, gamma_dt),
-                               periodic=self.backend.name == "torus")
+                               periodic=self.backend.periodic)
 
     def diagnostics(self, stage) -> _Diagnostics:
         chi, theta = stage
@@ -412,8 +399,8 @@ def _rosenbrock(kernel, phi: np.ndarray, stage,
     U4 = S (f(phi + 2 U1 + U3) + (U1 - U2) / 2 - 4 U3 / 3), and
     phi' = phi + 2 U1 + U3 + U4.  The estimate is U4, phi' minus the
     embedded second-order solution.  F is invariant under constant shifts,
-    so J 1 = 0, and a constant F gives U3 = U4 = 0: the drift passes with
-    no estimated error.
+    so J 1 = 0, and a constant F gives U3 = U4 = 0: a uniform shift of
+    phi passes with no estimated error.
     """
     gamma_dt = ROSENBROCK_GAMMA * dt
     solver = kernel.implicit_solver(stage, gamma_dt)

@@ -166,60 +166,40 @@ def _horner(coef: np.ndarray, dx: np.ndarray, orders) -> list[np.ndarray]:
 
 
 class _Quintic:
-    """Quintic not-a-knot interpolating splines of values on the grid m.
+    """Quintic not-a-knot interpolating splines on the grid m, one per row
+    of weights: row r is sum_j weights[r, j] times the spline of column j
+    of values (of values itself, if it is one column).
 
     The spline of _quintic_fit, extrapolation into the boundary gaps
-    included, one per trailing index of ``values``, kept as its Taylor
-    polynomial at every node: expanding at the nodes rather than only at
-    the knots keeps |x - node| within a cell, and with it the round-off
-    of the high-order terms.  Fitting takes the cached inverse times the
-    values (O(N^2) per column) and then, node by node, the local Taylor
-    coefficients against the six B-spline coefficients there (O(N)), as
-    einsum and elementwise products: no BLAS call and no dense map.
-    ``coef[d]`` holds the degree-d coefficients, node by node.
-
-    Called at x, it evaluates every column there, as arrays of shape
-    x.shape + values.shape[1:]; ``rows`` gives weighted sums of the
-    columns, each evaluated at its own points.
+    included, kept as its Taylor polynomial at every node: expanding at
+    the nodes rather than only at the knots keeps |x - node| within a
+    cell, and with it the round-off of the high-order terms.  Fitting
+    takes the cached inverse times the values (O(N^2) per column), then,
+    node by node, the local Taylor coefficients against the six B-spline
+    coefficients there (O(N)), and then the weighted sums of the columns,
+    as einsum and elementwise products: no BLAS call and no dense map.
+    ``coef[d]`` holds the degree-d coefficients, row by row and within a
+    row node by node.  Called at x of shape (rows, points), row r of x
+    is evaluated on spline r, so each Horner term is one gathered array.
     """
 
-    def __init__(self, m: np.ndarray, values: np.ndarray):
+    def __init__(self, m: np.ndarray, values: np.ndarray, weights: np.ndarray):
         self.nodes = np.asarray(m, dtype=float)
+        size = self.nodes.size
         support, local, inverse = _quintic_fit(self.nodes.tobytes())
         bspline = np.einsum("ij,j...->i...", inverse,
                             np.asarray(values, dtype=float))
-        self.coef = np.einsum("dil,il...->di...", local, bspline[support])
+        columns = np.einsum("dil,il...->di...", local, bspline[support])
+        self.coef = np.einsum("dij,rj->dri", columns.reshape(6, size, -1),
+                              weights).reshape(6, -1)
+        # Row r's node i sits at r N + i of the flattened (row, node) axis.
+        self.offset = size * np.arange(len(weights))[:, None]
 
     def __call__(self, x: np.ndarray, *orders: int) -> list[np.ndarray]:
         """The derivatives of the given orders (0 is the value) at x."""
         # The last node at or left of x, else the first: counting the
         # nodes after the first that are <= x needs no clip.
         node = np.searchsorted(self.nodes[1:], x, side="right")
-        coef = np.take(self.coef, node, axis=1)
-        dx = (x - self.nodes[node]).reshape(
-            node.shape + (1,) * (coef.ndim - node.ndim - 1))
-        return _horner(coef, dx, orders)
-
-    def rows(self, weights: np.ndarray) -> "_SplineRows":
-        """The splines sum_j weights[r, j] column_j, one per row r."""
-        return _SplineRows(self.nodes, np.einsum(
-            "dij,rj->dri", self.coef.reshape(6, self.nodes.size, -1), weights))
-
-
-class _SplineRows:
-    """Splines, one per row, with Taylor coefficients laid out (degree,
-    row, node); called at x of shape (rows, points), row r of x is
-    evaluated on spline r, so each Horner term is one gathered array."""
-
-    def __init__(self, nodes: np.ndarray, coef: np.ndarray):
-        self.nodes = nodes
-        self.coef = coef.reshape(6, -1)
-        self.offset = nodes.size * np.arange(coef.shape[1])[:, None]
-
-    def __call__(self, x: np.ndarray, *orders: int) -> list[np.ndarray]:
-        """The derivatives of the given orders (0 is the value) at x."""
-        node = np.searchsorted(self.nodes[1:], x, side="right")
-        # Row r's node i sits at r N + i of the flattened (row, node) axis.
         coef = np.take(self.coef, node + self.offset, axis=1)
         return _horner(coef, x - self.nodes[node], orders)
 
@@ -274,7 +254,7 @@ def _transform_rows(sphere: SphereBackend, phis: np.ndarray) -> np.ndarray:
     m = sphere.m
     # Quintic interpolation keeps the end-derivative error well under the
     # round-trip tolerance.
-    spline = _Quintic(m, phis.T).rows(np.eye(len(phis)))
+    spline = _Quintic(m, phis.T, np.eye(len(phis)))
 
     def moment(x):
         rho0 = x * (1.0 - x)
@@ -327,7 +307,7 @@ def _inverse_rows(sphere: SphereBackend, deviations: np.ndarray,
     rows come back in weight order.
     """
     m = sphere.m
-    deviation = _Quintic(m, deviations).rows(weights)
+    deviation = _Quintic(m, deviations, weights)
 
     def slope(x):
         rho0 = x * (1.0 - x)
@@ -403,13 +383,32 @@ def geodesic_path(backend: GeometryBackend, phi_a, phi_b,
     return list(rows)
 
 
+def _moment_derivative(phi: np.ndarray, delta: float) -> np.ndarray:
+    """d(phi)/dm along the trailing axis: central inside, one-sided
+    three-point at the ends.
+
+    Times m (1 - m) it is X(phi) to O(delta^3) at the end nodes, where
+    the flux mean of the flow's X is only O(delta^2), and that keeps the
+    geodesic residual second order up to the poles.
+    """
+    # Indexed through the transposes, where the trailing axis leads: the
+    # end nodes of one field stay scalars.
+    out = np.empty_like(phi)
+    p, o = phi.T, out.T
+    o[1:-1] = (p[2:] - p[:-2]) / (2.0 * delta)
+    o[0] = (-3.0 * p[0] + 4.0 * p[1] - p[2]) / (2.0 * delta)
+    o[-1] = (3.0 * p[-1] - 4.0 * p[-2] + p[-3]) / (2.0 * delta)
+    return out
+
+
 def geodesic_residual(backend: GeometryBackend,
                       path: Sequence) -> float:
     """Sup norm of phi_dd - (X phi_d)^2 / rho over interior path nodes.
 
     Time derivatives are central differences at the path's own node
-    spacing, so for an exact geodesic this decays like the square of
-    the grid and node spacings together.  Every interior node must be
+    spacing, and X is m (1 - m) times _moment_derivative, so for an
+    exact geodesic this decays like the square of the grid and node
+    spacings together.  Every interior node must be
     Kahler, as on every other geodesic entry point; all of them are
     checked, and their residuals taken, on one stack.
     """
@@ -421,7 +420,8 @@ def geodesic_residual(backend: GeometryBackend,
     accel = (arr[2:] - 2.0 * arr[1:-1] + arr[:-2]) / dt**2
     vel = (arr[2:] - arr[:-2]) / (2.0 * dt)
     rho = sphere.metric(arr[1:-1], "geodesic residual")
-    residual = accel - (sphere.mprime * sphere._moment_derivative(vel))**2 / rho
+    residual = accel - (sphere.mprime
+                        * _moment_derivative(vel, sphere.delta))**2 / rho
     return float(np.abs(residual).max())
 
 

@@ -1,23 +1,38 @@
 """Reduced geometries and the discrete operators acting on them.
 
-Two backends are provided.
+Both backends are one flux line: the same one-dimensional stencils with
+different data.  A potential phi on N nodes has a half-cell flux in the
+cell between each pair of neighbouring nodes,
+
+    f_(i+1/2) = half_(i+1/2) (phi_(i+1) - phi_i) / delta,
+
+and the complex Hessian density at node i is the node factor times the
+flux difference, node_i (f_(i+1/2) - f_(i-1/2)) / delta.  The derivative
+of phi along the frame is the node mean of the same two fluxes,
+(f_(i+1/2) + f_(i-1/2)) / 2; the symmetry field X acts on phi by it.
 
 ``TorusBackend`` works on a periodic grid over the line ``[0, 1)``.
 Potentials depend on the real part of the complex coordinate only, so
-the complex Hessian is one quarter of the second derivative, built from
-central differences.  These are exactly self-adjoint against the
-uniform cell weights, which makes the discrete cohomology statements
-(total Hessian mass zero, symmetry of the induced bilinear forms)
-identities rather than approximations.
+the complex Hessian is one quarter of the second derivative: half and
+node factor are both 1/2, and the line closes on itself.  There is no
+symmetry field, so theta is 0.
 
 ``SphereBackend`` works on the circle-invariant reduction of the round
 sphere.  Fields live on a grid that is uniform in the moment coordinate
 ``m = e^s / (1 + e^s)``; metric coefficients are stored in the invariant
 coframe ``dz / z``, where the reference density is ``m (1 - m)``.  The
-complex Hessian is discretized in flux form with zero boundary flux, so
-summing it against the quadrature weights telescopes to exactly zero and
-the operator is exactly self-adjoint.  Both properties are load-bearing
-for the energy bookkeeping downstream.
+half-cell factors are m (1 - m) at the cell midpoints and the node
+factor m (1 - m) at the node, with zero flux past both ends, and
+theta = m - mean(m) + X phi.
+
+On either line the Hessian summed against the quadrature weights
+telescopes to exactly zero, and the Hessian is exactly self-adjoint.  X
+and the Hessian are a summation-by-parts pair under the same weights, so
+theta integrates to zero against the volume of every metric:
+sum_i theta_i rho_i w_i = 0 for every phi, up to round-off.  Both
+properties are load-bearing for the energy bookkeeping downstream, and
+the second makes the discrete critical equation solvable, so the flow
+converges to machine-level residuals on both geometries.
 """
 
 from __future__ import annotations
@@ -35,44 +50,26 @@ from .fields import (
 )
 
 
-def _periodic_neighbours(values: np.ndarray):
-    """The periodic neighbours of every node along the trailing axis:
-    np.roll(values, -1, -1) and np.roll(values, 1, -1), as views of one
-    copy padded with a wrapped node at each end."""
-    padded = np.concatenate((values[..., -1:], values, values[..., :1]),
-                            axis=-1)
-    return padded[..., 2:], padded[..., :-2]
-
-
-def _periodic_central(values: np.ndarray, delta: float) -> np.ndarray:
-    up, down = _periodic_neighbours(values)
-    return (up - down) / (2.0 * delta)
-
-
-def _periodic_second(values: np.ndarray, delta: float) -> np.ndarray:
-    up, down = _periodic_neighbours(values)
-    return (up - 2.0 * values + down) / delta**2
-
-
 class GeometryBackend:
-    """Common interface; concrete backends fill in the chart-level ops.
+    """One flux line; the concrete backends supply its data.
 
     Both geometries are one-dimensional (``n``, the complex dimension, is
     the constant 1), so a form is a (*grid, 1, 1) matrix stack and its raw
     array is its density.  Internal consumers (the flow kernel, the
     functionals, the geodesics) work on raw arrays, and ``raw_form``
     unwraps a form, checking its shape against the grid.  Each geometric
-    operation has one body, a raw one; the public helpers (``complex_hessian``,
-    ``ricci_form`` here, and ``theta_of``, ``trace_with``, ``integrate`` and
-    ``volume`` below) check their arguments and wrap it.  metric, theta,
-    stage and trace act on the trailing grid axis, so each also takes a
-    stack of fields on leading axes and gives each row the bits it would
-    get alone; the reductions take one field.  The raw operations:
+    operation has one body, a raw one, here; the public helpers
+    (``complex_hessian``, ``vector_field_action``, ``ricci_form`` here,
+    and ``theta_of``, ``trace_with``, ``integrate`` and ``volume`` below)
+    check their arguments and wrap it.  metric, theta, stage and trace act
+    on the trailing grid axis, so each also takes a stack of fields on
+    leading axes and gives each row the bits it would get alone; the
+    reductions take one field.  The raw operations:
 
         metric(phi, context)   chi0 + _complex_hessian(phi), checked finite
                                and positive at every node of every row
                                (NotKahlerError names context)
-        theta(phi)             theta0 + X(phi); the scalar 0 on the torus
+        theta(phi)             theta0 + X(phi)
         stage(phi)             (metric(phi, "flow stage"), theta(phi))
         trace(chi, om)         om / chi at every node; a staticmethod
         _ricci(chi)            the Ricci density of chi
@@ -84,25 +81,86 @@ class GeometryBackend:
         dissipation(sigma, chi, om)
                                the integral of |d sigma|^2 om / chi^2
                                against vol(chi)
+
+    Each backend gives its line's data: ``periodic`` (the line closes on
+    itself), the half-cell and node factors (through ``_line``), theta0,
+    the symmetry field's coefficient (X is that times the frame
+    derivative, so 0 on the torus) and the base form's Ricci density.
     """
 
     name: str
     n = 1
     grid_shape: tuple[int, ...]
+    size: int
     spacing: float
+    delta: float
     weights: np.ndarray | float
     tail_bound: float
+    periodic: bool
+    _base: HermitianFormField
     _base_raw: np.ndarray
+    _theta0: np.ndarray | float
+    _symmetry: float
+    _ricci0: np.ndarray | float
+
+    def _line(self, half: np.ndarray, node: np.ndarray | float) -> None:
+        """Set the flux line from its half-cell and node factors.
+
+        half holds one factor per cell between neighbouring nodes: N of
+        them on a periodic line, the last for the cell from node N - 1 to
+        node 0, and N - 1 on an open one.  The stencils index the N + 1
+        cells k - 1/2, k = 0..N, around the nodes, so the cells past the
+        ends of an open line get factor 0 and their fluxes vanish.
+        """
+        size = self.size
+        if self.periodic:
+            self._pad = np.r_[size - 1, 0:size, 0]
+            cells = np.r_[half[-1], half]
+        else:
+            self._pad = np.r_[0, 0:size, size - 1]
+            cells = np.r_[0.0, half, 0.0]
+        self._flux_factor = cells / self.delta
+        self._node = node
+        self._div_factor = node / self.delta
 
     def base_form(self) -> HermitianFormField:
-        raise NotImplementedError
+        return self._base
+
+    def _fluxes(self, phi: np.ndarray) -> np.ndarray:
+        """The N + 1 half-cell fluxes of phi along the trailing axis, one
+        per cell k - 1/2 from node k - 1 to node k.  An open line repeats
+        its end nodes, so the cells past its ends see no difference."""
+        # take, unlike phi[..., pad], keeps the rows C-contiguous, so the
+        # reductions over the grid axis sum each row as they sum it alone
+        padded = np.take(phi, self._pad, axis=-1)
+        return self._flux_factor * (padded[..., 1:] - padded[..., :-1])
+
+    def _complex_hessian(self, phi: np.ndarray) -> np.ndarray:
+        """The node factor times each node's flux difference."""
+        flux = self._fluxes(phi)
+        return self._div_factor * (flux[..., 1:] - flux[..., :-1])
+
+    def _gradient(self, phi: np.ndarray) -> np.ndarray:
+        """The derivative of phi along the frame: each node's flux mean."""
+        flux = self._fluxes(phi)
+        return 0.5 * (flux[..., 1:] + flux[..., :-1])
+
+    def _action(self, phi: np.ndarray) -> np.ndarray:
+        """X(phi): the symmetry coefficient times the frame derivative."""
+        return self._symmetry * self._gradient(phi)
 
     def complex_hessian(self, phi: ScalarField) -> np.ndarray:
         hess = self._complex_hessian(self.check_field(phi, "potential"))
         return hess[..., None, None]
 
     def vector_field_action(self, phi: ScalarField) -> ScalarField:
-        raise NotImplementedError
+        return self._action(self.check_field(phi, "potential"))
+
+    def _ricci(self, rho: np.ndarray) -> np.ndarray:
+        # Only the relative density log(rho / rho0) passes through the
+        # Hessian; the base form's own curvature is known in closed form.
+        relative = np.log(rho / self._base_raw)
+        return self._ricci0 - self._complex_hessian(relative)
 
     def ricci_form(self, chi: HermitianFormField) -> np.ndarray:
         rho = self.raw_form(chi.require_kahler("ricci form"))
@@ -118,10 +176,10 @@ class GeometryBackend:
                                  f"(least eigenvalue {least:.3e})")
         return chi
 
-    def theta(self, phi: np.ndarray) -> np.ndarray | float:
-        raise NotImplementedError
+    def theta(self, phi: np.ndarray) -> np.ndarray:
+        return self._theta0 + self._action(phi)
 
-    def stage(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+    def stage(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.metric(phi, "flow stage"), self.theta(phi)
 
     @staticmethod
@@ -129,20 +187,25 @@ class GeometryBackend:
         return om / chi
 
     def stiffness(self, chi: np.ndarray, om: np.ndarray) -> float:
-        raise NotImplementedError
+        return float((om * self._node**2 / chi**2).max())
 
     def jacobian_bands(self) -> tuple[np.ndarray, np.ndarray]:
-        """d(Hessian density)/d phi and d theta/d phi, each as
-        rows (lower, diagonal, upper, fill) of length N: row i's entries
-        in columns i - 1, i and i + 1 (mod N on the torus line, zero past
-        the ends on the sphere), and the one-sided fills at (0, 2) in
-        fill[0] and at (N - 1, N - 3) in fill[-1].  Each entry is the
-        stencil's own value on a unit column, bit for bit."""
-        raise NotImplementedError
+        """d(Hessian density)/d phi and d theta/d phi, each as rows
+        (lower, diagonal, upper) of length N: row i's entries in columns
+        i - 1, i and i + 1, mod N on a periodic line, where lower[0] and
+        upper[-1] are the corners; on an open line they are 0.  Each
+        entry is the stencil's own value on a unit column, bit for bit."""
+        # A unit column at node i has flux factor(i - 1/2) in the cell on
+        # its left and -factor(i + 1/2) in the cell on its right.
+        left, right = self._flux_factor[:-1], self._flux_factor[1:]
+        hessian = self._div_factor * np.stack((left, -(left + right), right))
+        action = np.stack((-left, left - right, right))
+        return hessian, self._symmetry * (0.5 * action)
 
     def dissipation(self, sigma: np.ndarray, chi: np.ndarray,
                     om: np.ndarray) -> float:
-        raise NotImplementedError
+        grad = self._gradient(sigma)
+        return float(np.sum(grad * grad * om / chi * self.weights))
 
     def raw_form(self, form: HermitianFormField | np.ndarray) -> np.ndarray:
         mats = (form.matrices if isinstance(form, HermitianFormField)
@@ -178,12 +241,15 @@ class TorusBackend(GeometryBackend):
 
     The background form is the constant density 1.  The first Chern class
     vanishes, there is no symmetry vector field, and the moment function
-    is identically zero.
+    is identically zero.  Half-cell and node factors are both 1/2, so the
+    Hessian density is a quarter of the second difference.
     """
 
     name = "torus"
+    periodic = True
     tail_bound = 0.0
     volume = 1.0
+    _theta0 = _symmetry = _ricci0 = 0.0
 
     def __init__(self, size: int):
         size = int(size)
@@ -195,36 +261,7 @@ class TorusBackend(GeometryBackend):
         self.x = np.arange(size) / size
         self._base = HermitianFormField.from_matrices(np.ones((size, 1, 1)))
         self._base_raw = self.raw_form(self._base)
-
-    def base_form(self) -> HermitianFormField:
-        return self._base
-
-    def _complex_hessian(self, phi: np.ndarray) -> np.ndarray:
-        """A quarter of the second difference, along the trailing axis."""
-        return 0.25 * _periodic_second(phi, self.delta)
-
-    def jacobian_bands(self) -> tuple[np.ndarray, np.ndarray]:
-        # _periodic_second on a unit column: up - 2 values + down is 1, -2, 1
-        stencil = np.array([1.0, -2.0, 1.0, 0.0]) / self.delta**2
-        hessian = np.repeat((0.25 * stencil)[:, None], self.size, axis=1)
-        return hessian, np.zeros_like(hessian)
-
-    def vector_field_action(self, phi: ScalarField) -> ScalarField:
-        return np.zeros_like(self.check_field(phi, "potential"))
-
-    def _ricci(self, rho: np.ndarray) -> np.ndarray:
-        return -self._complex_hessian(np.log(rho))
-
-    def theta(self, phi) -> float:
-        # theta vanishes identically
-        return 0.0
-
-    def stiffness(self, chi, om) -> float:
-        return float((0.25 * om / chi**2).max())
-
-    def dissipation(self, sigma, chi, om) -> float:
-        dsig = _periodic_central(sigma, self.delta)
-        return 0.25 * float(np.sum(dsig * dsig * om / chi) * self.weights)
+        self._line(np.full(size, 0.5), 0.5)
 
 
 class SphereBackend(GeometryBackend):
@@ -239,10 +276,13 @@ class SphereBackend(GeometryBackend):
 
     Metric coefficients are stored in the coframe ``dz / z``: the round
     background is ``rho0 = m (1 - m)``.  The symmetry generator acts as
-    ``d/ds = m (1 - m) d/dm``.
+    ``d/ds = m (1 - m) d/dm``, discretized as the flux mean, and the
+    background's Ricci density is ``2 rho0``.
     """
 
     name = "sphere"
+    periodic = False
+    _symmetry = 1.0
 
     def __init__(self, size: int, s_max: float = 12.0):
         size = int(size)
@@ -267,72 +307,10 @@ class SphereBackend(GeometryBackend):
         self.f0 = -np.log(1.0 - self.m)
         self.tail_bound = 2.0 * np.pi * self.m_lo
         self.volume = np.pi * self.delta * size
-        mbar = float(np.mean(self.m))
-        self._theta0 = self.m - mbar
+        self._theta0 = self.m - float(np.mean(self.m))
+        self._ricci0 = 2.0 * self.rho0
         self._base = HermitianFormField.from_matrices(self.rho0[:, None, None])
-
-    def base_form(self) -> HermitianFormField:
-        return self._base
-
-    def _moment_derivative(self, phi: np.ndarray) -> np.ndarray:
-        """d(phi)/dm: central inside, one-sided three-point at the ends."""
-        # Along the trailing axis, indexed through the transposes, where
-        # it leads: the end nodes of one field stay scalars.
-        out = np.empty_like(phi)
-        p, o = phi.T, out.T
-        o[1:-1] = (p[2:] - p[:-2]) / (2.0 * self.delta)
-        o[0] = (-3.0 * p[0] + 4.0 * p[1] - p[2]) / (2.0 * self.delta)
-        o[-1] = (3.0 * p[-1] - 4.0 * p[-2] + p[-3]) / (2.0 * self.delta)
-        return out
-
-    def _complex_hessian(self, phi: np.ndarray) -> np.ndarray:
-        """The flux-form Hessian density, zero flux through both ends,
-        along the trailing axis (transposed as in _moment_derivative)."""
-        flux = self.mprime_half * (phi[..., 1:] - phi[..., :-1]) / self.delta
-        div = np.empty_like(phi)
-        f, d = flux.T, div.T
-        d[0] = f[0]
-        d[1:-1] = f[1:] - f[:-1]
-        d[-1] = -f[-1]
-        return self.mprime * div / self.delta
-
-    def jacobian_bands(self) -> tuple[np.ndarray, np.ndarray]:
-        # _complex_hessian on a unit column: the flux mprime_half (+-1) /
-        # delta enters div through the cells on either side of the node
-        flux = self.mprime_half / self.delta
-        div = np.zeros((4, self.size))
-        div[0, 1:] = flux
-        div[2, :-1] = flux
-        div[1, 1:-1] = -flux[1:] - flux[:-1]
-        div[1, 0], div[1, -1] = -flux[0], -flux[-1]
-        # _moment_derivative on a unit column: the numerators' coefficients
-        numer = np.zeros((4, self.size))
-        numer[0, 1:-1], numer[2, 1:-1] = -1.0, 1.0
-        numer[1:, 0] = -3.0, 4.0, -1.0
-        numer[:2, -1], numer[3, -1] = (-4.0, 3.0), 1.0
-        return (self.mprime * div / self.delta,
-                self.mprime * (numer / (2.0 * self.delta)))
-
-    def vector_field_action(self, phi: ScalarField) -> ScalarField:
-        """X(phi) = m (1 - m) d(phi)/dm, d/dm as in _moment_derivative."""
-        return self.mprime * self._moment_derivative(
-            self.check_field(phi, "potential"))
-
-    def _ricci(self, rho: np.ndarray) -> np.ndarray:
-        # Curvature of the background is known in closed form, so only the
-        # relative density log(rho / rho0) passes through the Hessian; it
-        # is smooth up to the truncation boundary where the flux vanishes.
-        return 2.0 * self.rho0 - self._complex_hessian(np.log(rho / self.rho0))
-
-    def theta(self, phi) -> np.ndarray:
-        return self._theta0 + self.mprime * self._moment_derivative(phi)
-
-    def stiffness(self, rho, om) -> float:
-        return float((om * self.mprime**2 / rho**2).max())
-
-    def dissipation(self, sigma, rho, om) -> float:
-        dsig = self.mprime * self._moment_derivative(sigma)
-        return float(np.sum(dsig * dsig * om / rho * self.weights))
+        self._line(self.mprime_half, self.mprime)
 
 
 def complex_hessian(backend: GeometryBackend, phi: ScalarField) -> np.ndarray:
@@ -361,8 +339,7 @@ def trace_with(chi: HermitianFormField,
 
 def theta_of(backend: GeometryBackend, phi: ScalarField) -> ScalarField:
     """Moment function along the deformation: theta0 + X(phi), on the grid."""
-    theta = backend.theta(backend.check_field(phi, "potential"))
-    return np.broadcast_to(theta, backend.grid_shape).copy()
+    return backend.theta(backend.check_field(phi, "potential"))
 
 
 def ricci_form(backend: GeometryBackend, chi: HermitianFormField) -> np.ndarray:

@@ -34,15 +34,15 @@ def sphere_collocation(backend: SphereBackend, omega_density, c: float,
     """Direct solve of the discrete critical system, no time stepping.
 
     Unknowns are (phi, kappa) where kappa is a level correction absorbing
-    the O(spacing^2) incompatibility of the discrete system:
+    any incompatibility of the discrete system (round-off, since theta
+    integrates to zero against every metric's volume):
 
         (c + kappa + theta0 + X phi) * (rho0 + M phi) = rho_omega,
         sum(phi * weights) = 0.
 
     Newton converges to round-off in a handful of iterations; returns
     (phi, kappa, final_residual).  The flow's limit metric must agree with
-    rho0 + M phi even though the flow's potential keeps translating at
-    rate kappa.
+    rho0 + M phi, and its potential translates at rate -kappa.
     """
     size = backend.grid_shape[0]
     hess = probe_linear_operator(
@@ -76,6 +76,19 @@ def sphere_collocation(backend: SphereBackend, omega_density, c: float,
     return phi, kappa, residual
 
 
+def sphere_action(backend: SphereBackend, f: np.ndarray) -> np.ndarray:
+    """X f on the sphere's moment grid in closed form: at each node the
+    mean of the half-cell fluxes m'(m_(i+1/2)) (f_(i+1) - f_i) / delta on
+    either side, with m' = m (1 - m) at the midpoint of the two nodes and
+    no flux past the ends.  Written from the grid m and its spacing alone,
+    not from the backend's stencil."""
+    m, delta = backend.m, backend.delta
+    mid = 0.5 * (m[1:] + m[:-1])
+    flux = np.concatenate(([0.0], mid * (1.0 - mid) * np.diff(f) / delta,
+                           [0.0]))
+    return 0.5 * (flux[1:] + flux[:-1])
+
+
 def flow_kernel_outputs(backend, omega, c: float, phi: np.ndarray) -> dict:
     """The flow's right-hand side, stiffness and monitor diagnostics at phi.
 
@@ -86,16 +99,14 @@ def flow_kernel_outputs(backend, omega, c: float, phi: np.ndarray) -> dict:
     on the sphere, m - mean(m) plus X phi.  The dissipation integrand is
     in the continuum's own terms: |d sigma|^2 = (d sigma)^2 omega / rho^2,
     where d is half the derivative on the torus, taken here with np.roll,
-    and X on the sphere.  On the sphere X f = m (1 - m) df/dm comes from
-    numpy's gradient with second-order one-sided ends, not from the
-    backend's stencil.  Returns the stiffness and every field of the
-    kernel's diagnostics by name.
+    and X on the sphere, from ``sphere_action``.  Returns the stiffness
+    and every field of the kernel's diagnostics by name.
     """
     chi = build_metric(backend, backend.base_form(), phi).require_kahler("oracle")
     rho, om = chi.density, omega.density
     if isinstance(backend, SphereBackend):
         def action(f):
-            return backend.mprime * np.gradient(f, backend.delta, edge_order=2)
+            return sphere_action(backend, f)
 
         theta = (backend.m - np.mean(backend.m)) + action(phi)
     else:
@@ -177,9 +188,8 @@ def simpson_path_functionals(backend, omega_matrices: np.ndarray,
     one-dimensional metric is the metric itself and the mixed density of
     a form is the form: tr(chi^{-1} omega) det(chi) = omega.  theta is
     in closed form, as in flow_kernel_outputs and not from the library:
-    0 on the torus and, on the sphere, m - mean(m) plus X phi, with
-    X f = m (1 - m) df/dm from numpy's gradient with second-order
-    one-sided ends.
+    0 on the torus and, on the sphere, m - mean(m) plus X phi, with X
+    from ``sphere_action``.
     """
     nodes = 33
     t = np.linspace(0.0, 1.0, nodes)
@@ -194,8 +204,7 @@ def simpson_path_functionals(backend, omega_matrices: np.ndarray,
         np.sum(base * backend.weights))
     if isinstance(backend, SphereBackend):
         def theta(f):
-            return (backend.m - np.mean(backend.m)) + backend.mprime * np.gradient(
-                f, backend.delta, edge_order=2)
+            return (backend.m - np.mean(backend.m)) + sphere_action(backend, f)
     else:
         def theta(f):
             return np.zeros_like(f)

@@ -22,7 +22,7 @@ from jflow import (
 )
 import oracles
 from jflow.flow import _Diagnostics, _Kernel, _start
-from jflow.geometry import SphereBackend, _periodic_neighbours
+from jflow.geometry import SphereBackend
 from jflow.potentials import hessian_offset_potential
 
 
@@ -318,17 +318,19 @@ def _stencil_potential(values, spacing):
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(st.integers(3, 257).flatmap(
+@given(st.integers(8, 257).flatmap(
     lambda n: hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3))))
-def test_periodic_neighbours_match_roll(phi):
-    up, down = _periodic_neighbours(phi)
-    assert np.array_equal(up, np.roll(phi, -1))
-    assert np.array_equal(down, np.roll(phi, 1))
-    # a stack of rows: neighbours along the trailing axis only
+def test_periodic_fluxes_match_roll(phi):
+    # cell k - 1/2 runs from node k - 1 to node k, and on the torus line
+    # cell N - 1/2 is cell -1/2 again
+    b = make_backend("torus", size=len(phi))
+    want = (0.5 / b.spacing) * (phi - np.roll(phi, 1))
+    assert np.array_equal(b._fluxes(phi), np.append(want, want[0]))
+    # a stack of rows: fluxes along the trailing axis only
     grid = np.stack([phi, 2.0 * phi, phi[::-1]])
-    up, down = _periodic_neighbours(grid)
-    assert np.array_equal(up, np.roll(grid, -1, -1))
-    assert np.array_equal(down, np.roll(grid, 1, -1))
+    want = (0.5 / b.spacing) * (grid - np.roll(grid, 1, -1))
+    assert np.array_equal(b._fluxes(grid),
+                          np.concatenate((want, want[:, :1]), axis=-1))
 
 
 # Distinct entries give every flux a nonzero value, the end fluxes of the
@@ -340,26 +342,42 @@ def test_periodic_neighbours_match_roll(phi):
                          unique=True)))
 @example(np.random.default_rng(3).uniform(-1.0, 1.0, 40))
 def test_kernel_stencils_match_roll_and_diff(raw):
+    # Each line's density is its node factor times the flux difference,
+    # and its frame derivative the flux mean: on the torus line both
+    # factors are 1/2 and the fluxes wrap around, on the sphere they are
+    # m (1 - m) and no flux passes the ends, and there X and theta are
+    # the flux mean too
     b = make_backend("torus", size=len(raw))
     kernel = _Kernel(b, b.base_form(), 1.0)
     phi = _stencil_potential(raw, b.spacing)
-    lap = (np.roll(phi, -1) - 2.0 * phi + np.roll(phi, 1)) / b.spacing**2
-    h = 1.0 + 0.25 * lap
+    flux = (0.5 / b.spacing) * (np.roll(phi, -1) - phi)
+    h = 1.0 + (0.5 / b.spacing) * (flux - np.roll(flux, 1))
     stage = kernel._stage(phi)
     assert np.array_equal(stage[0], h)
     sigma = -(kernel.om / h)
-    dsig = (np.roll(sigma, -1) - np.roll(sigma, 1)) / (2.0 * b.spacing)
-    want = -0.5 * float(np.sum(dsig * dsig * kernel.om / h) * b.weights)
+    flux = (0.5 / b.spacing) * (np.roll(sigma, -1) - sigma)
+    grad = 0.5 * (flux + np.roll(flux, 1))
+    want = -2.0 * float(np.sum(grad * grad * kernel.om / h * b.weights))
     assert kernel.diagnostics(stage).dissipation == want
     if len(raw) < 16:  # the sphere's coarsest grid
         return
     b = make_backend("sphere", size=len(raw))
     kernel = _Kernel(b, b.base_form(), 1.0)
     phi = _stencil_potential(raw, b.spacing)
-    flux = b.mprime_half * np.diff(phi) / b.delta
+    flux = (b.mprime_half / b.delta) * np.diff(phi)
     div = np.concatenate(([flux[0]], flux[1:] - flux[:-1], [-flux[-1]]))
-    rho, _ = kernel._stage(phi)
-    assert np.array_equal(rho, b.rho0 + b.mprime * div / b.delta)
+    ends = np.concatenate(([0.0], flux, [0.0]))
+    stage = kernel._stage(phi)
+    rho, theta = stage
+    assert np.array_equal(rho, b.rho0 + (b.mprime / b.delta) * div)
+    assert np.array_equal(theta, (b.m - np.mean(b.m))
+                          + 0.5 * (ends[1:] + ends[:-1]))
+    sigma = theta - kernel.om / rho
+    flux = np.concatenate(([0.0], (b.mprime_half / b.delta) * np.diff(sigma),
+                           [0.0]))
+    grad = 0.5 * (flux[1:] + flux[:-1])
+    want = -2.0 * float(np.sum(grad * grad * kernel.om / rho * b.weights))
+    assert kernel.diagnostics(stage).dissipation == want
 
 
 def _relative_gap(got, want):
@@ -468,9 +486,8 @@ def test_kernel_is_blind_to_constant_shifts(case, shift):
 @given(_jacobian_case())
 def test_kernel_jacobian_is_banded_with_nonnegative_off_diagonals(case):
     # the structure an unpivoted banded solve of I - gamma dt J rests on:
-    # J is periodic tridiagonal on the torus line and tridiagonal plus the
-    # one-sided end fills (0, 2) and (N-1, N-3) on the sphere, and every
-    # off-diagonal entry but those fills is >= 0
+    # J is periodic tridiagonal on the torus line and tridiagonal on the
+    # sphere, and every off-diagonal entry is >= 0
     b, _, kernel, phi, _ = case
     jac = kernel.jacobian(kernel._stage(phi))
     size = jac.shape[0]
@@ -479,7 +496,6 @@ def test_kernel_jacobian_is_banded_with_nonnegative_off_diagonals(case):
     band = np.zeros_like(jac, dtype=bool)
     if isinstance(b, SphereBackend):
         off_diagonal[rows[1:], rows[:-1]] = off_diagonal[rows[:-1], rows[1:]] = True
-        band[[0, size - 1], [2, size - 3]] = True
     else:
         off_diagonal[rows, (rows + 1) % size] = True
         off_diagonal[rows, (rows - 1) % size] = True

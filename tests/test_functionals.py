@@ -437,14 +437,18 @@ def test_non_finite_potentials_raise(torus64, sphere64, bad):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_metric_is_refused(torus64):
-    # finite, but its second differences overflow to +inf at every node,
-    # which a positivity scan alone lets through
-    phi = np.full(torus64.grid_shape, -1e308)
+    # finite, but its fluxes overflow to +-inf in alternate cells, so the
+    # metric is +-inf at alternate nodes
+    phi = 1e308 * (-1.0) ** np.arange(64)
     omega = torus64.base_form()
     for call in (lambda: aubin_i(torus64, phi), lambda: entropy(torus64, phi),
                  lambda: sigma_energy(torus64, phi, omega)):
         with pytest.raises(GeometryError):
             call()
+    # a constant, however large, has no flux: its metric is the base form
+    phi = np.full(torus64.grid_shape, -1e308)
+    assert aubin_i(torus64, phi) == entropy(torus64, phi) == 0.0
+    assert sigma_energy(torus64, phi, omega)[1] == 1.0
 
 
 def test_non_kahler_potentials_name_their_context(torus64, sphere64, rng):

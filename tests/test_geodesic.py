@@ -31,7 +31,7 @@ from jflow import (
     random_kahler_potential,
     run_flow,
 )
-from jflow.geodesic import TAIL_SLIVER, _Quintic
+from jflow.geodesic import TAIL_SLIVER, _moment_derivative, _Quintic
 from jflow.geometry import SphereBackend
 
 
@@ -59,10 +59,12 @@ def test_quintic_matches_scipy_spline(size, two_columns, seed):
     gap = np.linspace(TAIL_SLIVER * m[0], m[0], 7)
     x = np.concatenate([gap, m, 0.5 * (m[1:] + m[:-1]), 1.0 - gap])
     oracle = make_interp_spline(m, y, k=5)
-    spline = _Quintic(m, y)
+    # one row per column, each evaluated at every x
+    columns = 2 if two_columns else 1
+    spline = _Quintic(m, y, np.eye(columns))
     h = m[1] - m[0]
-    for nu, got in enumerate(spline(x, 0, 1, 2)):
-        want = oracle(x, nu)
+    for nu, got in enumerate(spline(np.tile(x, (columns, 1)), 0, 1, 2)):
+        want = oracle(x, nu).reshape(x.size, columns).T
         assert got.shape == want.shape
         # Relative to the size a nu-th derivative of data this large can
         # reach on this grid: both evaluations round at that scale.
@@ -83,12 +85,14 @@ def test_spline_rows_match_weighted_columns(size, rows, seed):
     weights = rng.uniform(-2.0, 2.0, (rows, 2))
     x = rng.uniform(TAIL_SLIVER * m[0], 1.0 - TAIL_SLIVER * m[0], (rows, 2 * size))
     x[:, :size] = m
-    columns = _Quintic(m, y)
+    # the two column splines, as rows of identity weights, each evaluated
+    # at every row's points
+    columns = _Quintic(m, y, np.eye(2))(np.tile(x.ravel(), (2, 1)), 0, 1, 2)
     h = m[1] - m[0]
     data = np.abs(np.einsum("ij,rj->ri", y, weights)).max()
-    for nu, (got, col) in enumerate(zip(columns.rows(weights)(x, 0, 1, 2),
-                                        columns(x, 0, 1, 2))):
-        want = np.einsum("rkj,rj->rk", col, weights)
+    for nu, (got, col) in enumerate(zip(_Quintic(m, y, weights)(x, 0, 1, 2),
+                                        columns)):
+        want = np.einsum("jrk,rj->rk", col.reshape((2,) + x.shape), weights)
         assert got.shape == want.shape == x.shape
         scale = max(np.abs(want).max(), data / h**nu)
         assert np.abs(got - want).max() <= 1e-12 * scale
@@ -334,11 +338,16 @@ def test_residual_flags_non_geodesic(sphere256):
     geo = geodesic_residual(sphere256, path)
     lin = geodesic_residual(sphere256, chord(pa, pb, 17))
     assert lin > 100.0 * geo
-    # the stacked residual is the node-by-node one, bit for bit
+    # the stacked residual is the node-by-node one, bit for bit, with X
+    # as m (1 - m) times the central moment derivative
     dt = 1.0 / 16
+
+    def action(f):
+        return sphere256.mprime * _moment_derivative(f, sphere256.delta)
+
     worst = max(np.abs(
         (path[k + 1] - 2.0 * path[k] + path[k - 1]) / dt**2
-        - sphere256.vector_field_action((path[k + 1] - path[k - 1]) / (2.0 * dt))**2
+        - action((path[k + 1] - path[k - 1]) / (2.0 * dt))**2
         / sphere256.metric(path[k], "node")).max() for k in range(1, 16))
     assert geo == worst
 

@@ -189,6 +189,30 @@ def test_theta_additivity_exact(sphere128, rng):
     assert np.abs(lhs - rhs).max() < 1e-10 * max(1.0, np.abs(rhs).max())
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(size=st.integers(16, 512), rows=st.integers(2, 4),
+       amplitude=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_theta_integrates_to_zero_against_every_volume(size, rows, amplitude,
+                                                       seed):
+    # X and the flux-form Hessian are a summation-by-parts pair, so
+    # sum_i theta_i rho_i w_i telescopes to zero for every phi: only the
+    # rounding of the terms is left, here against sup |theta| vol(chi),
+    # for one row and for each row of a stack alike
+    from jflow import random_kahler_potential
+    backend = make_backend("sphere", size=size)
+    rng = np.random.default_rng(seed)
+    phis = np.stack([random_kahler_potential(backend, rng, amplitude)
+                     for _ in range(rows)])
+    chi = build_metric(backend, backend.base_form(), phis[0])
+    theta = theta_of(backend, phis[0])
+    assert abs(integrate(backend, theta, chi)) \
+        <= 1e-15 * float(np.abs(theta).max()) * volume(backend, chi)
+    theta = backend.theta(phis)
+    vol = backend.metric(phis, "stack") * backend.weights
+    assert np.all(np.abs(np.sum(theta * vol, axis=-1))
+                  <= 1e-15 * np.abs(theta).max(axis=-1) * np.sum(vol, axis=-1))
+
+
 def test_moment_identity_x_theta_is_x_squared(sphere256):
     # X(theta(chi_phi)) = |X|^2_{chi_phi} = density of chi_phi, here at
     # a smooth deformation; flow-trajectory version lives in acceptance
