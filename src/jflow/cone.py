@@ -18,7 +18,7 @@ import numpy as np
 
 from .fields import GeometryError, HermitianFormField
 from .functionals import level_constant
-from .geometry import GeometryBackend, ricci_form, theta_of
+from .geometry import GeometryBackend, theta_of
 
 MARGIN_CLASSIFY_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-10
@@ -149,7 +149,7 @@ def properness_hypotheses(backend: GeometryBackend, epsilon: float,
 
     theta0 = theta_of(backend, np.zeros(backend.grid_shape))
     min_theta = float(theta0.min())
-    ric0 = ricci_form(backend, backend.base_form())
+    ric0 = backend.ricci_form(backend.base_form())
     r = level_constant(backend, ric0)
     ric = backend.raw_form(ric0)
     c_theorem = epsilon - r

@@ -20,8 +20,7 @@ from typing import Callable
 from .fields import ConfigError, GeometryError
 from .flow import FLOW_METHODS, FlowProblem
 from .geodesic import FUNCTIONAL_IDS
-from .geometry import (GeometryBackend, TorusBackend, complex_hessian,
-                       make_backend)
+from .geometry import GeometryBackend, TorusBackend, make_backend
 from .potentials import (FAMILY_NAMES, hessian_offset_potential,
                          named_potential)
 
@@ -246,9 +245,7 @@ def build_reference(cfg: ScenarioConfig, backend: GeometryBackend):
                              cfg.get("reference.offset_wavenumber"))
     offset = amplitude * (offset - offset.mean())
     psi = hessian_offset_potential(backend, offset)
-    matrices = scale * base.matrices.copy()
-    matrices[..., 0, 0] += complex_hessian(backend, psi)[..., 0, 0]
-    form = backend.form(matrices)
+    form = backend.form(scale * base.matrices + backend.complex_hessian(psi))
     if not form.kahler:
         raise ConfigError(
             "reference offset makes the form lose positivity",

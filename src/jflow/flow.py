@@ -27,24 +27,29 @@ not strictly row diagonally dominant is rejected and halved.  With every
 method a step is rejected, and the step size halved, when positivity
 fails anywhere or E increases beyond round-off tolerance.
 
-One kernel serves every geometry.  A stage is the backend's checked raw
-metric density (`GeometryBackend.metric`) and its raw theta; `rhs`,
-`stiffness`, `jacobian_bands` and `diagnostics` take that stage and the
-backend's raw `trace` and `integral`, and so do `flow_rhs` and
-`linearized_operator`.  These raw operations are the geometry's only
-bodies: the functionals and geodesics call them too, and the public
-`theta_of`, `trace_with` and `integrate` wrap them.  The stage of an
-accepted state, built for its diagnostics, serves the next step's
-stiffness cap and first stage, and a rejected attempt reuses it as well,
-so an accepted RK4 step builds four stages and a RODAS3 step three.
-`FlowResult.stats` counts the builds, the right-hand-side evaluations,
-the rejections by cause and the steps whose size the stiffness cap set.
+One kernel serves every geometry, and a stage is its unit of work.
+`GeometryBackend.stage` takes the potential's half-cell fluxes once and
+gives the checked raw metric density and theta from them; the kernel
+adds the trace lam = omega / chi, sigma = theta - lam and the
+right-hand side c + sigma, so the stage carries its one rhs.  The
+stepping methods, `stiffness`, `jacobian_bands` and `diagnostics` read
+the stage with the backend's raw `trace` and `integral`, and so does
+`flow_rhs`.  These raw operations are the geometry's only bodies: the
+functionals and geodesics call them too, and the public `theta_of`,
+`trace_with` and `integrate` wrap them.  The stage of an accepted
+state, built for its diagnostics, serves the next step's stiffness cap
+and first stage, and a rejected attempt reuses it as well, so an
+accepted RK4 step builds four stages, a RODAS3 step three and a RODAS3
+attempt rejected for its error estimate two.  `FlowResult.stats` counts
+the builds, the right-hand sides (one per built stage), the rejections
+by cause and the steps whose size the stiffness cap set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,13 +150,14 @@ class FlowStats:
     """Deterministic counters of one run of the flow.
 
     metric_builds counts the positivity-checked stages the kernel built,
-    rhs_evaluations the right-hand sides taken for stepping (the initial
-    range included), rejected_error the attempts whose local error
-    estimate exceeded ROSENBROCK_TOL, rejected_dominance the rosenbrock
-    attempts whose I - gamma dt J was not strictly row diagonally
-    dominant, and steps_at_cap the accepted steps whose size the
-    stiffness cap set rather than the step-size history or t_max (never,
-    for rosenbrock).
+    rhs_evaluations the right-hand sides they carry (the initial range
+    included): a stage takes its rhs once, so the two are equal unless a
+    build failed its positivity check.  rejected_error counts the
+    attempts whose local error estimate exceeded ROSENBROCK_TOL,
+    rejected_dominance the rosenbrock attempts whose I - gamma dt J was
+    not strictly row diagonally dominant, and steps_at_cap the accepted
+    steps whose size the stiffness cap set rather than the step-size
+    history or t_max (never, for rosenbrock).
     """
 
     rhs_evaluations: int = 0
@@ -196,10 +202,19 @@ class FlowResult:
         return sum(1 for r in self.records if r.suspect)
 
 
+class _Stage(NamedTuple):
+    """One potential's flow stage: its checked raw metric, theta, the
+    trace lam = omega / chi, sigma = theta - lam and rhs = c + sigma."""
+
+    chi: np.ndarray
+    theta: np.ndarray
+    lam: np.ndarray
+    sigma: np.ndarray
+    rhs: np.ndarray
+
+
 @dataclass(frozen=True)
 class _Diagnostics:
-    rhs: np.ndarray
-    sigma: np.ndarray
     E: float
     dissipation: float
     residual: float
@@ -271,8 +286,8 @@ class _ImplicitSolver:
 
 
 class _Kernel:
-    """The flow's right-hand side, stiffness cap, Jacobian and diagnostics
-    at a raw stage (chi, theta) that the backend builds and checks."""
+    """The flow's stages, and the stiffness cap, Jacobian and diagnostics
+    at each of them."""
 
     def __init__(self, backend: GeometryBackend, omega: HermitianFormField,
                  c: float):
@@ -281,17 +296,16 @@ class _Kernel:
         self.c = c
         self.stats = FlowStats()
 
-    def _stage(self, phi: np.ndarray):
+    def _stage(self, phi: np.ndarray) -> _Stage:
         self.stats.metric_builds += 1
-        return self.backend.stage(phi)
-
-    def rhs(self, stage) -> np.ndarray:
+        chi, theta = self.backend.stage(phi, "flow stage")
+        lam = self.backend.trace(chi, self.om)
+        sigma = theta - lam
         self.stats.rhs_evaluations += 1
-        chi, theta = stage
-        return self.c + theta - self.backend.trace(chi, self.om)
+        return _Stage(chi, theta, lam, sigma, self.c + sigma)
 
     def stiffness(self, stage) -> float:
-        return self.backend.stiffness(stage[0], self.om)
+        return self.backend.stiffness(stage.chi, self.om)
 
     @cached_property
     def _bands(self) -> tuple[np.ndarray, np.ndarray]:
@@ -301,7 +315,7 @@ class _Kernel:
         """d rhs/d phi, d theta/d phi + diag(omega/rho^2) d rho/d phi,
         as the backend's rows (lower, diagonal, upper)."""
         d_rho, d_theta = self._bands
-        return d_rho * (self.om / stage[0]**2) + d_theta
+        return d_rho * (self.om / stage.chi**2) + d_theta
 
     def jacobian(self, stage) -> np.ndarray:
         """jacobian_bands(stage) as a dense matrix."""
@@ -329,15 +343,11 @@ class _Kernel:
                                periodic=self.backend.periodic)
 
     def diagnostics(self, stage) -> _Diagnostics:
-        chi, theta = stage
-        lam = self.backend.trace(chi, self.om)
-        sigma = theta - lam
-        rhs = self.c + sigma
-        energy = self.backend.integral(sigma * sigma, chi)
-        dissipation = -2.0 * self.backend.dissipation(sigma, chi, self.om)
+        chi, theta, lam, sigma, rhs = stage
         return _Diagnostics(
-            rhs=rhs, sigma=sigma, E=energy, dissipation=dissipation,
-            residual=float(np.abs(lam - self.c - theta).max()),
+            E=self.backend.integral(sigma * sigma, chi),
+            dissipation=-2.0 * self.backend.dissipation(sigma, chi, self.om),
+            residual=float(np.abs(rhs).max()),
             lambda_max=float(lam.max()),
             floor_constant=float((chi / self.om).min()),
             rhs_min=float(rhs.min()), rhs_max=float(rhs.max()),
@@ -347,7 +357,7 @@ class _Kernel:
 def flow_rhs(backend: GeometryBackend, phi, omega, c: float) -> ScalarField:
     """c + theta(chi_phi) - omega / chi_phi."""
     values = backend.check_field(phi, "potential")
-    return _Kernel(backend, omega, c).rhs(backend.stage(values))
+    return _Kernel(backend, omega, c)._stage(values).rhs
 
 
 @dataclass(frozen=True)
@@ -381,10 +391,10 @@ def linearized_operator(backend: GeometryBackend, phi,
 
 def _advance(kernel, phi: np.ndarray, stage, dt: float) -> np.ndarray:
     """One RK4 step from phi, whose kernel stage is `stage`."""
-    k1 = kernel.rhs(stage)
-    k2 = kernel.rhs(kernel._stage(phi + 0.5 * dt * k1))
-    k3 = kernel.rhs(kernel._stage(phi + 0.5 * dt * k2))
-    k4 = kernel.rhs(kernel._stage(phi + dt * k3))
+    k1 = stage.rhs
+    k2 = kernel._stage(phi + 0.5 * dt * k1).rhs
+    k3 = kernel._stage(phi + 0.5 * dt * k2).rhs
+    k4 = kernel._stage(phi + dt * k3).rhs
     return phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -404,14 +414,14 @@ def _rosenbrock(kernel, phi: np.ndarray, stage,
     """
     gamma_dt = ROSENBROCK_GAMMA * dt
     solver = kernel.implicit_solver(stage, gamma_dt)
-    f0 = gamma_dt * kernel.rhs(stage)
+    f0 = gamma_dt * stage.rhs
     u1 = solver.solve(f0)
     u2 = solver.solve(f0 + 2.0 * u1)
     carry = 0.5 * (u1 - u2)
     phi2 = phi + 2.0 * u1
-    u3 = solver.solve(gamma_dt * kernel.rhs(kernel._stage(phi2)) + carry)
+    u3 = solver.solve(gamma_dt * kernel._stage(phi2).rhs + carry)
     phi3 = phi2 + u3
-    u4 = solver.solve(gamma_dt * kernel.rhs(kernel._stage(phi3)) + carry
+    u4 = solver.solve(gamma_dt * kernel._stage(phi3).rhs + carry
                       - (4.0 / 3.0) * u3)
     return phi3 + u4, float(np.abs(u4).max())
 
@@ -500,14 +510,14 @@ def _start(problem: FlowProblem, kernel, phi0) -> tuple[FlowState, object]:
     else:
         phi = backend.check_field(phi0, "initial potential").copy()
     stage = kernel._stage(phi)
-    rhs0 = kernel.rhs(stage)
     # the explicit cap also starts rosenbrock, which alone may exceed it
     cap = _explicit_cap(problem, kernel, stage)
     dt = cap if problem.dt_init is None else problem.dt_init
     if problem.method != "rosenbrock":
         dt = min(dt, cap)
     state = FlowState(phi=phi, t=0.0, dt=dt, step_count=0, accepted_streak=0,
-                      rhs_range_initial=(float(rhs0.min()), float(rhs0.max())))
+                      rhs_range_initial=(float(stage.rhs.min()),
+                                         float(stage.rhs.max())))
     return state, stage
 
 
@@ -606,15 +616,15 @@ def run_flow(problem: FlowProblem, phi0=None) -> FlowResult:
     if snapshots[-1][0] < state.t:
         snapshots.append((state.t, state.phi.copy()))
 
-    dens = backend.raw_volume_density(stage[0])
+    dens = backend.raw_volume_density(stage.chi)
     volume = float(np.sum(dens))
-    sigma_mean = float(np.sum(diag.sigma * dens)) / volume
+    sigma_mean = float(np.sum(stage.sigma * dens)) / volume
 
     result = FlowResult(
         problem=problem, state=state, records=records, converged=converged,
         reason=reason, subsolution_margin=margin, sigma_mean=sigma_mean,
         minus_nc=-level,
-        kappa=float(np.sum(diag.rhs * dens)) / volume,
+        kappa=float(np.sum(stage.rhs * dens)) / volume,
         rhs_spread=diag.rhs_max - diag.rhs_min, stats=kernel.stats,
         snapshots=snapshots)
     if stalled is not None:

@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .fields import GeometryError, HermitianFormField, ScalarField
-from .geometry import GeometryBackend, ricci_form
+from .geometry import GeometryBackend
 
 # Discrete Jensen guard: entropy of equal-mass measures cannot go below
 # zero by more than round-off.
@@ -99,8 +99,12 @@ def _path_moments(backend: GeometryBackend, phis: np.ndarray, forms=(),
         for t, ck in zip(SIMPSON_NODES, SIMPSON_WEIGHTS):
             phi_t = phi_a + t * rate
             # a one-dimensional metric is its own volume density
-            chi_t = backend.metric(phi_t, "path quadrature node")
-            rows = [chi_t, backend.theta(phi_t) * chi_t] if theta else [chi_t]
+            if theta:
+                chi_t, theta_t = backend.stage(phi_t, "path quadrature node")
+                rows = [chi_t, theta_t * chi_t]
+            else:
+                chi_t = backend.metric(phi_t, "path quadrature node")
+                rows = [chi_t]
             dens = np.stack(rows + [backend.trace(chi_t, om) * chi_t
                                     for om in oms])
             total += ck * _grid_sum(rate * dens * backend.weights)
@@ -240,7 +244,7 @@ def entropy(backend: GeometryBackend, phi) -> float:
 
 def _k_energy_rows(backend: GeometryBackend,
                    phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    omega0 = -ricci_form(backend, backend.base_form())
+    omega0 = -backend.ricci_form(backend.base_form())
     m_vol, m_theta, (m_ric,) = _path_moments(backend, phis, (omega0,))
     mu = _entropy_rows(backend, phis) + _j_hat_of(backend, omega0, m_vol, m_ric)
     return mu, mu + m_theta
@@ -261,8 +265,8 @@ def sigma_energy(backend: GeometryBackend, phi,
     """sigma = theta(chi_phi) - tr(chi_phi^{-1} omega) and E = int sigma^2 dV."""
     values = backend.check_field(phi, "potential")
     om = backend.raw_form(omega)
-    chi = backend.metric(values, "sigma energy")
-    sigma = backend.theta(values) - backend.trace(chi, om)
+    chi, theta = backend.stage(values, "sigma energy")
+    sigma = theta - backend.trace(chi, om)
     return sigma, backend.integral(sigma * sigma, chi)
 
 
@@ -275,10 +279,10 @@ def extremal_residual(backend: GeometryBackend, phi) -> ScalarField:
     pairing with this residual.
     """
     values = backend.check_field(phi, "potential")
-    chi = backend.metric(values, "extremal residual")
+    chi, theta = backend.stage(values, "extremal residual")
     curv = backend.trace(chi, backend._ricci(chi))
     mean = backend.integral(curv, chi) / backend.integral(1.0, chi)
-    return curv - mean - backend.theta(values)
+    return curv - mean - theta
 
 
 def scalar_curvature(backend: GeometryBackend, chi: HermitianFormField) -> ScalarField:
@@ -307,7 +311,7 @@ def functional_report(backend: GeometryBackend, phi, omega,
                       c: float | None = None) -> FunctionalReport:
     """Evaluate the full functional family at one potential, in one walk."""
     phis = _stack(backend, phi)
-    omega0 = -ricci_form(backend, backend.base_form())
+    omega0 = -backend.ricci_form(backend.base_form())
     m_vol, m_theta, (m_om, m_ric) = _path_moments(backend, phis,
                                                   (omega, omega0))
     jh = _j_hat_of(backend, omega, m_vol, m_om)

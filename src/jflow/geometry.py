@@ -50,6 +50,11 @@ from .fields import (
 )
 
 
+def _flux_mean(flux: np.ndarray) -> np.ndarray:
+    """The derivative along the frame: each node's flux mean."""
+    return 0.5 * (flux[..., 1:] + flux[..., :-1])
+
+
 class GeometryBackend:
     """One flux line; the concrete backends supply its data.
 
@@ -70,7 +75,8 @@ class GeometryBackend:
                                and positive at every node of every row
                                (NotKahlerError names context)
         theta(phi)             theta0 + X(phi)
-        stage(phi)             (metric(phi, "flow stage"), theta(phi))
+        stage(phi, context)    (metric(phi, context), theta(phi)), bit for
+                               bit, from one pass over phi's fluxes
         trace(chi, om)         om / chi at every node; a staticmethod
         _ricci(chi)            the Ricci density of chi
         raw_volume_density(chi)
@@ -135,26 +141,24 @@ class GeometryBackend:
         padded = np.take(phi, self._pad, axis=-1)
         return self._flux_factor * (padded[..., 1:] - padded[..., :-1])
 
-    def _complex_hessian(self, phi: np.ndarray) -> np.ndarray:
-        """The node factor times each node's flux difference."""
-        flux = self._fluxes(phi)
+    def _difference(self, flux: np.ndarray) -> np.ndarray:
+        """The Hessian density: the node factor times each node's flux
+        difference."""
         return self._div_factor * (flux[..., 1:] - flux[..., :-1])
 
-    def _gradient(self, phi: np.ndarray) -> np.ndarray:
-        """The derivative of phi along the frame: each node's flux mean."""
-        flux = self._fluxes(phi)
-        return 0.5 * (flux[..., 1:] + flux[..., :-1])
+    def _action(self, flux: np.ndarray) -> np.ndarray:
+        """X: the symmetry coefficient times the frame derivative."""
+        return self._symmetry * _flux_mean(flux)
 
-    def _action(self, phi: np.ndarray) -> np.ndarray:
-        """X(phi): the symmetry coefficient times the frame derivative."""
-        return self._symmetry * self._gradient(phi)
+    def _complex_hessian(self, phi: np.ndarray) -> np.ndarray:
+        return self._difference(self._fluxes(phi))
 
     def complex_hessian(self, phi: ScalarField) -> np.ndarray:
         hess = self._complex_hessian(self.check_field(phi, "potential"))
         return hess[..., None, None]
 
     def vector_field_action(self, phi: ScalarField) -> ScalarField:
-        return self._action(self.check_field(phi, "potential"))
+        return self._action(self._fluxes(self.check_field(phi, "potential")))
 
     def _ricci(self, rho: np.ndarray) -> np.ndarray:
         # Only the relative density log(rho / rho0) passes through the
@@ -166,8 +170,8 @@ class GeometryBackend:
         rho = self.raw_form(chi.require_kahler("ricci form"))
         return self._ricci(rho)[..., None, None]
 
-    def metric(self, phi: np.ndarray, context: str) -> np.ndarray:
-        chi = self._base_raw + self._complex_hessian(phi)
+    def _metric_from(self, flux: np.ndarray, context: str) -> np.ndarray:
+        chi = self._base_raw + self._difference(flux)
         if not np.isfinite(chi).all():
             raise NotKahlerError(f"{context} requires a finite form")
         least = chi.min()
@@ -176,11 +180,21 @@ class GeometryBackend:
                                  f"(least eigenvalue {least:.3e})")
         return chi
 
-    def theta(self, phi: np.ndarray) -> np.ndarray:
-        return self._theta0 + self._action(phi)
+    def _theta_from(self, flux: np.ndarray) -> np.ndarray:
+        return self._theta0 + self._action(flux)
 
-    def stage(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.metric(phi, "flow stage"), self.theta(phi)
+    def metric(self, phi: np.ndarray, context: str) -> np.ndarray:
+        return self._metric_from(self._fluxes(phi), context)
+
+    def theta(self, phi: np.ndarray) -> np.ndarray:
+        return self._theta_from(self._fluxes(phi))
+
+    def stage(self, phi: np.ndarray,
+              context: str) -> tuple[np.ndarray, np.ndarray]:
+        """(metric(phi, context), theta(phi)) from one pass over the
+        fluxes."""
+        flux = self._fluxes(phi)
+        return self._metric_from(flux, context), self._theta_from(flux)
 
     @staticmethod
     def trace(chi: np.ndarray, om: np.ndarray) -> np.ndarray:
@@ -204,7 +218,7 @@ class GeometryBackend:
 
     def dissipation(self, sigma: np.ndarray, chi: np.ndarray,
                     om: np.ndarray) -> float:
-        grad = self._gradient(sigma)
+        grad = _flux_mean(self._fluxes(sigma))
         return float(np.sum(grad * grad * om / chi * self.weights))
 
     def raw_form(self, form: HermitianFormField | np.ndarray) -> np.ndarray:
@@ -313,10 +327,6 @@ class SphereBackend(GeometryBackend):
         self._line(self.mprime_half, self.mprime)
 
 
-def complex_hessian(backend: GeometryBackend, phi: ScalarField) -> np.ndarray:
-    return backend.complex_hessian(phi)
-
-
 def build_metric(backend: GeometryBackend, base: HermitianFormField,
                  phi: ScalarField) -> HermitianFormField:
     """The deformed form ``base + complex_hessian(phi)``, flagged (not
@@ -340,10 +350,6 @@ def trace_with(chi: HermitianFormField,
 def theta_of(backend: GeometryBackend, phi: ScalarField) -> ScalarField:
     """Moment function along the deformation: theta0 + X(phi), on the grid."""
     return backend.theta(backend.check_field(phi, "potential"))
-
-
-def ricci_form(backend: GeometryBackend, chi: HermitianFormField) -> np.ndarray:
-    return backend.ricci_form(chi)
 
 
 def integrate(backend: GeometryBackend, values: ScalarField,

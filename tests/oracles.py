@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import quad
 
-from jflow import build_metric, complex_hessian, theta_of
+from jflow import build_metric, theta_of
 from jflow.geometry import SphereBackend
 
 
@@ -211,7 +211,7 @@ def simpson_path_functionals(backend, omega_matrices: np.ndarray,
     totals = dict.fromkeys(("j_hat", "j_tilde", "j_flow", "theta_path_term",
                             "aubin_j", "i_minus_j_path"), 0.0)
     for tk, ck in zip(t, coeff):
-        det = base + complex_hessian(backend, tk * phi)[..., 0, 0]
+        det = base + backend.complex_hessian(tk * phi)[..., 0, 0]
         j_dens = om - level * det
         coupling = theta(tk * phi) * det
         pair = phi * backend.weights

@@ -16,7 +16,6 @@ from jflow import (
     FlowProblem,
     HermitianFormField,
     build_metric,
-    complex_hessian,
     integrate,
     make_backend,
     properness_hypotheses,

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from jflow import (
 )
 import oracles
 from jflow.flow import _Diagnostics, _Kernel, _start
-from jflow.geometry import SphereBackend
+from jflow.geometry import GeometryBackend, SphereBackend
 from jflow.potentials import hessian_offset_potential
 
 
@@ -31,8 +32,7 @@ def torus_target_form(backend, amplitude=0.3, scale=2.0):
     x = backend.x
     offset = scale * amplitude * np.sin(2.0 * np.pi * x)
     psi = hessian_offset_potential(backend, offset)
-    from jflow import complex_hessian
-    density = scale + complex_hessian(backend, psi)[..., 0, 0]
+    density = scale + backend.complex_hessian(psi)[..., 0, 0]
     return backend.form(density[:, None, None])
 
 
@@ -353,7 +353,7 @@ def test_kernel_stencils_match_roll_and_diff(raw):
     flux = (0.5 / b.spacing) * (np.roll(phi, -1) - phi)
     h = 1.0 + (0.5 / b.spacing) * (flux - np.roll(flux, 1))
     stage = kernel._stage(phi)
-    assert np.array_equal(stage[0], h)
+    assert np.array_equal(stage.chi, h)
     sigma = -(kernel.om / h)
     flux = (0.5 / b.spacing) * (np.roll(sigma, -1) - sigma)
     grad = 0.5 * (flux + np.roll(flux, 1))
@@ -368,7 +368,7 @@ def test_kernel_stencils_match_roll_and_diff(raw):
     div = np.concatenate(([flux[0]], flux[1:] - flux[:-1], [-flux[-1]]))
     ends = np.concatenate(([0.0], flux, [0.0]))
     stage = kernel._stage(phi)
-    rho, theta = stage
+    rho, theta = stage.chi, stage.theta
     assert np.array_equal(rho, b.rho0 + (b.mprime / b.delta) * div)
     assert np.array_equal(theta, (b.m - np.mean(b.m))
                           + 0.5 * (ends[1:] + ends[:-1]))
@@ -399,7 +399,8 @@ def test_kernel_matches_oracle(geometry, torus128, sphere128):
         want = oracles.flow_kernel_outputs(b, omega, c, phi)
         kernel = _Kernel(b, omega, c)
         stage = kernel._stage(phi)
-        assert _relative_gap(kernel.rhs(stage), want["rhs"]) <= 1e-12
+        for name in ("sigma", "rhs"):
+            assert _relative_gap(getattr(stage, name), want[name]) <= 1e-12, name
         assert _relative_gap(kernel.stiffness(stage), want["stiffness"]) <= 1e-12
         diag = kernel.diagnostics(stage)
         for name in _Diagnostics.__dataclass_fields__:
@@ -418,6 +419,31 @@ def test_stage_builds_per_accepted_step(torus64, method, builds_per_step):
     assert stats.rhs_evaluations == builds_per_step * steps + 1
     # growth steps run into the cap; the last step is cut to land on t_max
     assert 0 < stats.steps_at_cap < steps
+
+
+@pytest.mark.parametrize("method, fluxes_per_step", [("rk4", 5),
+                                                     ("rosenbrock", 4)])
+def test_flux_passes_per_accepted_step(sphere64, method, fluxes_per_step):
+    # each stage takes its fluxes once, and the diagnostics' dissipation
+    # once more: an RK4 step builds four stages and a RODAS3 step three.
+    # Start-up takes three: its stage, theta0 for the cone margin and the
+    # first diagnostics
+    passes = []
+    fluxes = GeometryBackend._fluxes
+
+    def counted(self, phi):
+        passes.append(1)
+        return fluxes(self, phi)
+
+    problem = FlowProblem(backend=sphere64, omega=sphere64.base_form(),
+                          method=method, max_steps=40, t_max=1e3)
+    with mock.patch.object(GeometryBackend, "_fluxes", counted):
+        result = run_flow(problem)
+    stats = result.stats
+    assert result.state.step_count == 40
+    assert stats.rejected_positivity == stats.rejected_energy \
+        == stats.rejected_error == stats.rejected_dominance == 0
+    assert len(passes) == fluxes_per_step * 40 + 3
 
 
 def test_rejected_attempts_rebuild_nothing(torus64):
@@ -463,8 +489,8 @@ def test_kernel_jacobian_matches_finite_differences(case):
     b, _, kernel, phi, rng = case
     psi = random_kahler_potential(b, rng, 0.5)
     h = 1e-6
-    fd = (kernel.rhs(kernel._stage(phi + h * psi))
-          - kernel.rhs(kernel._stage(phi - h * psi))) / (2.0 * h)
+    fd = (kernel._stage(phi + h * psi).rhs
+          - kernel._stage(phi - h * psi).rhs) / (2.0 * h)
     assert _relative_gap(kernel.jacobian(kernel._stage(phi)) @ psi, fd) <= 1e-6
 
 
@@ -477,7 +503,7 @@ def test_kernel_is_blind_to_constant_shifts(case, shift):
     assert float(np.abs(jac @ np.ones(b.grid_shape)).max()) <= 1e-13 * scale
     # F(phi + a) = F(phi) up to the rounding of phi + a, which the
     # second differences amplify by about the Jacobian's size
-    moved = kernel.rhs(kernel._stage(phi + shift)) - kernel.rhs(kernel._stage(phi))
+    moved = kernel._stage(phi + shift).rhs - kernel._stage(phi).rhs
     bound = 1e-14 * scale * (abs(shift) + float(np.abs(phi).max()))
     assert float(np.abs(moved).max()) <= bound
 

@@ -9,10 +9,8 @@ from jflow import (
     ShapeMismatchError,
     UnsupportedBackend,
     build_metric,
-    complex_hessian,
     integrate,
     make_backend,
-    ricci_form,
     theta_of,
     trace_with,
     volume,
@@ -47,7 +45,7 @@ def test_sphere_s_max_must_exceed_one(s_max):
 
 def test_hessian_of_zero_is_zero(torus64, sphere64):
     for b in (torus64, sphere64):
-        assert np.array_equal(complex_hessian(b, np.zeros(b.grid_shape)),
+        assert np.array_equal(b.complex_hessian(np.zeros(b.grid_shape)),
                               np.zeros(b.grid_shape + (b.n, b.n)))
 
 
@@ -56,7 +54,7 @@ def test_torus_sine_hessian_matches_symbolic(torus128):
     a, x = 0.3, sp.symbols("x")
     expr = sp.Rational(1, 4) * sp.diff(a * sp.sin(2 * sp.pi * x), x, 2)
     oracle = sp.lambdify(x, expr, "numpy")(torus128.x)
-    got = complex_hessian(torus128, a * np.sin(2 * np.pi * torus128.x))
+    got = torus128.complex_hessian(a * np.sin(2 * np.pi * torus128.x))
     err = np.abs(got[..., 0, 0] - oracle).max()
     # second-order stencil: constant measured well below 40 * spacing^2
     assert err < 40.0 * torus128.spacing**2
@@ -65,7 +63,7 @@ def test_torus_sine_hessian_matches_symbolic(torus128):
 
 def test_hessian_shape_mismatch_rejected(torus64):
     with pytest.raises(ShapeMismatchError):
-        complex_hessian(torus64, np.zeros(32))
+        torus64.complex_hessian(np.zeros(32))
 
 
 @settings(max_examples=50, deadline=None, database=None)
@@ -78,7 +76,7 @@ def test_hessian_total_mass_exactly_zero(size, seed):
     for b in (make_backend("torus", size=size),
               make_backend("sphere", size=size)):
         phi = rng.normal(size=b.grid_shape)
-        mass = np.sum(complex_hessian(b, phi)[..., 0, 0] * b.weights)
+        mass = np.sum(b.complex_hessian(phi)[..., 0, 0] * b.weights)
         assert abs(mass) < 1e-12 * max(1.0, np.abs(phi).max() / b.spacing**2)
 
 
@@ -86,8 +84,8 @@ def test_hessian_self_adjoint(sphere64, torus64, rng):
     for b in (sphere64, torus64):
         u = rng.normal(size=b.grid_shape)
         v = rng.normal(size=b.grid_shape)
-        left = np.sum(u * complex_hessian(b, v)[..., 0, 0] * b.weights)
-        right = np.sum(v * complex_hessian(b, u)[..., 0, 0] * b.weights)
+        left = np.sum(u * b.complex_hessian(v)[..., 0, 0] * b.weights)
+        right = np.sum(v * b.complex_hessian(u)[..., 0, 0] * b.weights)
         assert abs(left - right) < 1e-9 * max(1.0, abs(left))
 
 
@@ -227,12 +225,12 @@ def test_moment_identity_x_theta_is_x_squared(sphere256):
 # --- ricci -----------------------------------------------------------------
 
 def test_ricci_flat_torus_exactly_zero(torus64):
-    assert np.array_equal(ricci_form(torus64, torus64.base_form()),
+    assert np.array_equal(torus64.ricci_form(torus64.base_form()),
                           np.zeros((64, 1, 1)))
 
 
 def test_ricci_round_sphere_exact(sphere128):
-    ric = ricci_form(sphere128, sphere128.base_form())
+    ric = sphere128.ricci_form(sphere128.base_form())
     assert np.array_equal(ric[..., 0, 0], 2.0 * sphere128.rho0)
 
 
@@ -244,13 +242,13 @@ def test_ricci_conformal_torus_matches_symbolic(torus128):
     u = sp.lambdify(xs, u_expr, "numpy")(x)
     chi = torus128.form(np.exp(u)[:, None, None])
     oracle = sp.lambdify(xs, -sp.diff(u_expr, xs, 2) / 4, "numpy")(x)
-    got = ricci_form(torus128, chi)[..., 0, 0]
+    got = torus128.ricci_form(chi)[..., 0, 0]
     assert np.abs(got - oracle).max() < 40.0 * torus128.spacing**2
 
 
 def test_ricci_class_level_constant(sphere128):
     from jflow import level_constant
-    ric = ricci_form(sphere128, sphere128.base_form())
+    ric = sphere128.ricci_form(sphere128.base_form())
     assert abs(level_constant(sphere128, ric) - 2.0) < 1e-12
 
 
@@ -322,6 +320,29 @@ def test_stacked_raw_operators_match_row_by_row(kind, size, rows, seed):
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(kind=st.sampled_from(["sphere", "torus"]),
+       size=st.integers(16, 96), rows=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_stage_is_metric_and_theta_bit_for_bit(kind, size, rows, seed):
+    # stage takes phi's fluxes once and gives metric's and theta's bits,
+    # for one row and for a stack, and its positivity check names the
+    # context it was given
+    from jflow import NotKahlerError, random_kahler_potential
+    backend = make_backend(kind, size=size)
+    rng = np.random.default_rng(seed)
+    phis = np.stack([random_kahler_potential(backend, rng, 0.4)
+                     for _ in range(rows)])
+    for phi in (phis[0], phis):
+        chi, theta = backend.stage(phi, "stage")
+        assert np.array_equal(chi, backend.metric(phi, "metric"))
+        assert np.array_equal(theta, backend.theta(phi))
+    bad = 50.0 * backend.spacing**2 * rng.normal(size=backend.grid_shape)
+    for phi in (bad, np.stack([phis[0], bad])):
+        with pytest.raises(NotKahlerError, match="stage sample"):
+            backend.stage(phi, "stage sample")
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(kind=st.sampled_from(["sphere", "torus"]),
        size=st.integers(16, 96), seed=st.integers(0, 2**32 - 1))
 def test_public_helpers_equal_their_raw_bodies(kind, size, seed):
     # Each public helper wraps one raw operation of the backend, bit for
@@ -347,10 +368,10 @@ def test_public_helpers_equal_their_raw_bodies(kind, size, seed):
     assert volume(backend, chi) == float(
         np.sum(backend.raw_volume_density(rho)))
     assert np.array_equal(trace_with(chi, omega), backend.trace(rho, om))
-    assert np.array_equal(ricci_form(backend, chi)[..., 0, 0],
+    assert np.array_equal(backend.ricci_form(chi)[..., 0, 0],
                           backend._ricci(rho))
 
-    curv = trace_with(chi, ricci_form(backend, chi))
+    curv = trace_with(chi, backend.ricci_form(chi))
     mean = integrate(backend, curv, chi) / volume(backend, chi)
     assert np.array_equal(extremal_residual(backend, phi),
                           curv - mean - theta_of(backend, phi))

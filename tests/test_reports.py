@@ -37,11 +37,10 @@ SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "jflow" / "schemas"
 def torus_result(request):
     from jflow import make_backend
     from jflow.potentials import hessian_offset_potential
-    from jflow import complex_hessian
     b = make_backend("torus", size=64)
     x = b.x
     psi = hessian_offset_potential(b, 0.6 * np.sin(2 * np.pi * x))
-    density = 2.0 + complex_hessian(b, psi)[..., 0, 0]
+    density = 2.0 + b.complex_hessian(psi)[..., 0, 0]
     omega = b.form(density[:, None, None])
     return b, omega, run_flow(FlowProblem(backend=b, omega=omega, t_max=0.5,
                                           log_every=5))
