@@ -145,12 +145,20 @@ def _geodesic_probe(cfg: ScenarioConfig, args, backend, omega) -> int:
 
 
 def _report(cfg: ScenarioConfig, args, backend, omega) -> int:
-    code = _simulate(cfg, args, backend, omega)
+    unconverged = None
+    try:
+        _simulate(cfg, args, backend, omega)
+    except NonConvergence as exc:
+        # neither check reads the flow's result: both are written before
+        # main exits 4
+        unconverged = exc
     if cfg.get("hypotheses.enabled"):
         _check_cone(cfg, args, backend, omega)
     if cfg.get("geodesic.enabled"):
         _geodesic_probe(cfg, args, backend, omega)
-    return code
+    if unconverged is not None:
+        raise unconverged
+    return 0
 
 
 _COMMANDS = {

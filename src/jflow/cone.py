@@ -18,7 +18,7 @@ import numpy as np
 
 from .fields import GeometryError, HermitianFormField
 from .functionals import level_constant
-from .geometry import GeometryBackend, theta_of
+from .geometry import GeometryBackend
 
 MARGIN_CLASSIFY_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-10
@@ -147,8 +147,7 @@ def properness_hypotheses(backend: GeometryBackend, epsilon: float,
     chi_prime = backend.base_form() if chi_prime is None else chi_prime
     chi = backend.raw_form(chi_prime.require_kahler("properness hypotheses"))
 
-    theta0 = theta_of(backend, np.zeros(backend.grid_shape))
-    min_theta = float(theta0.min())
+    min_theta = float(backend._theta0.min())
     ric0 = backend.ricci_form(backend.base_form())
     r = level_constant(backend, ric0)
     ric = backend.raw_form(ric0)
@@ -165,7 +164,7 @@ def properness_hypotheses(backend: GeometryBackend, epsilon: float,
     if omega is not None:
         backend.raw_form(omega)  # checks the shape against the grid
         margins["subsolution_with_omega"] = subsolution_margin(
-            chi_prime, omega, c_theorem, theta0)
+            chi_prime, omega, c_theorem, backend._theta0)
     passes = {name: margin > 0.0 for name, margin in margins.items()}
     return HypothesisReport(
         condition_margins=margins,

@@ -21,8 +21,7 @@ from .fields import ConfigError, GeometryError
 from .flow import FLOW_METHODS, FlowProblem
 from .geodesic import FUNCTIONAL_IDS
 from .geometry import GeometryBackend, TorusBackend, make_backend
-from .potentials import (FAMILY_NAMES, hessian_offset_potential,
-                         named_potential)
+from .potentials import FAMILY_NAMES, named_potential
 
 
 def _parse_bool(text: str) -> bool:
@@ -73,8 +72,8 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
                                  "reference form = scale * chi0 (+ offset)",
                                  bound=(">", 0)),
     "reference.offset_family": ConfigKey(
-        str, "zero", "density offset added to the reference form, realized "
-        "exactly as a Hessian (torus only)", choices=_OFFSET_FAMILIES),
+        str, "zero", "mean-zero density offset added to the reference form "
+        "(torus only)", choices=_OFFSET_FAMILIES),
     "reference.offset_amplitude": ConfigKey(float, 0.0,
                                             "amplitude of the density offset"),
     "reference.offset_wavenumber": ConfigKey(int, 1,
@@ -229,7 +228,9 @@ def build_backend(cfg: ScenarioConfig) -> GeometryBackend:
 
 
 def build_reference(cfg: ScenarioConfig, backend: GeometryBackend):
-    """The reference form omega from scale and optional exact density offset."""
+    """The reference form omega = scale chi0 + amplitude (s - mean s), s the
+    offset family.  On the periodic line every mean-zero density is a
+    discrete Hessian, so the offset keeps omega in the class of scale chi0."""
     scale = cfg.get("reference.scale")
     base = backend.base_form()
     family = cfg.get("reference.offset_family")
@@ -244,8 +245,7 @@ def build_reference(cfg: ScenarioConfig, backend: GeometryBackend):
     offset = named_potential(backend, family, 1.0,
                              cfg.get("reference.offset_wavenumber"))
     offset = amplitude * (offset - offset.mean())
-    psi = hessian_offset_potential(backend, offset)
-    form = backend.form(scale * base.matrices + backend.complex_hessian(psi))
+    form = backend.form(scale * base.matrices + offset[:, None, None])
     if not form.kahler:
         raise ConfigError(
             "reference offset makes the form lose positivity",

@@ -62,7 +62,7 @@ from .fields import (
 )
 from .cone import subsolution_margin
 from .functionals import level_constant
-from .geometry import GeometryBackend, theta_of
+from .geometry import GeometryBackend
 
 FLOW_METHODS = ("rk4", "rosenbrock")
 
@@ -317,17 +317,6 @@ class _Kernel:
         d_rho, d_theta = self._bands
         return d_rho * (self.om / stage.chi**2) + d_theta
 
-    def jacobian(self, stage) -> np.ndarray:
-        """jacobian_bands(stage) as a dense matrix."""
-        lower, diagonal, upper = self.jacobian_bands(stage)
-        size = diagonal.size
-        rows = np.arange(size)
-        jac = np.zeros((size, size))
-        jac[rows, rows - 1] = lower
-        jac[rows, rows] = diagonal
-        jac[rows, (rows + 1) % size] = upper
-        return jac
-
     def implicit_bands(self, stage, gamma_dt: float) -> np.ndarray:
         """The bands of I - gamma_dt J, rounded as np.eye(n) - gamma_dt * J
         rounds them."""
@@ -358,35 +347,6 @@ def flow_rhs(backend: GeometryBackend, phi, omega, c: float) -> ScalarField:
     """c + theta(chi_phi) - omega / chi_phi."""
     values = backend.check_field(phi, "potential")
     return _Kernel(backend, omega, c)._stage(values).rhs
-
-
-@dataclass(frozen=True)
-class LinearizedOperator:
-    """Coefficients of the flow linearization around a state.
-
-    apply(psi) = coefficients * complex_hessian(psi) + X(psi), with the
-    densities omega / chi^2 as coefficients.  max_coefficient is the
-    chart-level stiffness bound used for step control (it absorbs the
-    chart factors relating the stored Hessian to grid second differences).
-    """
-
-    backend: GeometryBackend
-    coefficients: np.ndarray
-    max_coefficient: float
-
-    def apply(self, psi) -> ScalarField:
-        values = self.backend.check_field(psi, "test field")
-        return (self.coefficients * self.backend._complex_hessian(values)
-                + self.backend.vector_field_action(values))
-
-
-def linearized_operator(backend: GeometryBackend, phi,
-                        omega: HermitianFormField) -> LinearizedOperator:
-    values = backend.check_field(phi, "potential")
-    chi = backend.metric(values, "linearized operator")
-    om = backend.raw_form(omega)
-    return LinearizedOperator(backend=backend, coefficients=om / chi**2,
-                              max_coefficient=backend.stiffness(chi, om))
 
 
 def _advance(kernel, phi: np.ndarray, stage, dt: float) -> np.ndarray:
@@ -549,10 +509,9 @@ def run_flow(problem: FlowProblem, phi0=None) -> FlowResult:
     kernel = _Kernel(backend, problem.omega, level)
     state, stage = _start(problem, kernel, phi0)
 
-    theta0 = theta_of(backend, np.zeros(backend.grid_shape))
     margin = subsolution_margin(backend.base_form(), problem.omega, level,
-                                theta0)
-    min_theta0 = float(theta0.min())
+                                backend._theta0)
+    min_theta0 = float(backend._theta0.min())
 
     sandwich_tol = 1e-6 + 10.0 * backend.spacing**2
     rhs_lo, rhs_hi = state.rhs_range_initial

@@ -105,7 +105,7 @@ class GeometryBackend:
     periodic: bool
     _base: HermitianFormField
     _base_raw: np.ndarray
-    _theta0: np.ndarray | float
+    _theta0: np.ndarray
     _symmetry: float
     _ricci0: np.ndarray | float
 
@@ -263,7 +263,7 @@ class TorusBackend(GeometryBackend):
     periodic = True
     tail_bound = 0.0
     volume = 1.0
-    _theta0 = _symmetry = _ricci0 = 0.0
+    _symmetry = _ricci0 = 0.0
 
     def __init__(self, size: int):
         size = int(size)
@@ -273,6 +273,7 @@ class TorusBackend(GeometryBackend):
         self.grid_shape = (size,)
         self.delta = self.spacing = self.weights = 1.0 / size
         self.x = np.arange(size) / size
+        self._theta0 = np.zeros(size)
         self._base = HermitianFormField.from_matrices(np.ones((size, 1, 1)))
         self._base_raw = self.raw_form(self._base)
         self._line(np.full(size, 0.5), 0.5)

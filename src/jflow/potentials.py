@@ -149,35 +149,3 @@ def named_potential(backend: GeometryBackend, name: str,
         return _torus_family(backend, name, amplitude, wavenumber)
     raise GeometryError(f"no potential families for backend {backend.name!r}")
 
-
-def hessian_offset_potential(backend: GeometryBackend,
-                             density_offset: np.ndarray) -> ScalarField:
-    """Potential whose complex Hessian reproduces a mean-zero density offset.
-
-    Torus only: solves 0.25 D^2 psi = offset in Fourier space against
-    the discrete second-difference symbol, so the reconstruction is exact
-    at grid level, not merely to truncation order.
-    """
-    if not isinstance(backend, TorusBackend):
-        raise GeometryError(
-            "exact Hessian-offset construction is a periodic device; the "
-            "sphere takes reference forms as multiples")
-    offset = np.asarray(density_offset, dtype=float)
-    if offset.shape != backend.grid_shape:
-        raise GeometryError(
-            f"offset shape {offset.shape} does not match grid "
-            f"{backend.grid_shape}")
-    size = backend.size
-    mean = offset.mean()
-    if abs(mean) > 1e-13 * max(1.0, np.abs(offset).max()):
-        raise GeometryError(
-            "density offset must have zero mean to be a Hessian; got mean "
-            f"{mean:.3e}")
-    delta = backend.delta
-    freq = np.fft.rfftfreq(size, d=delta)
-    # Symbol of the central second difference: -(2 - 2 cos(2 pi f dx))/dx^2.
-    symbol = -(2.0 - 2.0 * np.cos(2.0 * np.pi * freq * delta)) / delta**2
-    rhs_hat = np.fft.rfft(offset - mean)
-    psi_hat = np.zeros_like(rhs_hat)
-    psi_hat[1:] = rhs_hat[1:] / (0.25 * symbol[1:])
-    return np.fft.irfft(psi_hat, n=size)

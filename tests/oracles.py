@@ -6,8 +6,9 @@ solve, the cone oracle replaces the eigenvalue reduction with Sylvester
 minors on the wedge-coefficient matrix, the quadrature oracles go
 through scipy.integrate on closed-form continuum expressions, and the
 path oracle integrates with 33-node composite Simpson where the library
-uses one Simpson panel per segment, and the flow oracle rebuilds the
-flow kernel's outputs from a wrapped metric and closed forms.
+uses one Simpson panel per segment, the flow oracle rebuilds the flow
+kernel's outputs from a wrapped metric and closed forms, and the torus
+Hessian is inverted in Fourier space against its stencil's symbol.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from jflow import build_metric, theta_of
-from jflow.geometry import SphereBackend
+from jflow.geometry import SphereBackend, TorusBackend
 
 
 def probe_linear_operator(apply_fn, size: int) -> np.ndarray:
@@ -27,6 +28,28 @@ def probe_linear_operator(apply_fn, size: int) -> np.ndarray:
         e[k] = 1.0
         matrix[:, k] = apply_fn(e)
     return matrix
+
+
+def hessian_offset_potential(backend: TorusBackend,
+                             density_offset: np.ndarray) -> np.ndarray:
+    """Torus potential whose complex Hessian is a mean-zero density offset.
+
+    Solves 0.25 D^2 psi = offset in Fourier space against the symbol of
+    the central second difference, -(2 - 2 cos(2 pi f dx)) / dx^2, so the
+    reconstruction is exact at grid level, not merely to truncation order.
+    """
+    assert isinstance(backend, TorusBackend)
+    offset = np.asarray(density_offset, dtype=float)
+    assert offset.shape == backend.grid_shape
+    size, delta = backend.size, backend.delta
+    mean = offset.mean()
+    assert abs(mean) <= 1e-13 * max(1.0, np.abs(offset).max()), mean
+    freq = np.fft.rfftfreq(size, d=delta)
+    symbol = -(2.0 - 2.0 * np.cos(2.0 * np.pi * freq * delta)) / delta**2
+    rhs_hat = np.fft.rfft(offset - mean)
+    psi_hat = np.zeros_like(rhs_hat)
+    psi_hat[1:] = rhs_hat[1:] / (0.25 * symbol[1:])
+    return np.fft.irfft(psi_hat, n=size)
 
 
 def sphere_collocation(backend: SphereBackend, omega_density, c: float,

@@ -223,18 +223,20 @@ def test_cli_import_leaves_scipy_interpolate_unloaded(tmp_path):
     assert (tmp_path / "run" / "probe_summary.json").exists()
 
 
-@pytest.mark.parametrize("command, extra", [
-    ("geodesic-probe", ""),
-    ("report", "geodesic.enabled = true\n"),
-    ("functionals", "functionals.family = random\n"),
-], ids=("geodesic-probe", "report", "functionals"))
-def test_no_command_loads_numpy_random(tmp_path, command, extra):
+@pytest.mark.parametrize("command, text", [
+    ("geodesic-probe", FAST_SPHERE),
+    ("report", FAST_SPHERE + "geodesic.enabled = true\n"),
+    ("functionals", FAST_SPHERE + "functionals.family = random\n"),
+    ("simulate", FAST_TORUS),
+], ids=("geodesic-probe", "report", "functionals", "torus-simulate"))
+def test_no_command_loads_numpy_random(tmp_path, command, text):
     # seeded potentials come from the standard library's generator, and
     # importing numpy.random alone costs several MB of resident memory;
-    # JFLOW_LOG lines are plain prints, so logging stays unloaded too
-    cfg = write_cfg(tmp_path, FAST_SPHERE + extra)
-    unloaded = ("assert 'numpy.random' not in sys.modules, 'numpy.random'\n"
-                "assert 'logging' not in sys.modules, 'logging'\n")
+    # JFLOW_LOG lines are plain prints, so logging stays unloaded too.
+    # The torus offset is a density, so no Fourier solve loads numpy.fft
+    cfg = write_cfg(tmp_path, text)
+    unloaded = "".join(f"assert {name!r} not in sys.modules, {name!r}\n"
+                       for name in ("numpy.random", "logging", "numpy.fft"))
     code = (
         "import sys\n"
         "import jflow.cli\n"
@@ -337,6 +339,21 @@ def test_nonconvergence_exit_4_still_writes(tmp_path, capsys):
     # partial artifacts are on disk before the failure escalates
     assert os.path.exists(os.path.join(out, "trajectory.csv"))
     assert os.path.exists(os.path.join(out, "final_state.json"))
+
+
+def test_report_exit_4_still_writes_its_checks(tmp_path, capsys):
+    # neither the cone check nor the probes read the flow's result, so an
+    # unconverged report writes both before it exits 4
+    text = FAST_SPHERE + "geodesic.enabled = true\n" \
+        "flow.require_convergence = true\n"
+    cfg = write_cfg(tmp_path, text)
+    out = str(tmp_path / "run")
+    assert main(["report", "--config", cfg, "--out", out]) == 4
+    assert "non-convergence" in capsys.readouterr().err
+    assert json.loads(read(out, "final_state.json"))["converged"] is False
+    listing = set(os.listdir(out))
+    assert {"trajectory.csv", "final_state.json", "functional_report.json",
+            "hypothesis_report.json", "probe_summary.json"} <= listing
 
 
 def test_unwritable_output_exit_1(tmp_path, capsys):

@@ -27,7 +27,6 @@ from jflow import (
 )
 from jflow import functionals
 from jflow.functionals import aubin_ij, theta_path_term
-from jflow.potentials import hessian_offset_potential
 
 
 # --- level constant ---------------------------------------------------------
@@ -45,7 +44,8 @@ def test_level_constant_scales_linearly(torus64):
 def test_level_constant_exact_for_offset_density(torus128):
     # adding an exact Hessian to the form moves mass around but not the class
     x = torus128.x
-    psi = hessian_offset_potential(torus128, 0.6 * np.sin(2 * np.pi * x))
+    psi = oracles.hessian_offset_potential(torus128,
+                                           0.6 * np.sin(2 * np.pi * x))
     density = 2.0 + complex_hessian_density(torus128, psi)
     omega = torus128.form(density[:, None, None])
     assert abs(level_constant(torus128, omega) - 2.0) < 1e-13
@@ -212,7 +212,8 @@ def test_entropy_matches_line_quadrature(torus128):
     # so grid 128 already agrees with the adaptive oracle to near round-off
     b_amp = 0.3
     x = torus128.x
-    psi = hessian_offset_potential(torus128, b_amp * np.sin(2 * np.pi * x))
+    psi = oracles.hessian_offset_potential(torus128,
+                                           b_amp * np.sin(2 * np.pi * x))
     got = entropy(torus128, psi)
     want = oracles.entropy_line_density(b_amp)
     assert abs(got - want) < 1e-12
@@ -220,7 +221,8 @@ def test_entropy_matches_line_quadrature(torus128):
 
 def test_entropy_quadratic_scaling(torus128):
     x = torus128.x
-    psi = hessian_offset_potential(torus128, 0.2 * np.sin(2 * np.pi * x))
+    psi = oracles.hessian_offset_potential(torus128,
+                                           0.2 * np.sin(2 * np.pi * x))
     vals = [entropy(torus128, a * psi) for a in (1e-3, 5e-4)]
     order = np.log2(vals[0] / vals[1])
     assert abs(order - 2.0) < 0.05

@@ -19,7 +19,7 @@ from jflow import (
     relative_spectrum,
     scale_to_kahler,
 )
-from jflow.potentials import hessian_offset_potential
+import oracles
 
 
 def test_normalize_mean_zero(torus64, sphere128, rng):
@@ -181,24 +181,10 @@ def test_unknown_family_rejected(torus64, sphere64):
 
 
 def test_hessian_offset_round_trip(torus128):
-    # the construction is exact at grid level, not merely consistent
+    # the torus stencil against the oracle's Fourier inverse of it: exact
+    # at grid level, not merely consistent
     x = torus128.x
     offset = 0.4 * np.sin(2 * np.pi * x) + 0.1 * np.cos(6 * np.pi * x)
-    psi = hessian_offset_potential(torus128, offset)
+    psi = oracles.hessian_offset_potential(torus128, offset)
     got = torus128.complex_hessian(psi)[..., 0, 0]
     assert np.abs(got - offset).max() < 1e-12
-
-
-def test_hessian_offset_requires_zero_mean(torus64):
-    with pytest.raises(GeometryError):
-        hessian_offset_potential(torus64, np.full(64, 0.2))
-
-
-def test_hessian_offset_shape_checked(torus64):
-    with pytest.raises(GeometryError):
-        hessian_offset_potential(torus64, np.zeros(32))
-
-
-def test_hessian_offset_torus_line_only(sphere64):
-    with pytest.raises(GeometryError):
-        hessian_offset_potential(sphere64, np.zeros(sphere64.grid_shape))

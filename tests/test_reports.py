@@ -36,7 +36,7 @@ SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "jflow" / "schemas"
 @pytest.fixture(scope="module")
 def torus_result(request):
     from jflow import make_backend
-    from jflow.potentials import hessian_offset_potential
+    from oracles import hessian_offset_potential
     b = make_backend("torus", size=64)
     x = b.x
     psi = hessian_offset_potential(b, 0.6 * np.sin(2 * np.pi * x))
