@@ -32,17 +32,20 @@ One kernel serves every geometry, and a stage is its unit of work.
 gives the checked raw metric density and theta from them; the kernel
 adds the trace lam = omega / chi, sigma = theta - lam and the
 right-hand side c + sigma, so the stage carries its one rhs.  The
-stepping methods, `stiffness`, `jacobian_bands` and `diagnostics` read
-the stage with the backend's raw `trace` and `integral`, and so does
-`flow_rhs`.  These raw operations are the geometry's only bodies: the
-functionals and geodesics call them too, and the public `theta_of`,
-`trace_with` and `integrate` wrap them.  The stage of an accepted
-state, built for its diagnostics, serves the next step's stiffness cap
-and first stage, and a rejected attempt reuses it as well, so an
-accepted RK4 step builds four stages, a RODAS3 step three and a RODAS3
-attempt rejected for its error estimate two.  `FlowResult.stats` counts
-the builds, the right-hand sides (one per built stage), the rejections
-by cause and the steps whose size the stiffness cap set.
+stepping methods, the stiffness cap, the Jacobian's bands, the energy
+and the trajectory row read the stage with the backend's raw
+operations, and so does `flow_rhs`.  These raw operations are the
+geometry's only bodies: the functionals and geodesics call them too,
+and the public `theta_of`, `trace_with` and `integrate` wrap them.  An
+accepted state's row (`MonitorRecord`) is its diagnostics: the monitors
+read it, and so do the final residual and rhs spread.  The stage of an
+accepted state, built for its energy and row, serves the next step's
+stiffness cap and first stage, and a rejected attempt reuses it as
+well, so an accepted RK4 step builds four stages, a RODAS3 step three
+and a RODAS3 attempt rejected for its error estimate two.
+`FlowResult.stats` counts the builds, the right-hand sides (one per
+built stage), the rejections by cause and the steps whose size the
+stiffness cap set.
 """
 
 from __future__ import annotations
@@ -114,9 +117,6 @@ class FlowProblem:
             return float(self.c)
         return level_constant(self.backend, self.omega)
 
-    def energy_budget(self, current: float) -> float:
-        return ENERGY_TOL_REL * abs(current) + ENERGY_TOL_ABS
-
 
 @dataclass(frozen=True)
 class FlowState:
@@ -125,7 +125,6 @@ class FlowState:
     dt: float
     step_count: int
     accepted_streak: int
-    rhs_range_initial: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,8 @@ class FlowResult:
     rate at which a limit potential would drift while its metric stays
     put.  theta integrates to zero against every metric's volume, so at
     a limit kappa is round-off on both geometries, and it checks that
-    conservation.  rhs_spread is rhs_max - rhs_min there.
+    conservation.  residual and rhs_spread, rhs_max - rhs_min, are read
+    from the final state's row, which is always the last one recorded.
     """
 
     problem: FlowProblem
@@ -189,13 +189,16 @@ class FlowResult:
     sigma_mean: float
     minus_nc: float
     kappa: float
-    rhs_spread: float
     stats: FlowStats
     snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
 
     @property
     def residual(self) -> float:
         return self.records[-1].residual
+
+    @property
+    def rhs_spread(self) -> float:
+        return self.records[-1].rhs_max - self.records[-1].rhs_min
 
     @property
     def suspect_steps(self) -> int:
@@ -211,18 +214,6 @@ class _Stage(NamedTuple):
     lam: np.ndarray
     sigma: np.ndarray
     rhs: np.ndarray
-
-
-@dataclass(frozen=True)
-class _Diagnostics:
-    E: float
-    dissipation: float
-    residual: float
-    lambda_max: float
-    floor_constant: float
-    rhs_min: float
-    rhs_max: float
-    theta_max: float
 
 
 class _NotDominant(Exception):
@@ -286,8 +277,8 @@ class _ImplicitSolver:
 
 
 class _Kernel:
-    """The flow's stages, and the stiffness cap, Jacobian and diagnostics
-    at each of them."""
+    """The flow's stages, and the Jacobian, energy and trajectory row at
+    each of them."""
 
     def __init__(self, backend: GeometryBackend, omega: HermitianFormField,
                  c: float):
@@ -303,9 +294,6 @@ class _Kernel:
         sigma = theta - lam
         self.stats.rhs_evaluations += 1
         return _Stage(chi, theta, lam, sigma, self.c + sigma)
-
-    def stiffness(self, stage) -> float:
-        return self.backend.stiffness(stage.chi, self.om)
 
     @cached_property
     def _bands(self) -> tuple[np.ndarray, np.ndarray]:
@@ -325,22 +313,29 @@ class _Kernel:
         bands[1] += 1.0
         return bands
 
-    def implicit_solver(self, stage, gamma_dt: float) -> _ImplicitSolver:
-        """I - gamma_dt J factorised in O(N); raises _NotDominant when the
-        banded system is not strictly row diagonally dominant."""
-        return _ImplicitSolver(self.implicit_bands(stage, gamma_dt),
-                               periodic=self.backend.periodic)
+    def energy(self, stage) -> float:
+        """E = int sigma^2 dV at the stage."""
+        return self.backend.integral(stage.sigma * stage.sigma, stage.chi)
 
-    def diagnostics(self, stage) -> _Diagnostics:
+    def record(self, state: FlowState, stage, E: float, measured: float,
+               limits=(-np.inf, np.inf, np.inf)) -> MonitorRecord:
+        """The trajectory row of `state`, whose stage is `stage` and energy
+        E, and whose measured energy slope is `measured`.  limits =
+        (rhs floor, rhs ceiling, trace bound): a row whose rhs range or
+        trace maximum leaves them is suspect."""
         chi, theta, lam, sigma, rhs = stage
-        return _Diagnostics(
-            E=self.backend.integral(sigma * sigma, chi),
-            dissipation=-2.0 * self.backend.dissipation(sigma, chi, self.om),
-            residual=float(np.abs(rhs).max()),
-            lambda_max=float(lam.max()),
+        rhs_min, rhs_max = float(rhs.min()), float(rhs.max())
+        lambda_max = float(lam.max())
+        rhs_floor, rhs_ceiling, lambda_bound = limits
+        return MonitorRecord(
+            t=state.t, dt=state.dt, E=E, dE_dt_measured=measured,
+            dE_dt_predicted=-2.0 * self.backend.dissipation(sigma, chi,
+                                                            self.om),
+            rhs_min=rhs_min, rhs_max=rhs_max, lambda_max=lambda_max,
             floor_constant=float((chi / self.om).min()),
-            rhs_min=float(rhs.min()), rhs_max=float(rhs.max()),
-            theta_max=float(np.max(theta)))
+            residual=max(rhs_max, -rhs_min),
+            suspect=(rhs_min < rhs_floor or rhs_max > rhs_ceiling
+                     or lambda_max > lambda_bound))
 
 
 def flow_rhs(backend: GeometryBackend, phi, omega, c: float) -> ScalarField:
@@ -373,7 +368,8 @@ def _rosenbrock(kernel, phi: np.ndarray, stage,
     phi passes with no estimated error.
     """
     gamma_dt = ROSENBROCK_GAMMA * dt
-    solver = kernel.implicit_solver(stage, gamma_dt)
+    solver = _ImplicitSolver(kernel.implicit_bands(stage, gamma_dt),
+                             kernel.backend.periodic)
     f0 = gamma_dt * stage.rhs
     u1 = solver.solve(f0)
     u2 = solver.solve(f0 + 2.0 * u1)
@@ -397,7 +393,7 @@ def _error_factor(error: float) -> float:
 def _explicit_cap(problem: FlowProblem, kernel, stage) -> float:
     """The explicit step's stiffness cap cfl_safety spacing^2 / stiffness."""
     return problem.cfl_safety * problem.backend.spacing**2 \
-        / kernel.stiffness(stage)
+        / problem.backend.stiffness(stage.chi, kernel.om)
 
 
 def _retry(problem: FlowProblem, state: FlowState, stage, dt: float):
@@ -411,10 +407,11 @@ def _retry(problem: FlowProblem, state: FlowState, stage, dt: float):
 
 
 def _attempt_step(problem: FlowProblem, kernel, state: FlowState, stage,
-                  energy: float) -> tuple[FlowState, object, _Diagnostics | None]:
-    """One trial step from `state`, whose kernel stage is `stage`.
+                  energy: float) -> tuple[FlowState, object, float | None]:
+    """One trial step from `state`, whose kernel stage is `stage` and
+    energy `energy`.
 
-    Returns (state, stage, diagnostics) of the accepted new state, or, on
+    Returns (state, stage, E) of the accepted new state, or, on
     rejection, the state with its step cut, the same stage and None.
     """
     stats = kernel.stats
@@ -428,21 +425,21 @@ def _attempt_step(problem: FlowProblem, kernel, state: FlowState, stage,
         if implicit:
             trial, error = _rosenbrock(kernel, state.phi, stage, dt)
             # an estimate over tolerance rejects the attempt before its
-            # stage and diagnostics are built
+            # stage is built
             if error > ROSENBROCK_TOL:
                 stats.rejected_error += 1
                 return _retry(problem, state, stage, dt * _error_factor(error))
         else:
             trial = _advance(kernel, state.phi, stage, dt)
         trial_stage = kernel._stage(trial)
-        diag = kernel.diagnostics(trial_stage)
     except NotKahlerError:
         stats.rejected_positivity += 1
         return _retry(problem, state, stage, 0.5 * dt)
     except _NotDominant:
         stats.rejected_dominance += 1
         return _retry(problem, state, stage, 0.5 * dt)
-    if not (diag.E <= energy + problem.energy_budget(energy)):
+    E = kernel.energy(trial_stage)
+    if not (E <= energy + (ENERGY_TOL_REL * abs(energy) + ENERGY_TOL_ABS)):
         stats.rejected_energy += 1
         return _retry(problem, state, stage, 0.5 * dt)
     if implicit:
@@ -457,9 +454,8 @@ def _attempt_step(problem: FlowProblem, kernel, state: FlowState, stage,
                     t=problem.t_max if lands_on_end else state.t + dt,
                     dt=next_dt,
                     step_count=state.step_count + 1,
-                    accepted_streak=streak,
-                    rhs_range_initial=state.rhs_range_initial)
-    return new, trial_stage, diag
+                    accepted_streak=streak)
+    return new, trial_stage, E
 
 
 def _start(problem: FlowProblem, kernel, phi0) -> tuple[FlowState, object]:
@@ -475,21 +471,8 @@ def _start(problem: FlowProblem, kernel, phi0) -> tuple[FlowState, object]:
     dt = cap if problem.dt_init is None else problem.dt_init
     if problem.method != "rosenbrock":
         dt = min(dt, cap)
-    state = FlowState(phi=phi, t=0.0, dt=dt, step_count=0, accepted_streak=0,
-                      rhs_range_initial=(float(stage.rhs.min()),
-                                         float(stage.rhs.max())))
-    return state, stage
-
-
-def _record(state: FlowState, diag: _Diagnostics, measured: float,
-            suspect: bool) -> MonitorRecord:
-    """The trajectory row of `state`, whose diagnostics are `diag`."""
-    return MonitorRecord(
-        t=state.t, dt=state.dt, E=diag.E, dE_dt_measured=measured,
-        dE_dt_predicted=diag.dissipation, rhs_min=diag.rhs_min,
-        rhs_max=diag.rhs_max, lambda_max=diag.lambda_max,
-        floor_constant=diag.floor_constant, residual=diag.residual,
-        suspect=suspect)
+    return FlowState(phi=phi, t=0.0, dt=dt, step_count=0,
+                     accepted_streak=0), stage
 
 
 def run_flow(problem: FlowProblem, phi0=None) -> FlowResult:
@@ -513,21 +496,21 @@ def run_flow(problem: FlowProblem, phi0=None) -> FlowResult:
                                 backend._theta0)
     min_theta0 = float(backend._theta0.min())
 
-    sandwich_tol = 1e-6 + 10.0 * backend.spacing**2
-    rhs_lo, rhs_hi = state.rhs_range_initial
-
-    diag = kernel.diagnostics(stage)
-    lambda_max0 = diag.lambda_max
-    records = [_record(state, diag, float("nan"), False)]
+    energy = kernel.energy(stage)
+    record = kernel.record(state, stage, energy, float("nan"))
+    records = [record]
     keep = True
     snapshots = [(0.0, state.phi.copy())]
     snap_stride = 1
 
-    energy = diag.E
+    sandwich_tol = 1e-6 + 10.0 * backend.spacing**2
+    rhs_floor = record.rhs_min - sandwich_tol
+    rhs_ceiling = record.rhs_max + sandwich_tol
+    lambda_max0 = record.lambda_max
     prev_t = 0.0
-    converged = diag.residual < problem.residual_target
+    converged = record.residual < problem.residual_target
     reason = "residual" if converged else "t_max"
-    theta_max_running = diag.theta_max
+    theta_max_running = float(stage.theta.max())
 
     stalled = None
     while not converged and state.t < problem.t_max:
@@ -535,29 +518,24 @@ def run_flow(problem: FlowProblem, phi0=None) -> FlowResult:
             reason = "max_steps"
             break
         try:
-            state, stage, trial = _attempt_step(problem, kernel, state, stage,
-                                                energy)
+            state, stage, E = _attempt_step(problem, kernel, state, stage,
+                                            energy)
         except StepStalled as exc:
             stalled, reason = exc, "stalled"
             break
-        if trial is None:
+        if E is None:
             continue
-        diag = trial
 
-        theta_max_running = max(theta_max_running, diag.theta_max)
+        theta_max_running = max(theta_max_running, float(stage.theta.max()))
         lambda_bound = lambda_max0 + max(0.0, theta_max_running - min_theta0) \
             + sandwich_tol
-        suspect = (
-            diag.rhs_min < rhs_lo - sandwich_tol
-            or diag.rhs_max > rhs_hi + sandwich_tol
-            or diag.lambda_max > lambda_bound
-        )
-        record = _record(state, diag, (diag.E - energy) / (state.t - prev_t),
-                         suspect)
+        record = kernel.record(state, stage, E,
+                               (E - energy) / (state.t - prev_t),
+                               (rhs_floor, rhs_ceiling, lambda_bound))
         keep = state.step_count % problem.log_every == 0
         if keep:
             records.append(record)
-        energy = diag.E
+        energy = E
         prev_t = state.t
 
         if state.step_count % snap_stride == 0:
@@ -566,10 +544,10 @@ def run_flow(problem: FlowProblem, phi0=None) -> FlowResult:
                 snapshots = snapshots[::2]
                 snap_stride *= 2
 
-        if diag.residual < problem.residual_target:
+        if record.residual < problem.residual_target:
             converged = True
             reason = "residual"
-    # diag and record belong to the final state from here on
+    # stage and record belong to the final state from here on
     if not keep:
         records.append(record)
     if snapshots[-1][0] < state.t:
@@ -582,10 +560,8 @@ def run_flow(problem: FlowProblem, phi0=None) -> FlowResult:
     result = FlowResult(
         problem=problem, state=state, records=records, converged=converged,
         reason=reason, subsolution_margin=margin, sigma_mean=sigma_mean,
-        minus_nc=-level,
-        kappa=float(np.sum(stage.rhs * dens)) / volume,
-        rhs_spread=diag.rhs_max - diag.rhs_min, stats=kernel.stats,
-        snapshots=snapshots)
+        minus_nc=-level, kappa=float(np.sum(stage.rhs * dens)) / volume,
+        stats=kernel.stats, snapshots=snapshots)
     if stalled is not None:
         stalled.result = result
         raise stalled

@@ -237,10 +237,41 @@ def _solve_monotone(func: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     raise GeometryError("moment root refinement failed to reach tolerance")
 
 
-def _base_symplectic(backend: SphereBackend) -> np.ndarray:
-    # Closed-form dual of the round chart potential.
-    m = backend.m
-    return m * np.log(m) + (1.0 - m) * np.log1p(-m)
+def _round_dual(x: np.ndarray) -> np.ndarray:
+    """u0(x) = x log x + (1 - x) log(1 - x), the round chart's dual."""
+    return x * np.log(x) + (1.0 - x) * np.log1p(-x)
+
+
+def _logit(x: np.ndarray) -> np.ndarray:
+    """u0'(x) = log x - log(1 - x), the chart variable s at moment x."""
+    return np.log(x) - np.log1p(-x)
+
+
+def _conjugate(sphere: SphereBackend, gradient, target: np.ndarray,
+               rows: int, direction: str) -> np.ndarray:
+    """The roots x, of shape (rows, target.size), of gradient(x) = target.
+
+    gradient(x), at x of shape (rows, points), gives row r's monotone
+    function and its derivative at row r's points; target rises with
+    the grid.  The bracket is [TAIL_SLIVER m_lo, 1 - TAIL_SLIVER
+    m_lo]: a row whose gradient there does not cover the target has its
+    sup pinned against the s-truncation boundary, and raises
+    ConvexityLost naming the direction and that row's range.
+    """
+    lo = TAIL_SLIVER * sphere.m_lo
+    hi = 1.0 - lo
+    ends = gradient(np.tile([lo, hi], (rows, 1)))[0]
+    short = (ends[:, 0] > target[0]) | (ends[:, 1] < target[-1])
+    if short.any():
+        r = int(np.argmax(short))
+        raise ConvexityLost(
+            f"{direction}: sup attained at the s-truncation boundary: row "
+            f"{r}'s gradient range [{ends[r, 0]:.8f}, {ends[r, 1]:.8f}] "
+            f"does not cover its targets [{target[0]:.8f}, {target[-1]:.8f}]")
+    # The round chart's root for the i-th target is the grid node m_i.
+    return _solve_monotone(gradient, lo, hi, sphere.m,
+                           np.broadcast_to(target, (rows, target.size)),
+                           LEGENDRE_TOL)
 
 
 def _transform_rows(sphere: SphereBackend, phis: np.ndarray) -> np.ndarray:
@@ -248,7 +279,7 @@ def _transform_rows(sphere: SphereBackend, phis: np.ndarray) -> np.ndarray:
 
     Each row is a potential on the grid, already shape-checked; all of
     them are positivity-checked in one stacked metric check, fitted in
-    one spline fit and solved in one monotone solve.
+    one spline fit and solved in one monotone solve of m + X(phi) = m_i.
     """
     sphere.metric(phis, "legendre transform")
     m = sphere.m
@@ -262,21 +293,8 @@ def _transform_rows(sphere: SphereBackend, phis: np.ndarray) -> np.ndarray:
         return (x + rho0 * first,
                 1.0 + (1.0 - 2.0 * x) * first + rho0 * second)
 
-    lo = TAIL_SLIVER * sphere.m_lo
-    hi = 1.0 - lo
-    image_lo = moment(np.full((len(phis), 1), lo))[0][:, 0]
-    image_hi = moment(np.full((len(phis), 1), hi))[0][:, 0]
-    short = (image_lo > m[0]) | (image_hi < m[-1])
-    if short.any():
-        r = int(np.argmax(short))
-        raise ConvexityLost(
-            "legendre sup attained at the s-truncation boundary: moment image "
-            f"[{image_lo[r]:.8f}, {image_hi[r]:.8f}] does not cover the grid")
-    # The round chart's sup sits at the grid node itself.
-    m_star = _solve_monotone(moment, lo, hi, m, np.broadcast_to(m, phis.shape),
-                             LEGENDRE_TOL)
-    s_star = np.log(m_star) - np.log1p(-m_star)
-    return m * s_star + np.log1p(-m_star) - spline(m_star, 0)[0]
+    m_star = _conjugate(sphere, moment, m, len(phis), "legendre transform")
+    return m * _logit(m_star) + np.log1p(-m_star) - spline(m_star, 0)[0]
 
 
 def legendre_transform(backend: GeometryBackend, phi) -> SymplecticPotential:
@@ -306,30 +324,16 @@ def _inverse_rows(sphere: SphereBackend, deviations: np.ndarray,
     before the solve.  Every row solves u'(m) = s in one monotone solve;
     rows come back in weight order.
     """
-    m = sphere.m
-    deviation = _Quintic(m, deviations, weights)
+    deviation = _Quintic(sphere.m, deviations, weights)
 
     def slope(x):
-        rho0 = x * (1.0 - x)
         first, second = deviation(x, 1, 2)
-        return (np.log(x) - np.log1p(-x) + first, 1.0 / rho0 + second)
+        return (_logit(x) + first, 1.0 / (x * (1.0 - x)) + second)
 
-    lo = TAIL_SLIVER * sphere.m_lo
-    hi = 1.0 - lo
-    targets = sphere.s
-    rows = len(weights)
-    if np.any(slope(np.full((rows, 1), lo))[0] > targets[0]) or \
-            np.any(slope(np.full((rows, 1), hi))[0] < targets[-1]):
-        raise ConvexityLost(
-            "inverse legendre slope range does not cover the chart: the sup "
-            "is attained at the s-truncation boundary")
-    # The round chart's root for s_i is the grid node m_i itself.
-    m_star = _solve_monotone(slope, lo, hi, m,
-                             np.broadcast_to(targets, (rows, m.size)),
-                             LEGENDRE_TOL)
-    u_star = (m_star * np.log(m_star) + (1.0 - m_star) * np.log1p(-m_star)
-              + deviation(m_star, 0)[0])
-    return m_star * targets - u_star - sphere.f0
+    m_star = _conjugate(sphere, slope, sphere.s, len(weights),
+                        "inverse legendre transform")
+    u_star = _round_dual(m_star) + deviation(m_star, 0)[0]
+    return m_star * sphere.s - u_star - sphere.f0
 
 
 def legendre_inverse(backend: GeometryBackend,
@@ -344,12 +348,13 @@ def legendre_inverse(backend: GeometryBackend,
     the open moment interval, boundary gap included, short of the last
     TAIL_SLIVER of it.
 
-    The round trip legendre_inverse(legendre_transform(phi)) is accurate
-    to about 2.5e3 delta^5 at nodes 3 to N - 4 (delta the moment
-    spacing).  At the two end nodes it is not: over 2,000 random draws
-    (N = 64 to 256, random_kahler_potential, amplitude up to 0.5) the
-    error there reached 815 delta^4, because their roots lie in the
-    boundary gaps, where the quintic spline extrapolates its end pieces.
+    The error of the round trip legendre_inverse(legendre_transform(phi))
+    scales like delta^5 at nodes 3 to N - 4 (delta the moment spacing)
+    and like delta^4 at the end nodes, whose roots lie in the boundary
+    gaps, where the quintic spline extrapolates its end pieces.  The
+    constants vary by draw: over random_kahler_potential draws (N = 64
+    to 256, amplitude up to 0.5) the error reached 2.7e4 delta^5 at node
+    N - 4 and 2,652 delta^4 at node N - 1, both at N = 232.
     """
     sphere = _require_sphere(backend)
     uv = u.values if isinstance(u, SymplecticPotential) else np.asarray(u, dtype=float)
@@ -357,7 +362,7 @@ def legendre_inverse(backend: GeometryBackend,
         raise GeometryError(
             f"symplectic potential shape {uv.shape} does not match grid "
             f"{sphere.grid_shape}")
-    deviation = (uv - _base_symplectic(sphere))[:, None]
+    deviation = (uv - _round_dual(sphere.m))[:, None]
     return _inverse_rows(sphere, deviation, np.ones((1, 1)))[0]
 
 
@@ -376,7 +381,7 @@ def geodesic_path(backend: GeometryBackend, phi_a, phi_b,
         raise GeometryError("a geodesic path needs at least its two endpoints")
     ends = _transform_rows(sphere, np.stack([
         sphere.check_field(phi_a, "potential"),
-        sphere.check_field(phi_b, "potential")])) - _base_symplectic(sphere)
+        sphere.check_field(phi_b, "potential")])) - _round_dual(sphere.m)
     ts = np.linspace(0.0, 1.0, steps)
     rows = _inverse_rows(sphere, ends.T, np.stack([1.0 - ts, ts], axis=1))
     sphere.metric(rows, "geodesic sample")

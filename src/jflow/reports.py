@@ -27,9 +27,8 @@ def _num(value: float) -> str:
     return repr(float(value))
 
 
-def _cell(record: MonitorRecord, field) -> str:
-    value = getattr(record, field.name)
-    if field.type == "bool":  # flow.py's annotations are strings
+def _cell(value) -> str:
+    if isinstance(value, bool):
         return "1" if value else "0"
     return _num(value)
 
@@ -37,7 +36,8 @@ def _cell(record: MonitorRecord, field) -> str:
 def trajectory_csv(records: Iterable[MonitorRecord]) -> str:
     rows = [TRAJECTORY_HEADER]
     for r in records:
-        rows.append(",".join(_cell(r, f) for f in _TRAJECTORY_FIELDS))
+        rows.append(",".join(_cell(getattr(r, f.name))
+                             for f in _TRAJECTORY_FIELDS))
     return "\n".join(rows) + "\n"
 
 

@@ -7,8 +7,10 @@ minors on the wedge-coefficient matrix, the quadrature oracles go
 through scipy.integrate on closed-form continuum expressions, and the
 path oracle integrates with 33-node composite Simpson where the library
 uses one Simpson panel per segment, the flow oracle rebuilds the flow
-kernel's outputs from a wrapped metric and closed forms, and the torus
-Hessian is inverted in Fourier space against its stencil's symbol.
+kernel's outputs from a wrapped metric and closed forms, the torus
+Hessian is inverted in Fourier space against its stencil's symbol, and
+the sphere's energies are taken from their closed form in symplectic
+coordinates.
 """
 
 from __future__ import annotations
@@ -122,8 +124,11 @@ def flow_kernel_outputs(backend, omega, c: float, phi: np.ndarray) -> dict:
     on the sphere, m - mean(m) plus X phi.  The dissipation integrand is
     in the continuum's own terms: |d sigma|^2 = (d sigma)^2 omega / rho^2,
     where d is half the derivative on the torus, taken here with np.roll,
-    and X on the sphere, from ``sphere_action``.  Returns the stiffness
-    and every field of the kernel's diagnostics by name.
+    and X on the sphere, from ``sphere_action``.  Returns, by name, the
+    stage's sigma and rhs, the stiffness, theta's maximum and the values
+    of the kernel's trajectory row: E, the dissipation (the row's
+    predicted dE/dt), residual, lambda_max, floor_constant, rhs_min and
+    rhs_max.
     """
     chi = build_metric(backend, backend.base_form(), phi).require_kahler("oracle")
     rho, om = chi.density, omega.density
@@ -192,6 +197,54 @@ def entropy_line_density(b: float) -> float:
     if err > 1e-10:
         raise RuntimeError(f"entropy quadrature did not converge: err={err:.3e}")
     return value
+
+
+def toric_energies(phi, dphi, d2phi) -> dict:
+    """The sphere's continuum mu, mu_tilde and Monge-Ampere energy E of
+    the potential phi(m), given with its first two derivatives in the
+    round chart's moment m on [0, 1].
+
+    The circle-invariant sphere is toric, and in symplectic coordinates
+    its energies are explicit (Guillemin 1994; Abreu 1998; Donaldson
+    2002).  Parametrised by m, the deformed moment is X = m + m (1 - m)
+    phi', X' = dX/dm, and the symplectic potential's deviation from the
+    round dual u0(x) = x log x + (1 - x) log(1 - x) is dev = (u - u0)(X)
+    = X logit(m) + log(1 - m) - phi - u0(X), so no root solve is needed:
+    mu_tilde = pi [-int log(X (1 - X) / (m (1 - m) X')) X' dm
+    - phi(0) - phi(1) - int (3/2 + X) dev X' dm], mu the same with 2 in
+    place of 3/2 + X, and E = int phi vol_0 - J = -pi int dev X' dm.
+    Integrated with scipy's quad, apart from every library stencil.
+    """
+
+    def moment(m):
+        return m + m * (1.0 - m) * dphi(m)
+
+    def slope(m):
+        return 1.0 + (1.0 - 2.0 * m) * dphi(m) + m * (1.0 - m) * d2phi(m)
+
+    def dev(m):
+        x = moment(m)
+        return (x * (np.log(m) - np.log1p(-m)) + np.log1p(-m) - phi(m)
+                - x * np.log(x) - (1.0 - x) * np.log1p(-x))
+
+    def integral(f):
+        value, err = quad(f, 0.0, 1.0, limit=200, epsabs=1e-14, epsrel=1e-13)
+        if err > 1e-11:
+            raise RuntimeError(f"toric quadrature did not converge: err={err:.3e}")
+        return value
+
+    def log_ratio(m):
+        x = moment(m)
+        return np.log(x * (1.0 - x) / (m * (1.0 - m) * slope(m))) * slope(m)
+
+    common = -integral(log_ratio) - phi(0.0) - phi(1.0)
+    return {
+        "k_energy": np.pi * (common - integral(
+            lambda m: 2.0 * dev(m) * slope(m))),
+        "k_energy_modified": np.pi * (common - integral(
+            lambda m: (1.5 + moment(m)) * dev(m) * slope(m))),
+        "monge_ampere": -np.pi * integral(lambda m: dev(m) * slope(m)),
+    }
 
 
 def directional_difference(f, phi: np.ndarray, psi: np.ndarray,

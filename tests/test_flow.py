@@ -21,7 +21,7 @@ from jflow import (
     trace_with,
 )
 import oracles
-from jflow.flow import _Diagnostics, _Kernel, _start
+from jflow.flow import FlowState, _Kernel, _start
 from jflow.geometry import GeometryBackend, SphereBackend
 
 
@@ -36,6 +36,12 @@ def torus_target_form(backend, amplitude=0.3, scale=2.0):
 
 def _make_kernel(problem):
     return _Kernel(problem.backend, problem.omega, problem.level)
+
+
+def _row(kernel, stage):
+    """The kernel's trajectory row of a stage, at t = 0 with no slope."""
+    state = FlowState(phi=None, t=0.0, dt=1.0, step_count=0, accepted_streak=0)
+    return kernel.record(state, stage, kernel.energy(stage), float("nan"))
 
 
 # --- right-hand side ---------------------------------------------------------
@@ -190,7 +196,7 @@ def test_flow_run_monitors_stay_clean(torus128):
     assert result.suspect_steps == 0
     energies = [r.E for r in records]
     assert all(b < a for a, b in zip(energies[:-1], energies[1:]))
-    lo, hi = result.state.rhs_range_initial
+    lo, hi = records[0].rhs_min, records[0].rhs_max
     tol = 1e-6 + 10.0 * torus128.spacing**2
     for r in records:
         assert r.rhs_min >= lo - tol
@@ -347,7 +353,7 @@ def test_kernel_stencils_match_roll_and_diff(raw):
     flux = (0.5 / b.spacing) * (np.roll(sigma, -1) - sigma)
     grad = 0.5 * (flux + np.roll(flux, 1))
     want = -2.0 * float(np.sum(grad * grad * kernel.om / h * b.weights))
-    assert kernel.diagnostics(stage).dissipation == want
+    assert _row(kernel, stage).dE_dt_predicted == want
     if len(raw) < 16:  # the sphere's coarsest grid
         return
     b = make_backend("sphere", size=len(raw))
@@ -366,7 +372,7 @@ def test_kernel_stencils_match_roll_and_diff(raw):
                            [0.0]))
     grad = 0.5 * (flux[1:] + flux[:-1])
     want = -2.0 * float(np.sum(grad * grad * kernel.om / rho * b.weights))
-    assert kernel.diagnostics(stage).dissipation == want
+    assert _row(kernel, stage).dE_dt_predicted == want
 
 
 def _relative_gap(got, want):
@@ -390,15 +396,22 @@ def test_kernel_matches_oracle(geometry, torus128, sphere128):
         stage = kernel._stage(phi)
         for name in ("sigma", "rhs"):
             assert _relative_gap(getattr(stage, name), want[name]) <= 1e-12, name
-        assert _relative_gap(kernel.stiffness(stage), want["stiffness"]) <= 1e-12
-        diag = kernel.diagnostics(stage)
-        for name in _Diagnostics.__dataclass_fields__:
-            assert _relative_gap(getattr(diag, name), want[name]) <= 1e-12, name
+        assert _relative_gap(b.stiffness(stage.chi, kernel.om),
+                             want["stiffness"]) <= 1e-12
+        row = _row(kernel, stage)
+        got = {"E": row.E, "dissipation": row.dE_dt_predicted,
+               "residual": row.residual, "lambda_max": row.lambda_max,
+               "floor_constant": row.floor_constant, "rhs_min": row.rhs_min,
+               "rhs_max": row.rhs_max, "theta_max": float(stage.theta.max())}
+        for name, value in got.items():
+            assert _relative_gap(value, want[name]) <= 1e-12, name
+        assert not row.suspect
 
 
 @pytest.mark.parametrize("method, builds_per_step", [("rk4", 4)])
 def test_stage_builds_per_accepted_step(torus64, method, builds_per_step):
-    # one start-up build; the diagnostics' stage serves the next step
+    # one start-up build; the stage of an accepted state's row serves the
+    # next step
     result = run_flow(FlowProblem(backend=torus64, omega=torus_target_form(torus64),
                                   method=method, t_max=0.02))
     stats, steps = result.stats, result.state.step_count
@@ -413,9 +426,9 @@ def test_stage_builds_per_accepted_step(torus64, method, builds_per_step):
 @pytest.mark.parametrize("method, fluxes_per_step", [("rk4", 5),
                                                      ("rosenbrock", 4)])
 def test_flux_passes_per_accepted_step(sphere64, method, fluxes_per_step):
-    # each stage takes its fluxes once, and the diagnostics' dissipation
-    # once more: an RK4 step builds four stages and a RODAS3 step three.
-    # Start-up takes two: its stage and the first diagnostics
+    # each stage takes its fluxes once, and the row's dissipation once
+    # more: an RK4 step builds four stages and a RODAS3 step three.
+    # Start-up takes two: its stage and the first row
     passes = []
     fluxes = GeometryBackend._fluxes
 

@@ -257,6 +257,33 @@ def test_k_energy_first_variation_matches_residual(sphere128, rng):
     assert abs(measured - predicted) < 1e-3 * max(1.0, abs(predicted))
 
 
+@pytest.mark.parametrize("amplitude", [0.25, 0.1])
+def test_sphere_energies_match_the_toric_closed_form(amplitude):
+    # mu, mu_tilde and E = int phi vol_0 - J against their continuum values
+    # in symplectic coordinates: second order, with the error falling by 4
+    # per halving of the grid
+    a, tau = amplitude, 2.0 * np.pi
+
+    def phi(m):
+        return a * (np.sin(tau * m) / tau + m * m / 2.0)
+
+    want = oracles.toric_energies(
+        phi, lambda m: a * (np.cos(tau * m) + m),
+        lambda m: a * (1.0 - tau * np.sin(tau * m)))
+    errors = []
+    for n in (128, 256, 512):
+        b = make_backend("sphere", size=n)
+        p = phi(b.m)
+        mu, mu_tilde = k_energy_modified(b, p)
+        error = np.array([mu - want["k_energy"],
+                          mu_tilde - want["k_energy_modified"],
+                          integrate(b, p) - aubin_j(b, p) - want["monge_ampere"]])
+        assert np.all(np.abs(error) * n**2 <= [1.5, 1.5, 0.05]), (n, error)
+        errors.append(error)
+    for coarse, fine in zip(errors, errors[1:]):
+        assert np.all(np.abs(coarse / fine - 4.0) <= 0.05), coarse / fine
+
+
 def test_scalar_curvature_round_reference(sphere128):
     chi = sphere128.base_form()
     r = scalar_curvature(sphere128, chi)

@@ -1,6 +1,7 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -64,6 +65,20 @@ def test_trajectory_csv_shape(torus_result):
 def test_trajectory_csv_deterministic(torus_result):
     _, _, result = torus_result
     assert trajectory_csv(result.records) == trajectory_csv(result.records)
+
+
+def test_trajectory_csv_writes_suspect_flags_as_digits(torus_result):
+    # the flag is written as 1 or 0 by its value's type, whatever the
+    # record's annotations say; every other cell is a full-precision float
+    _, _, result = torus_result
+    row = replace(result.records[-1], suspect=True)
+    rows = [row, replace(row, suspect=False)]
+    lines = trajectory_csv(rows).split("\n")
+    assert lines[1].endswith(",1")
+    assert lines[2].endswith(",0")
+    names = TRAJECTORY_HEADER.split(",")[:-1]
+    assert lines[1].split(",")[:-1] == [repr(float(getattr(row, name)))
+                                        for name in names]
 
 
 def test_probe_csv_endpoint_cells(sphere128):
