@@ -12,7 +12,7 @@ eigenvalue, so the margin reduces to a single min scan.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ RECONSTRUCTION_TOL = 1e-10
 RECONSTRUCTION_CHECK_POINTS = 16
 
 
-@dataclass(frozen=True)
-class RelativeSpectrum:
+class RelativeSpectrum(NamedTuple):
     """Sorted generalized eigenvalues of a form relative to a metric."""
 
     eigenvalues: np.ndarray  # (*grid, n), ascending
@@ -42,9 +41,6 @@ class RelativeSpectrum:
 
     def smallest(self) -> np.ndarray:
         return self.eigenvalues[..., 0]
-
-    def largest(self) -> np.ndarray:
-        return self.eigenvalues[..., -1]
 
 
 def relative_spectrum(omega, chi_prime: HermitianFormField) -> RelativeSpectrum:
@@ -106,8 +102,7 @@ def classify_margin(margin: float, tol: float = MARGIN_CLASSIFY_TOL) -> str:
     return "boundary"
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     condition_margins: dict[str, float]
     passes: dict[str, bool]
     epsilon: float
@@ -115,9 +110,6 @@ class HypothesisReport:
     min_theta: float
     c: float
     n: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def properness_hypotheses(backend: GeometryBackend, epsilon: float,

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .fields import ConfigError, GeometryError
 from .flow import FLOW_METHODS, FlowProblem
@@ -52,8 +51,7 @@ _OFFSET_FAMILIES = ("zero", "sine", "cosine", "bump")
 _BOUND_TESTS = {">=": operator.ge, ">": operator.gt}
 
 
-@dataclass(frozen=True)
-class ConfigKey:
+class ConfigKey(NamedTuple):
     parse: Callable[[str], object]
     default: object
     help: str
@@ -138,12 +136,11 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
 }
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """Effective (fully defaulted) configuration plus line provenance."""
 
     values: dict
-    lines: dict = field(default_factory=dict)
+    lines: dict = {}
 
     def get(self, key: str):
         return self.values[key]

@@ -9,8 +9,8 @@ still a metric".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +76,7 @@ def _require_finite(values: np.ndarray, label: str) -> None:
         raise GeometryError(f"{label} contains non-finite entries")
 
 
-@dataclass(frozen=True)
-class HermitianFormField:
+class HermitianFormField(NamedTuple):
     """Stack of Hermitian matrices in the backend chart.
 
     ``kahler`` records whether every eigenvalue cleared ``min_eigenvalue

@@ -50,7 +50,7 @@ stiffness cap set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -118,8 +118,7 @@ class FlowProblem:
         return level_constant(self.backend, self.omega)
 
 
-@dataclass(frozen=True)
-class FlowState:
+class FlowState(NamedTuple):
     phi: np.ndarray
     t: float
     dt: float
@@ -127,8 +126,7 @@ class FlowState:
     accepted_streak: int
 
 
-@dataclass(frozen=True)
-class MonitorRecord:
+class MonitorRecord(NamedTuple):
     """One trajectory row; field order matches the CSV column order."""
 
     t: float
@@ -168,8 +166,7 @@ class FlowStats:
     steps_at_cap: int = 0
 
 
-@dataclass
-class FlowResult:
+class FlowResult(NamedTuple):
     """A finished run.
 
     kappa is the volume-weighted mean of the final right-hand side: the
@@ -190,7 +187,7 @@ class FlowResult:
     minus_nc: float
     kappa: float
     stats: FlowStats
-    snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
+    snapshots: list[tuple[float, np.ndarray]]
 
     @property
     def residual(self) -> float:
@@ -403,7 +400,7 @@ def _retry(problem: FlowProblem, state: FlowState, stage, dt: float):
         raise StepStalled(
             f"step size underflow at t = {state.t:.6g} "
             f"(dt = {dt:.3e} < dt_min = {problem.dt_min:.3e})")
-    return replace(state, dt=dt, accepted_streak=0), stage, None
+    return state._replace(dt=dt, accepted_streak=0), stage, None
 
 
 def _attempt_step(problem: FlowProblem, kernel, state: FlowState, stage,

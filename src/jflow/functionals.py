@@ -42,7 +42,7 @@ each form's shape is checked against the grid once, by
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,8 +133,7 @@ def level_constant(backend: GeometryBackend, omega,
     return numerator / (backend.n * backend.integral(1.0, chi))
 
 
-@dataclass(frozen=True)
-class AubinEnergies:
+class AubinEnergies(NamedTuple):
     """I, J, and the two routes to I - J (direct and path formula)."""
 
     I: float
@@ -291,8 +290,7 @@ def scalar_curvature(backend: GeometryBackend, chi: HermitianFormField) -> Scala
     return 2.0 * backend.trace(rho, backend._ricci(rho))
 
 
-@dataclass(frozen=True)
-class FunctionalReport:
+class FunctionalReport(NamedTuple):
     c: float
     I: float
     J: float
@@ -302,9 +300,6 @@ class FunctionalReport:
     k_energy: float
     k_energy_modified: float
     E: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def functional_report(backend: GeometryBackend, phi, omega,

@@ -16,10 +16,9 @@ entry point refuses torus backends with UnsupportedBackend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import factorial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,8 +48,7 @@ def _require_sphere(backend: GeometryBackend) -> SphereBackend:
     return backend
 
 
-@dataclass(frozen=True)
-class SymplecticPotential:
+class SymplecticPotential(NamedTuple):
     """u(m) on the backend moment grid, with its convexity verdict.
 
     ``convex`` records whether every discrete second difference of the
@@ -454,8 +452,7 @@ _OMEGA_BOUND = {
 FUNCTIONAL_IDS = tuple(sorted(_OMEGA_FREE) + sorted(_OMEGA_BOUND))
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     """Functional values along a path and their raw second differences.
 
     ``second_differences[k]`` belongs to the interior node ``ts[k + 1]``;

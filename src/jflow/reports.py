@@ -9,7 +9,7 @@ convenience: trajectory comparisons in the test suite are byte-wise.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,8 +19,7 @@ from .flow import FlowResult, MonitorRecord
 from .functionals import FunctionalReport
 from .geodesic import ProbeReport
 
-_TRAJECTORY_FIELDS = fields(MonitorRecord)
-TRAJECTORY_HEADER = ",".join(f.name for f in _TRAJECTORY_FIELDS)
+TRAJECTORY_HEADER = ",".join(MonitorRecord._fields)
 
 
 def _num(value: float) -> str:
@@ -36,8 +35,7 @@ def _cell(value) -> str:
 def trajectory_csv(records: Iterable[MonitorRecord]) -> str:
     rows = [TRAJECTORY_HEADER]
     for r in records:
-        rows.append(",".join(_cell(getattr(r, f.name))
-                             for f in _TRAJECTORY_FIELDS))
+        rows.append(",".join(map(_cell, r)))
     return "\n".join(rows) + "\n"
 
 
@@ -59,11 +57,11 @@ def _json(payload: dict) -> str:
 
 
 def functional_report_json(report: FunctionalReport) -> str:
-    return _json(report.to_dict())
+    return _json(report._asdict())
 
 
 def hypothesis_report_json(report: HypothesisReport) -> str:
-    return _json(report.to_dict())
+    return _json(report._asdict())
 
 
 def final_state_json(result: FlowResult) -> str:

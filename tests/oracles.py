@@ -9,8 +9,8 @@ path oracle integrates with 33-node composite Simpson where the library
 uses one Simpson panel per segment, the flow oracle rebuilds the flow
 kernel's outputs from a wrapped metric and closed forms, the torus
 Hessian is inverted in Fourier space against its stencil's symbol, and
-the sphere's energies are taken from their closed form in symplectic
-coordinates.
+the sphere's energies and its flow limit are taken from their closed
+forms in symplectic coordinates.
 """
 
 from __future__ import annotations
@@ -161,6 +161,23 @@ def flow_kernel_outputs(backend, omega, c: float, phi: np.ndarray) -> dict:
         "rhs_min": float(rhs.min()), "rhs_max": float(rhs.max()),
         "theta_max": float(theta.max()),
     }
+
+
+def sphere_critical_density(m: np.ndarray, a: float) -> np.ndarray:
+    """The continuum limit density on the sphere for omega = a rho0,
+    a > 1/2, at the moments m, in closed form.
+
+    The level is c = a, and at the limit theta = x - 1/2, where x(m) is
+    the limit's moment and its density is rho = rho0 dx/dm.  The critical
+    equation (c + theta) rho = a rho0 becomes dm/dx = (a - 1/2 + x) / a,
+    with x(0) = 0, so x is the positive root of
+    x^2 + (2a - 1) x - 2 a m = 0 and rho* = a m (1 - m) / (a - 1/2 + x).
+    The root is taken in the form that does not cancel.
+    """
+    m = np.asarray(m, dtype=float)
+    b = 2.0 * a - 1.0
+    x = 4.0 * a * m / (b + np.sqrt(b * b + 8.0 * a * m))
+    return a * m * (1.0 - m) / (a - 0.5 + x)
 
 
 def wedge_positive_2x2(chi_matrix: np.ndarray, omega_matrix: np.ndarray,

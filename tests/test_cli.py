@@ -223,6 +223,26 @@ def test_cli_import_leaves_scipy_interpolate_unloaded(tmp_path):
     assert (tmp_path / "run" / "probe_summary.json").exists()
 
 
+def test_records_are_named_tuples_and_only_two_dataclasses_remain():
+    # FlowProblem validates in __post_init__ and FlowStats counts in place;
+    # every other record is a NamedTuple, so the CLI's import generates no
+    # record methods, and a trajectory row's field order is its CSV header
+    code = (
+        "import dataclasses, inspect, sys\n"
+        "import jflow.cli\n"
+        "from jflow.flow import MonitorRecord\n"
+        "from jflow.reports import TRAJECTORY_HEADER\n"
+        "found = {f'{obj.__module__}.{obj.__qualname__}'\n"
+        "         for name, mod in list(sys.modules.items())\n"
+        "         if name == 'jflow' or name.startswith('jflow.')\n"
+        "         for obj in vars(mod).values()\n"
+        "         if inspect.isclass(obj) and dataclasses.is_dataclass(obj)}\n"
+        "assert found == {'jflow.flow.FlowProblem', 'jflow.flow.FlowStats'}, "
+        "sorted(found)\n"
+        "assert TRAJECTORY_HEADER.split(',') == list(MonitorRecord._fields)\n")
+    run_fresh(code)
+
+
 @pytest.mark.parametrize("command, text", [
     ("geodesic-probe", FAST_SPHERE),
     ("report", FAST_SPHERE + "geodesic.enabled = true\n"),

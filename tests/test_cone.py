@@ -202,7 +202,7 @@ def test_hypotheses_optional_subsolution_entry(sphere64):
 
 def test_hypotheses_report_round_trip(torus64):
     rep = properness_hypotheses(torus64, 0.1, 0.2)
-    d = rep.to_dict()
+    d = rep._asdict()
     assert sorted(d) == ["alpha_lower_bound", "c", "condition_margins",
                          "epsilon", "min_theta", "n", "passes"]
     assert d["passes"]["level_claim"] is True

@@ -331,7 +331,7 @@ def test_sigma_energy_shift_invariant(torus64, sphere64, rng):
 def test_functional_report_fields(torus64, rng):
     phi = random_kahler_potential(torus64, rng, 0.4)
     rep = functional_report(torus64, phi, torus64.base_form())
-    d = rep.to_dict()
+    d = rep._asdict()
     assert sorted(d) == sorted([
         "c", "I", "J", "j_hat", "j_tilde", "entropy", "k_energy",
         "k_energy_modified", "E"])

@@ -1,7 +1,6 @@
 import json
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -71,8 +70,8 @@ def test_trajectory_csv_writes_suspect_flags_as_digits(torus_result):
     # the flag is written as 1 or 0 by its value's type, whatever the
     # record's annotations say; every other cell is a full-precision float
     _, _, result = torus_result
-    row = replace(result.records[-1], suspect=True)
-    rows = [row, replace(row, suspect=False)]
+    row = result.records[-1]._replace(suspect=True)
+    rows = [row, row._replace(suspect=False)]
     lines = trajectory_csv(rows).split("\n")
     assert lines[1].endswith(",1")
     assert lines[2].endswith(",0")

@@ -111,6 +111,27 @@ def test_limit_uniqueness(limits):
         assert gap < 1e-5, kind
 
 
+@pytest.mark.parametrize("a, bound", [(1.0, 0.1), (2.0, 0.012)])
+def test_sphere_limit_matches_its_closed_form(a, bound):
+    # omega = a rho0 has a closed-form limit (oracles), which shares no
+    # stencil with the flow: the discrete limit is second order in the
+    # spacing, so the error falls by 4 per halving
+    errors = []
+    for size in (128, 256, 512):
+        b = make_backend("sphere", size=size)
+        om = b.form(a * b.base_form().matrices)
+        result = run_flow(FlowProblem(backend=b, omega=om, method="rosenbrock",
+                                      residual_target=1e-11, t_max=400.0,
+                                      cfl_safety=0.45))
+        assert result.converged
+        error = np.max(np.abs(limit_density(b, result)
+                              - oracles.sphere_critical_density(b.m, a)))
+        assert error <= bound / size**2, (size, error * size**2)
+        errors.append(error)
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert all(abs(r - 4.0) <= 0.05 for r in ratios), ratios
+
+
 def _interval_mean(times, values, lo, hi):
     """The mean over [lo, hi] of the quadratic through (times, values)."""
     antiderivative = np.polyint(np.polyfit(np.asarray(times) - lo, values, 2))
