@@ -80,7 +80,8 @@ class HermitianFormField(NamedTuple):
     """Stack of Hermitian matrices in the backend chart.
 
     ``kahler`` records whether every eigenvalue cleared ``min_eigenvalue
-    > floor`` at construction time; the flag is trusted afterwards.
+    > DEFAULT_POSITIVITY_FLOOR`` at construction time; the flag is
+    trusted afterwards.
     """
 
     matrices: np.ndarray
@@ -88,8 +89,7 @@ class HermitianFormField(NamedTuple):
     min_eigenvalue: float
 
     @classmethod
-    def from_matrices(cls, matrices: np.ndarray,
-                      floor: float = DEFAULT_POSITIVITY_FLOOR) -> "HermitianFormField":
+    def from_matrices(cls, matrices: np.ndarray) -> "HermitianFormField":
         matrices = np.asarray(matrices, dtype=float)
         if matrices.ndim < 2 or matrices.shape[-1] != matrices.shape[-2]:
             raise ShapeMismatchError(
@@ -102,7 +102,8 @@ class HermitianFormField(NamedTuple):
             min_eig = float(matrices[..., 0, 0].min())
         else:
             min_eig = float(np.linalg.eigvalsh(matrices)[..., 0].min())
-        return cls(matrices=matrices, kahler=min_eig > floor, min_eigenvalue=min_eig)
+        return cls(matrices=matrices, kahler=min_eig > DEFAULT_POSITIVITY_FLOOR,
+                   min_eigenvalue=min_eig)
 
     @property
     def n(self) -> int:

@@ -198,7 +198,7 @@ class _Quintic:
         # The last node at or left of x, else the first: counting the
         # nodes after the first that are <= x needs no clip.
         node = np.searchsorted(self.nodes[1:], x, side="right")
-        coef = np.take(self.coef, node + self.offset, axis=1)
+        coef = self.coef.take(node + self.offset, axis=1)
         return _horner(coef, x - self.nodes[node], orders)
 
 

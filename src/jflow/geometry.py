@@ -138,7 +138,7 @@ class GeometryBackend:
         its end nodes, so the cells past its ends see no difference."""
         # take, unlike phi[..., pad], keeps the rows C-contiguous, so the
         # reductions over the grid axis sum each row as they sum it alone
-        padded = np.take(phi, self._pad, axis=-1)
+        padded = phi.take(self._pad, axis=-1)
         return self._flux_factor * (padded[..., 1:] - padded[..., :-1])
 
     def _difference(self, flux: np.ndarray) -> np.ndarray:

@@ -77,19 +77,19 @@ class NormalStream(random.Random):
 def random_kahler_potential(backend: GeometryBackend,
                             rng: NormalSource,
                             amplitude: float = 0.5,
-                            modes: int = 4,
                             margin: float = 0.5) -> ScalarField:
-    """Band-limited random potential, guaranteed Kahler by construction."""
+    """Random potential in the first four sine and cosine modes,
+    guaranteed Kahler by construction."""
     if isinstance(backend, SphereBackend):
         m = backend.m
         raw = np.zeros_like(m)
-        for k in range(1, modes + 1):
+        for k in range(1, 5):
             raw += rng.standard_normal() * np.sin(np.pi * k * m)
             raw += rng.standard_normal() * np.cos(np.pi * k * m)
     else:
         x = backend.x
         raw = np.zeros_like(x)
-        for k in range(1, modes + 1):
+        for k in range(1, 5):
             raw += rng.standard_normal() * np.sin(2.0 * np.pi * k * x)
             raw += rng.standard_normal() * np.cos(2.0 * np.pi * k * x)
     return scale_to_kahler(backend, raw, amplitude, margin)

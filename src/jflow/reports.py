@@ -97,14 +97,14 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
 def svg_line_plot(series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
-                  title: str, width: int = 640, height: int = 400) -> str:
-    """Minimal line plot: one polyline per series, shared axes.
+                  title: str) -> str:
+    """Minimal 640 x 400 line plot: one polyline per series, shared axes.
 
     Finite points only; series with fewer than two finite points are
     drawn as nothing but still listed in the legend, so the file shape
     is independent of the data values.
     """
-    margin = 50.0
+    width, height, margin = 640, 400, 50.0
     pts = []
     for _, xs, ys in series:
         for x, y in zip(xs, ys):
